@@ -23,8 +23,8 @@ LABEL_LINE = "label,status,anomalous,normal"
 SCORE_TRAIN = 5000
 SCORE_QUERIES = 5000
 SCORE_DUP_FRAC = 0.05
-CV_NORMAL = 3000
-CV_ANOMALOUS = 150
+CV_NORMAL = 1500
+CV_ANOMALOUS = 75
 
 _WORKLOAD_TAGS = {"score": 1, "cv": 2}
 

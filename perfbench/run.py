@@ -7,9 +7,10 @@ Usage, from the root of a checkout:
         --seconds S --trace {0,1}
 
 One run generates the workload's inputs from ``--seed``, times a fresh
-interpreter's ``import dirad.cli`` several times, then starts one worker
-process (perfbench/worker.py) that runs the set-up calls and as many measured
-cycles of CLI calls as fit in ``--seconds``. Every output is checked: all
+interpreter's ``import dirad.cli`` several times before and after one worker
+process (perfbench/worker.py), which runs the set-up calls, an untimed
+warm-up cycle and as many measured cycles of CLI calls as fit in
+``--seconds``. Every output is checked: all
 cycles must write byte-identical files, files of a seed recorded in
 perfbench/expected.json must match its SHA-256, and sampled rows of the ramp
 and absolute score files must equal an independent recomputation
@@ -19,6 +20,10 @@ With ``--trace 0`` the last stdout line carries the end-to-end metrics
 (medians over the run's samples); with ``--trace 1`` it carries the
 per-layer metrics of a traced cycle, and the spans are written as JSON lines
 under ``.perfbench/``. The exit code is 0 only when every operation passed.
+
+BENCHMARK.json lists only ``cv`` and ``sweep``. ``score`` stays runnable here
+but fails its oracle check until ``dirad score`` negates the queries' ``low``
+attributes (see test_score_orients_queries in test_perfbench.py).
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ import gen  # noqa: E402
 import spans  # noqa: E402
 import workloads  # noqa: E402
 
-IMPORT_PROBES = 3
+IMPORT_PROBES = 3  # before the worker, and as many after it
 WORKER_TIMEOUT_S = 150
 PROBE = (
     "import time; t = time.perf_counter(); import dirad.cli; "
@@ -155,7 +160,7 @@ def _spread(values: list[float]) -> str:
 
 
 def end_to_end(wl, imports: list[float], raw: dict) -> tuple[dict, list[str]]:
-    cycles = raw["cycles"]
+    cycles = raw["cycles"][1:]  # after the warm-up cycle
     walls = [c["wall_s"] for c in cycles]
     cpus = [c["cpu_s"] for c in cycles]
     setups = [s["wall_s"] for s in raw["setup"]]
@@ -216,13 +221,14 @@ def run_one(workload: str, seed: int, seconds: float, trace: int):
     env = child_env(wl.threads)
     try:
         gen.write_inputs(workload, seed, work)
-        imports = import_times(env)
+        imports = import_times(env)  # spread over the run, as host load drifts
         subprocess.run(
             [sys.executable, str(HERE / "worker.py"), "--workload", workload,
              "--dir", str(work), "--seed", str(seed), "--seconds", str(seconds),
              "--trace", str(trace), "--result", str(result_path)],
             env=env, cwd=ROOT, timeout=WORKER_TIMEOUT_S, check=True,
         )
+        imports += import_times(env)
         raw = json.loads(result_path.read_text(encoding="utf-8"))
         if not Path(raw["dirad_file"]).resolve().is_relative_to(SRC.resolve()):
             raise BenchError(f"measured {raw['dirad_file']}, not this checkout")

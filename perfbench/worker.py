@@ -115,13 +115,14 @@ def main() -> int:
         result["setup"].append(sample)
 
     # Measured cycles, until another one would overrun the time budget.
-    # Traced runs start with an untraced warm-up cycle, then alternate traced
-    # and untraced cycles (at least one each), so that the difference of the
-    # two gives the tracing overhead without the first cycle's extra cost.
+    # Every run starts with an untraced warm-up cycle, whose outputs are
+    # checked but whose times are not reported. Traced runs then alternate
+    # traced and untraced cycles (at least one each), so that the difference
+    # of the two gives the tracing overhead.
     calls = wl.measured_calls(work, args.seed)
     cycles = result["cycles"]
     start = time.perf_counter()
-    while (not cycles or (recorder and len(cycles) < 3)
+    while (len(cycles) < 2 or (recorder and len(cycles) < 3)
            or time.perf_counter() - start + cycles[-1]["wall_s"] <= args.seconds):
         traced = bool(recorder) and len(cycles) % 2 == 1
         runner.recorder = recorder if traced else None

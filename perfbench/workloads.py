@@ -3,7 +3,10 @@
 Each workload names its set-up calls (timed into ``setup_s``), the calls of
 one measured cycle (timed into ``run_s``), the output files every cycle
 rewrites, the query rows one cycle scores and the ``DIRAD_THREADS`` value it
-runs with. Why each workload exists is recorded in BENCHMARK.json.
+runs with. Why ``cv`` and ``sweep`` exist is recorded in BENCHMARK.json.
+``score`` (one large NND problem per call, exact distance ties, model
+save/load) is left out of BENCHMARK.json while ``dirad score`` leaves the
+queries' ``low`` attributes unnegated, which its oracle check rejects.
 """
 
 from __future__ import annotations
