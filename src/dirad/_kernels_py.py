@@ -2,9 +2,15 @@
 
 Import-time fallback when the compiled extension is unavailable. Must stay
 bit-identical to both the compiled kernel and the scalar reference in
-``distance.record_distance``: the accumulation runs attribute by attribute in
-index order, and Minkowski powers go through libm pow (np.power is allowed to
-differ in the last ulp on SIMD builds, so it cannot be used here).
+``distance.record_distance``: every cell accumulates attribute by attribute in
+index order from a ``+0.0`` start, and Minkowski powers go through libm pow
+(np.power is allowed to differ in the last ulp on SIMD builds, so it cannot be
+used here).
+
+Each call allocates the result and one scratch buffer of the same shape. Per
+attribute, ``out=`` ufuncs write the column difference into the scratch buffer
+and add it into the result; training columns are read from a contiguous
+transposed copy of ``train``.
 """
 
 import math
@@ -22,18 +28,19 @@ def pairwise(queries, train, codes, p):
     codes[j] selects the per-attribute variant: 0 absolute, 1 ramp, 2 signed.
     """
     nq, m = queries.shape
-    n = train.shape[0]
-    out = np.zeros((nq, n), dtype=np.float64)
+    columns = np.ascontiguousarray(train.T)
+    out = np.zeros((nq, columns.shape[1]), dtype=np.float64)
+    buf = np.empty_like(out)
     for j in range(m):
-        buf = queries[:, j, None] - train[None, :, j]
+        np.subtract(queries[:, j, None], columns[j], out=buf)
         c = codes[j]
         if c == 0:
             np.abs(buf, out=buf)
         elif c == 1:
             np.maximum(buf, 0.0, out=buf)
         if p != 1.0:
-            buf = _libm_pow(buf, p).astype(np.float64)
-        out += buf
+            _libm_pow(buf, p, out=buf, casting="unsafe")
+        np.add(out, buf, out=out)
     if p != 1.0:
-        out = _libm_pow(out, 1.0 / p).astype(np.float64)
+        _libm_pow(out, 1.0 / p, out=out, casting="unsafe")
     return out

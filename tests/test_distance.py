@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dirad.dataset import AttributeSpec, Direction
 from dirad.distance import (
@@ -124,6 +127,36 @@ class TestDistanceMatrix:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             distance_matrix([[1.0, 2.0]], [[1.0]], DistanceSpec((ABS,)))
+
+    def test_signed_zero_difference_gives_positive_zero(self):
+        # -0.0 - 0.0 is -0.0; accumulated from +0.0 the distance is +0.0.
+        dm = distance_matrix([[-0.0]], [[0.0]], DistanceSpec((SIGNED,)))
+        assert dm[0, 0] == 0.0 and not np.signbit(dm[0, 0])
+        assert not np.signbit(record_distance([-0.0], [0.0], DistanceSpec((SIGNED,))))
+
+    @pytest.mark.filterwarnings(
+        "ignore:overflow encountered:RuntimeWarning",
+        "ignore:invalid value encountered:RuntimeWarning",
+    )
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_every_cell_equals_record_distance_bitwise(self, data):
+        m = data.draw(st.integers(1, 4))
+        p = data.draw(st.sampled_from([1.0, 2.0, 2.5]))
+        pool = [ABS, RAMP, SIGNED] if p == 1.0 else [ABS, RAMP]
+        variants = data.draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m))
+        spec = DistanceSpec(tuple(variants), p)
+        # Minkowski powers of huge differences overflow math.pow itself.
+        bound = 1e308 if p == 1.0 else 1e100
+        values = st.floats(-bound, bound, allow_nan=False, allow_infinity=False)
+        shapes = st.tuples(st.integers(1, 5), st.just(m))
+        queries = data.draw(hnp.arrays(np.float64, shapes, elements=values))
+        train = data.draw(hnp.arrays(np.float64, shapes, elements=values))
+        dm = distance_matrix(queries, train, spec)
+        for i, y in enumerate(queries):
+            for j, x in enumerate(train):
+                expected = np.float64(record_distance(y, x, spec))
+                assert dm[i, j].tobytes() == expected.tobytes()
 
 
 class TestVariantIdentities:

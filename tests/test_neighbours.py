@@ -1,10 +1,23 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirad.distance import DistanceSpec, DistanceVariant, distance_matrix
-from dirad.neighbours import knn, knn_batch, self_knn, self_knn_batch
+from dirad.neighbours import (
+    _BLOCK_BYTES,
+    _block_rows,
+    knn,
+    knn_batch,
+    self_knn,
+    self_knn_batch,
+)
 
 ABS = DistanceVariant.ABSOLUTE
+RAMP = DistanceVariant.RAMP
+SIGNED = DistanceVariant.SIGNED
 
 
 def test_nearer_of_two_points():
@@ -105,14 +118,106 @@ def test_batch_matches_single_queries():
         assert np.array_equal(idx[i], single.indices)
 
 
+def oracle_knn(train, queries, k, spec, exclude_self=False):
+    """Top-k by full stable argsort of every distance row."""
+    block = distance_matrix(queries, train, spec)
+    if exclude_self:
+        block[np.arange(len(train)), np.arange(len(train))] = np.inf
+    order = np.argsort(block, axis=1, kind="stable")[:, :k]
+    return np.take_along_axis(block, order, axis=1), order
+
+
+def assert_same_neighbours(got, expected):
+    # Distances bitwise (signed zeros, inf and NaN included), indices exactly.
+    assert got[0].tobytes() == expected[0].tobytes()
+    assert np.array_equal(got[1], expected[1])
+
+
 def test_batch_blocks_do_not_change_results():
-    # More rows than the internal block size exercises the chunked path.
+    # Sized from the byte budget so both calls span at least two blocks.
+    n = math.isqrt(_BLOCK_BYTES // 8) + 1
+    assert _block_rows(n) < n
     rng = np.random.default_rng(67)
-    train = rng.standard_normal((300, 2))
+    train = rng.standard_normal((n, 2))
     spec = DistanceSpec((ABS, ABS))
-    dists, idx = self_knn_batch(train, 3, spec)
-    results = self_knn(train[:5], 3, spec)  # small sanity slice
-    assert dists.shape == (300, 3)
-    assert np.all(np.diff(dists, axis=1) >= 0)
-    assert np.all(idx != np.arange(300)[:, None])
-    assert results[0].distances.shape == (3,)
+    got = self_knn_batch(train, 3, spec)
+    assert_same_neighbours(got, oracle_knn(train, train, 3, spec, exclude_self=True))
+    queries = rng.standard_normal((2 * _block_rows(n) + 1, 2))
+    got = knn_batch(train, queries, 3, spec)
+    assert_same_neighbours(got, oracle_knn(train, queries, 3, spec))
+
+
+OVERFLOW_WARNINGS = (
+    "ignore:overflow encountered:RuntimeWarning",
+    "ignore:invalid value encountered:RuntimeWarning",
+)
+
+
+@pytest.mark.filterwarnings(*OVERFLOW_WARNINGS)
+def test_rows_with_nan_distances_match_full_sort():
+    # inf + -inf under a signed spec gives NaN cells, which sort last.
+    signed = DistanceSpec((SIGNED,) * 2)
+    train = [[-1e308, 1e308], [0.0, 0.0], [-1e308, 1e308], [1.0, 1.0]]
+    queries = np.array([[1e308, -1e308], [0.0, 0.0]])
+    assert np.isnan(distance_matrix(queries, train, signed)[0]).sum() == 2
+    for k in range(1, 5):
+        got = knn_batch(train, queries, k, signed)
+        assert_same_neighbours(got, oracle_knn(train, queries, k, signed))
+
+
+KINDS = ("random", "rounded", "duplicated", "extreme")
+
+
+def sample_rows(rng, kind, rows, m):
+    """Rows of one data kind; "extreme" overflows signed sums to inf and NaN."""
+    if kind == "random":
+        return rng.standard_normal((rows, m)) * 3
+    if kind == "rounded":
+        return np.round(rng.standard_normal((rows, m)))
+    if kind == "duplicated":
+        pool = np.round(rng.standard_normal((3, m)), 1)
+        return pool[rng.integers(0, len(pool), rows)]
+    return rng.choice([-1e308, 1e308, 0.0, -0.0, 1.0], size=(rows, m))
+
+
+@st.composite
+def problems(draw, self_query):
+    """(train, queries or None, k, spec) for a neighbour query."""
+    kind = draw(st.sampled_from(KINDS))
+    m = draw(st.integers(1, 4))
+    p = 1.0 if kind == "extreme" else draw(st.sampled_from([1.0, 2.0]))
+    pool = [ABS, RAMP, SIGNED] if p == 1.0 else [ABS, RAMP]
+    variants = draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m))
+    if kind == "extreme":
+        variants[0] = SIGNED
+    spec = DistanceSpec(tuple(variants), p)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if self_query:
+        # Above sqrt(_BLOCK_BYTES / 8) rows the self-query spans two blocks.
+        wide = math.isqrt(_BLOCK_BYTES // 8) + 1
+        n = draw(st.one_of(st.integers(2, 30), st.integers(wide, wide + 40)))
+        k = draw(st.integers(1, n - 1))
+        return sample_rows(rng, kind, n, m), None, k, spec
+    n = draw(st.integers(1, 60))
+    k = draw(st.integers(1, n))
+    rows = _block_rows(n)
+    q = rows * draw(st.integers(0, 2)) + draw(st.integers(1, rows))
+    return sample_rows(rng, kind, n, m), sample_rows(rng, kind, q, m), k, spec
+
+
+@pytest.mark.filterwarnings(*OVERFLOW_WARNINGS)
+@settings(max_examples=60, deadline=None)
+@given(problems(self_query=False))
+def test_knn_batch_matches_full_sort_property(problem):
+    train, queries, k, spec = problem
+    got = knn_batch(train, queries, k, spec)
+    assert_same_neighbours(got, oracle_knn(train, queries, k, spec))
+
+
+@pytest.mark.filterwarnings(*OVERFLOW_WARNINGS)
+@settings(max_examples=60, deadline=None)
+@given(problems(self_query=True))
+def test_self_knn_batch_matches_full_sort_property(problem):
+    train, _, k, spec = problem
+    got = self_knn_batch(train, k, spec)
+    assert_same_neighbours(got, oracle_knn(train, train, k, spec, exclude_self=True))
