@@ -7,7 +7,6 @@ scaling, cross-validation, AUROC, signed-rank tests) to benchmark them.
 """
 
 from . import alp, nnd
-from ._backend import backend_name
 from .dataset import (
     AttributeSpec,
     Dataset,
@@ -40,7 +39,7 @@ from .evaluation import (
     synthetic_auroc,
     wilcoxon_one_sided,
 )
-from .neighbours import NeighbourResult, knn, knn_batch, self_knn, self_knn_batch
+from .neighbours import knn_batch, self_knn_batch
 from .persist import ModelBundle, load_model, save_model
 from .synthgen import SynthSpec, generate, grid
 
@@ -56,13 +55,11 @@ __all__ = [
     "FoldPlan",
     "LabelRule",
     "ModelBundle",
-    "NeighbourResult",
     "ScalingParams",
     "SynthSpec",
     "alp",
     "apply_scaler",
     "auroc",
-    "backend_name",
     "directionality_diagnostic",
     "distance_matrix",
     "fit_scaler",
@@ -71,7 +68,6 @@ __all__ = [
     "generate",
     "grid",
     "holm_bonferroni",
-    "knn",
     "knn_batch",
     "load_model",
     "make_folds",
@@ -83,7 +79,6 @@ __all__ = [
     "record_distance",
     "run_cv",
     "save_model",
-    "self_knn",
     "self_knn_batch",
     "synthetic_auroc",
     "wilcoxon_one_sided",

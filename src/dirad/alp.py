@@ -21,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, stored_array
 from .distance import DistanceSpec, DistanceVariant
 from .neighbours import knn_batch, self_knn_batch
-from .nnd import _require_oriented, linear_weights
+from .nnd import _require_oriented, _as_queries, linear_weights
 
 
 def _round_half_up(x: float) -> int:
@@ -65,9 +65,14 @@ class AlpConfig:
     k: int | None = None
     l: int | None = None
 
+    detector = "alp"
+
     def __post_init__(self) -> None:
         if self.variant is DistanceVariant.SIGNED:
             raise ValueError("signed distance cannot be used with ALP")
+
+    def fit(self, train: Dataset) -> AlpModel:
+        return fit(train, self)
 
 
 @dataclass(frozen=True)
@@ -82,6 +87,47 @@ class AlpModel:
     weights_l: np.ndarray
     spec: DistanceSpec
     train_nn_dists: np.ndarray
+
+    detector = "alp"
+
+    def anomaly_scores(self, queries: np.ndarray) -> np.ndarray:
+        return anomaly_scores(self, queries)
+
+    def to_arrays(self) -> dict:
+        """The model bundle arrays; ``from_arrays`` reads them back."""
+        return {
+            "train": self.train,
+            "k": np.int64(self.k),
+            "l": np.int64(self.l),
+            "weights_k": self.weights_k,
+            "weights_l": self.weights_l,
+            "train_nn_dists": self.train_nn_dists,
+            **self.spec.to_arrays(),
+        }
+
+    @classmethod
+    def from_arrays(cls, arrays) -> AlpModel:
+        """Inverse of ``to_arrays``; rejects arrays ``fit`` cannot produce."""
+        train = stored_array(arrays, "train", np.float64, 2)
+        n, m = train.shape
+        k = int(stored_array(arrays, "k", np.int64, 0))
+        l = int(stored_array(arrays, "l", np.int64, 0))
+        if not (1 <= k <= n - 1 and 1 <= l <= n):
+            raise ValueError(f"k={k} and l={l} must be in [1, {n - 1}] and [1, {n}]")
+        weights_k = stored_array(arrays, "weights_k", np.float64, 1)
+        weights_l = stored_array(arrays, "weights_l", np.float64, 1)
+        if weights_k.tobytes() != linear_weights(k).tobytes():
+            raise ValueError(f"weights_k differ from linear_weights({k})")
+        if weights_l.tobytes() != linear_weights(l).tobytes():
+            raise ValueError(f"weights_l differ from linear_weights({l})")
+        spec = DistanceSpec.from_arrays(arrays)
+        signed = DistanceVariant.SIGNED in spec.variants
+        if spec.m != m or spec.exponent_p != 1.0 or signed:
+            raise ValueError(f"spec must be absolute/ramp at p=1 over {m} attributes")
+        nn_dists = stored_array(arrays, "train_nn_dists", np.float64, 2)
+        if nn_dists.shape != (n, k):
+            raise ValueError(f"train_nn_dists must have shape ({n}, {k})")
+        return cls(train, k, l, weights_k, weights_l, spec, nn_dists)
 
 
 def fit(train: Dataset, cfg: AlpConfig) -> AlpModel:
@@ -110,14 +156,7 @@ def fit(train: Dataset, cfg: AlpConfig) -> AlpModel:
 
 def _lp_batch(model: AlpModel, queries: np.ndarray) -> np.ndarray:
     """(q, k) localised proximities; entry (r, i-1) is lp_i of query r."""
-    q = np.ascontiguousarray(queries, dtype=np.float64)
-    if q.ndim != 2:
-        raise ValueError("queries must be a 2-d matrix")
-    if q.shape[1] != model.train.shape[1]:
-        raise ValueError(
-            f"queries have {q.shape[1]} attributes, the model expects "
-            f"{model.train.shape[1]}"
-        )
+    q = _as_queries(queries, model.train.shape[1])
     kq = max(model.k, model.l)
     dists, idx = knn_batch(model.train, q, kq, model.spec)
     d = dists[:, : model.k]
@@ -130,34 +169,12 @@ def _lp_batch(model: AlpModel, queries: np.ndarray) -> np.ndarray:
     return np.where(denom == 0.0, 1.0, big_d / safe)
 
 
-def localised_proximities(model: AlpModel, y: np.ndarray) -> np.ndarray:
-    """All k localised proximity values of a single query, each in [0, 1]."""
-    ya = np.asarray(y, dtype=np.float64)
-    if ya.ndim != 1:
-        raise ValueError("y must be a 1-d vector")
-    return _lp_batch(model, ya[None, :])[0]
-
-
-def localised_proximity(model: AlpModel, y: np.ndarray, i: int) -> float:
-    """lp_i of a query; i is the 1-based neighbour order as in the notation."""
-    if not 1 <= i <= model.k:
-        raise ValueError(f"i must be in [1, {model.k}], got {i}")
-    return float(localised_proximities(model, y)[i - 1])
-
-
 def normality_scores(model: AlpModel, queries: np.ndarray) -> np.ndarray:
     """Weighted maximum of the localised proximities, one score per row."""
     lp = _lp_batch(model, queries)
     raw = np.sort(lp, axis=1)[:, ::-1] @ model.weights_k
     # The weights sum to 1 only within rounding, so pin the hard [0, 1] range.
     return np.clip(raw, 0.0, 1.0)
-
-
-def normality_score(model: AlpModel, y: np.ndarray) -> float:
-    ya = np.asarray(y, dtype=np.float64)
-    if ya.ndim != 1:
-        raise ValueError("y must be a 1-d vector")
-    return float(normality_scores(model, ya[None, :])[0])
 
 
 def anomaly_scores(model: AlpModel, queries: np.ndarray) -> np.ndarray:

@@ -4,10 +4,12 @@ Subcommands: synth (generate benchmark data), bench (cross-validation or
 synthetic sweeps), score (fit or load a model and score queries), stats
 (signed-rank comparisons over result tables), diagnose (directionality
 report). Every command is deterministic given its flags; outputs are written
-atomically (write-then-rename).
+atomically (write-then-rename). bench and score build detector configs in
+``_detector_config`` and use them only through ``config.fit`` and
+``model.anomaly_scores``. A bundle saved by ``score --save-model`` carries
+its schema's label rule, so ``score --model`` needs no ``--schema``.
 
-Environment: DIRAD_THREADS caps the bench worker threads (default 1),
-DIRAD_BACKEND forces the distance kernel backend.
+Environment: DIRAD_THREADS caps the bench worker threads (default 1).
 """
 
 from __future__ import annotations
@@ -21,11 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import alp as alp_mod
 from . import evaluation, synthgen
-from . import nnd as nnd_mod
-from ._backend import backend_name
-from .alp import AlpConfig, AlpModel
+from .alp import AlpConfig
 from .dataset import (
     Dataset,
     LabelRule,
@@ -50,7 +49,7 @@ from .evaluation import (
     synthetic_auroc,
     wilcoxon_one_sided,
 )
-from .nnd import NndConfig, NndModel
+from .nnd import NndConfig
 from .persist import load_model, save_model
 
 DEFAULT_SEED = 0
@@ -160,8 +159,15 @@ def cmd_synth(args) -> int:
 # bench
 
 
-def _detector_configs(args, parser) -> list[tuple[str, str, object]]:
-    """(detector, variant, config) cells; signed x alp is a config error."""
+def _detector_config(detector: str, variant: str, args) -> NndConfig | AlpConfig:
+    """The config of one detector:variant pair, with k (and l) from the flags."""
+    if detector == "nnd":
+        return NndConfig(variant=DistanceVariant(variant), k=args.k)
+    return AlpConfig(variant=DistanceVariant(variant), k=args.alp_k, l=args.alp_l)
+
+
+def _detector_configs(args, parser) -> list[NndConfig | AlpConfig]:
+    """One config per bench cell; signed x alp is a config error."""
     detectors = _csv_list(args.detectors)
     for d in detectors:
         if d not in ("nnd", "alp"):
@@ -176,9 +182,7 @@ def _detector_configs(args, parser) -> list[tuple[str, str, object]]:
         for v in nnd_variants:
             if v not in NND_VARIANTS:
                 parser.error(f"unknown NND variant {v!r}")
-            cells.append(
-                ("nnd", v, NndConfig(variant=DistanceVariant(v), k=args.k))
-            )
+            cells.append(_detector_config("nnd", v, args))
     if "alp" in detectors:
         for v in alp_variants:
             if v not in ALP_VARIANTS:
@@ -186,13 +190,7 @@ def _detector_configs(args, parser) -> list[tuple[str, str, object]]:
                     f"variant {v!r} cannot be used with ALP (allowed: "
                     f"{', '.join(ALP_VARIANTS)})"
                 )
-            cells.append(
-                (
-                    "alp",
-                    v,
-                    AlpConfig(variant=DistanceVariant(v), k=args.alp_k, l=args.alp_l),
-                )
-            )
+            cells.append(_detector_config("alp", v, args))
     return cells
 
 
@@ -250,7 +248,7 @@ def _bench_cv(args, cells) -> int:
     for ds_id, ds in datasets:
         n_normal = int((~ds.labels).sum())
         plan = make_folds(n_normal, folds=args.folds, seed=args.seed)
-        for _, _, config in cells:
+        for config in cells:
             jobs.append((ds_id, ds, config, plan))
 
     def worker(job):
@@ -272,7 +270,7 @@ def _bench_cv(args, cells) -> int:
     for ds_id, config, exc in failures:
         print(
             f"cell failed: dataset={ds_id} detector="
-            f"{evaluation.detector_id(config)}:{evaluation.variant_id(config)}: {exc}",
+            f"{config.detector}:{config.variant.value}: {exc}",
             file=sys.stderr,
         )
     return 1 if failures else 0
@@ -285,21 +283,22 @@ def _bench_sweep(args, cells) -> int:
         else synthgen.default_shifts(args.sweep)
     )
     jobs = []
-    for detector, variant, config in cells:
+    for config in cells:
         for shift in shifts:
             specs = synthgen.grid(
                 args.sweep, [shift], args.replicates, base_seed=args.seed
             )
-            jobs.append((detector, variant, config, shift, specs))
+            jobs.append((config, shift, specs))
 
     def worker(job):
-        detector, variant, config, shift, specs = job
+        config, shift, specs = job
+        detector, variant = config.detector, config.variant.value
         try:
             aurocs = [
                 synthetic_auroc(spec, config, scale=not args.no_scale)
                 for spec in specs
             ]
-            k = args.k if detector == "nnd" else (args.alp_k or "auto")
+            k = "auto" if config.k is None else config.k
             return SweepCell(
                 args.sweep, shift, detector, k, variant,
                 len(specs), float(np.mean(aurocs)),
@@ -337,35 +336,30 @@ def cmd_bench(args, parser) -> int:
 def _fit_from_args(args, parser):
     if not (args.train and args.schema_path):
         parser.error("--train and --schema are required when --model is not given")
-    ds, _ = _load_dataset(args.train, args.schema_path)
+    ds, rule = _load_dataset(args.train, args.schema_path)
     if ds.labels is not None:
         ds = ds.take(np.flatnonzero(~ds.labels))  # fit on normal records only
     ds = orient(ds)
     scaler = fit_scaler(ds)
     scaled = apply_scaler(ds, scaler)
-    variant = DistanceVariant(args.variant)
-    if args.detector == "nnd":
-        model = nnd_mod.fit(scaled, NndConfig(variant=variant, k=args.k))
-    else:
-        model = alp_mod.fit(
-            scaled, AlpConfig(variant=variant, k=args.alp_k, l=args.alp_l)
-        )
-    return model, scaler, ds.schema
+    model = _detector_config(args.detector, args.variant, args).fit(scaled)
+    return model, scaler, ds.schema, rule
 
 
 def cmd_score(args, parser) -> int:
     if args.model:
         bundle = load_model(args.model)
         if bundle.scaler is None or bundle.schema is None:
-            raise SystemExit(
+            raise ValueError(
                 f"{args.model}: bundle lacks the scaler/schema needed to "
                 f"score raw queries"
             )
         model, scaler, schema = bundle.model, bundle.scaler, bundle.schema
+        rule = bundle.label_rule
     else:
-        model, scaler, schema = _fit_from_args(args, parser)
+        model, scaler, schema, rule = _fit_from_args(args, parser)
         if args.save_model:
-            save_model(args.save_model, model, scaler, schema)
+            save_model(args.save_model, model, scaler, schema, rule)
             print(f"saved model to {args.save_model}")
 
     text = Path(args.queries).read_text(encoding="utf-8")
@@ -373,18 +367,12 @@ def cmd_score(args, parser) -> int:
         _write_atomic(Path(args.out), "row,score\n")
         print(f"wrote 0 scores to {args.out}")
         return 0
-    rule = None
-    if args.schema_path:
+    if args.model and args.schema_path:
         _, rule = parse_schema(Path(args.schema_path).read_text(encoding="utf-8"))
     queries = _parse_with_optional_labels(text, schema, rule)
     queries = orient(queries)
     scaled = apply_scaler(queries, scaler)
-    if isinstance(model, NndModel):
-        scores = nnd_mod.anomaly_scores(model, scaled.records)
-    elif isinstance(model, AlpModel):
-        scores = alp_mod.anomaly_scores(model, scaled.records)
-    else:
-        raise SystemExit(f"unsupported model type {type(model).__name__}")
+    scores = model.anomaly_scores(scaled.records)
     lines = ["row,score"] + [
         f"{i},{float(s)!r}" for i, s in enumerate(scores, start=1)
     ]
@@ -484,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="dirad",
         description=(
             "Directional anomaly detection: NND/ALP detectors with absolute, "
-            f"ramp and signed distances (kernel backend: {backend_name()})"
+            "ramp and signed distances"
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)

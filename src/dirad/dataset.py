@@ -283,6 +283,23 @@ class ScalingParams:
         object.__setattr__(self, "semi_iqr", semi)
 
 
+def stored_array(arrays, key: str, dtype, ndim: int) -> np.ndarray:
+    """``arrays[key]`` of a model bundle, checked for presence, dtype (any
+    unicode width for ``str``), ndim and, for floats, finiteness."""
+    if key not in arrays:
+        raise ValueError(f"missing array {key!r}")
+    arr = np.asarray(arrays[key])
+    dtype_ok = arr.dtype.kind == "U" if dtype is str else arr.dtype == dtype
+    if not dtype_ok or arr.ndim != ndim:
+        raise ValueError(
+            f"array {key!r} must be {ndim}-d {np.dtype(dtype).name}, got "
+            f"{arr.ndim}-d {arr.dtype}"
+        )
+    if arr.dtype.kind == "f" and not np.all(np.isfinite(arr)):
+        raise ValueError(f"array {key!r} holds non-finite values")
+    return arr
+
+
 def fit_scaler(train: Dataset) -> ScalingParams:
     """Fit midhinge/semi-IQR per attribute on (normal) training records.
 

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import _backend
-from .dataset import AttributeSpec, Direction
+from .dataset import AttributeSpec, Direction, stored_array
 
 
 class DistanceVariant(enum.Enum):
@@ -84,6 +84,21 @@ class DistanceSpec:
         """int8 variant codes consumed by the batch kernels."""
         return np.array([_CODES[v] for v in self.variants], dtype=np.int8)
 
+    def to_arrays(self) -> dict:
+        """Model bundle arrays: the variant codes and the exponent."""
+        return {"spec_codes": self.codes(), "spec_p": np.float64(self.exponent_p)}
+
+    @classmethod
+    def from_arrays(cls, arrays) -> "DistanceSpec":
+        """Inverse of ``to_arrays``; rejects unknown codes and bad exponents."""
+        codes = stored_array(arrays, "spec_codes", np.int8, 1)
+        p = float(stored_array(arrays, "spec_p", np.float64, 0))
+        variants = {code: v for v, code in _CODES.items()}
+        unknown = set(codes.tolist()) - set(variants)
+        if unknown:
+            raise ValueError(f"unknown distance variant codes {sorted(unknown)}")
+        return cls(tuple(variants[c] for c in codes.tolist()), p)
+
 
 def per_attribute(diff: float, variant: DistanceVariant) -> float:
     """Table of per-attribute distances applied to a difference y_j - x_j."""
@@ -128,8 +143,7 @@ def distance_matrix(
 ) -> np.ndarray:
     """(q, n) matrix with entry (i, j) = record_distance(queries[i], train[j]).
 
-    Dispatches to the active kernel backend; output is bit-identical to the
-    scalar operation.
+    Output is bit-identical to the scalar operation.
     """
     q = np.ascontiguousarray(queries, dtype=np.float64)
     t = np.ascontiguousarray(train, dtype=np.float64)

@@ -10,16 +10,12 @@ is what the signed-rank comparisons assume.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import stats
 
-from . import alp as alp_mod
-from . import nnd as nnd_mod
-from .alp import AlpConfig
 from .dataset import Dataset, ScalingParams, apply_scaler, fit_scaler, orient
-from .nnd import NndConfig
 from .synthgen import SynthSpec, generate
 
 
@@ -88,34 +84,10 @@ class ExperimentResult:
     mean_auroc: float
 
 
-# A scorer factory: called with the scaled training dataset and the scaled
-# query matrix, returns one anomaly score per query row.
-ScorerConfig = Callable[[Dataset, np.ndarray], np.ndarray]
-
-
 def _fit_and_score(config, train_ds: Dataset, queries: np.ndarray):
-    if isinstance(config, NndConfig):
-        model = nnd_mod.fit(train_ds, config)
-        return nnd_mod.anomaly_scores(model, queries), model
-    if isinstance(config, AlpConfig):
-        model = alp_mod.fit(train_ds, config)
-        return alp_mod.anomaly_scores(model, queries), model
-    if callable(config):
-        return np.asarray(config(train_ds, queries), dtype=np.float64), None
-    raise TypeError(f"unsupported detector config: {config!r}")
-
-
-def detector_id(config) -> str:
-    if isinstance(config, NndConfig):
-        return "nnd"
-    if isinstance(config, AlpConfig):
-        return "alp"
-    return getattr(config, "name", "custom")
-
-
-def variant_id(config) -> str:
-    variant = getattr(config, "variant", None)
-    return variant.value if variant is not None else ""
+    """Fit ``config`` (an NndConfig or AlpConfig) and score the queries."""
+    model = config.fit(train_ds)
+    return model.anomaly_scores(queries), model
 
 
 def run_cv(
@@ -158,8 +130,8 @@ def run_cv(
             ) from exc
     result = ExperimentResult(
         dataset_id,
-        detector_id(config),
-        variant_id(config),
+        config.detector,
+        config.variant.value,
         tuple(fold_aurocs),
         float(np.mean(fold_aurocs)),
     )

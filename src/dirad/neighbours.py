@@ -16,8 +16,6 @@ the full stable argsort, which puts NaN last.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .distance import DistanceSpec, distance_matrix
@@ -27,12 +25,6 @@ from .distance import DistanceSpec, distance_matrix
 # (rows, n) matrix plus the kernel's same-sized scratch buffer fit in a per-core
 # L2 cache. 512 KiB was the fastest of 32 KiB-2 MiB on a Xeon with 2 MiB of L2.
 _BLOCK_BYTES = 512 * 1024
-
-
-@dataclass(frozen=True)
-class NeighbourResult:
-    distances: np.ndarray
-    indices: np.ndarray
 
 
 def _as_matrix(train) -> np.ndarray:
@@ -107,17 +99,6 @@ def knn_batch(
     return dists, idx
 
 
-def knn(
-    train: np.ndarray, query: np.ndarray, k: int, spec: DistanceSpec
-) -> NeighbourResult:
-    """k nearest training rows to a single query vector."""
-    q = np.asarray(query, dtype=np.float64)
-    if q.ndim != 1:
-        raise ValueError("query must be a 1-d vector")
-    dists, idx = knn_batch(train, q[None, :], k, spec)
-    return NeighbourResult(dists[0], idx[0])
-
-
 def self_knn_batch(
     train: np.ndarray, k: int, spec: DistanceSpec
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -136,8 +117,3 @@ def self_knn_batch(
         dists[start:stop], idx[start:stop] = _smallest_k(block, k)
     return dists, idx
 
-
-def self_knn(train: np.ndarray, k: int, spec: DistanceSpec) -> list[NeighbourResult]:
-    """Per-row nearest-neighbour results over the training set itself."""
-    dists, idx = self_knn_batch(train, k, spec)
-    return [NeighbourResult(dists[i], idx[i]) for i in range(dists.shape[0])]

@@ -1,28 +1,34 @@
 """Model bundle persistence: a versioned .npz with a bit-exact round trip.
 
-A bundle always stores the fitted model (NND or ALP) and may carry the
-scaler and schema it was trained behind, so a saved model can score raw CSV
-queries without the original training data.
+A bundle always stores the fitted model (its ``kind`` plus its ``to_arrays``)
+and may carry the scaler, schema and label rule it was trained behind, so a
+saved model can score raw CSV queries without the original training data.
 """
 
 from __future__ import annotations
 
+import os
+import zipfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .alp import AlpModel
-from .dataset import AttributeSpec, Direction, ScalingParams
-from .distance import DistanceSpec, DistanceVariant
+from .dataset import (
+    AttributeSpec,
+    Direction,
+    LabelRule,
+    ScalingParams,
+    format_schema,
+    parse_schema,
+    stored_array,
+)
 from .nnd import NndModel
 
 FORMAT_VERSION = 1
 
-_CODE_TO_VARIANT = {
-    0: DistanceVariant.ABSOLUTE,
-    1: DistanceVariant.RAMP,
-    2: DistanceVariant.SIGNED,
-}
+_MODELS = {"nnd": NndModel, "alp": AlpModel}
 
 
 @dataclass(frozen=True)
@@ -30,19 +36,7 @@ class ModelBundle:
     model: NndModel | AlpModel
     scaler: ScalingParams | None = None
     schema: tuple[AttributeSpec, ...] | None = None
-
-
-def _spec_arrays(prefix: str, spec: DistanceSpec) -> dict:
-    return {
-        f"{prefix}_codes": spec.codes(),
-        f"{prefix}_p": np.float64(spec.exponent_p),
-    }
-
-
-def _spec_from(arrays, prefix: str) -> DistanceSpec:
-    codes = arrays[f"{prefix}_codes"]
-    variants = tuple(_CODE_TO_VARIANT[int(c)] for c in codes)
-    return DistanceSpec(variants, float(arrays[f"{prefix}_p"]))
+    label_rule: LabelRule | None = None
 
 
 def save_model(
@@ -50,79 +44,85 @@ def save_model(
     model: NndModel | AlpModel,
     scaler: ScalingParams | None = None,
     schema: tuple[AttributeSpec, ...] | None = None,
+    label_rule: LabelRule | None = None,
 ) -> None:
-    arrays: dict = {"format_version": np.int64(FORMAT_VERSION)}
-    if isinstance(model, NndModel):
-        arrays["kind"] = np.str_("nnd")
-        arrays["variant"] = np.str_(model.variant.value)
-        arrays["train"] = model.train
-        arrays["weights"] = model.weights
-        arrays["directional_mask"] = model.directional_mask
-        if model.spec is not None:
-            arrays.update(_spec_arrays("spec", model.spec))
-        if model.sorted_sums is not None:
-            arrays["sorted_sums"] = model.sorted_sums
-    elif isinstance(model, AlpModel):
-        arrays["kind"] = np.str_("alp")
-        arrays["train"] = model.train
-        arrays["k"] = np.int64(model.k)
-        arrays["l"] = np.int64(model.l)
-        arrays["weights_k"] = model.weights_k
-        arrays["weights_l"] = model.weights_l
-        arrays["train_nn_dists"] = model.train_nn_dists
-        arrays.update(_spec_arrays("spec", model.spec))
-    else:
-        raise TypeError(f"unsupported model type: {type(model).__name__}")
+    """Write the bundle to a temporary file, then rename it over ``path``."""
+    arrays: dict = {
+        "format_version": np.int64(FORMAT_VERSION),
+        "kind": np.str_(model.detector),
+        **model.to_arrays(),
+    }
     if scaler is not None:
         arrays["scaler_midhinge"] = scaler.midhinge
         arrays["scaler_semi_iqr"] = scaler.semi_iqr
     if schema is not None:
         arrays["schema_names"] = np.array([a.name for a in schema])
         arrays["schema_directions"] = np.array([a.direction.value for a in schema])
-    # Write through a handle so np.savez cannot append ".npz" to the path.
-    with open(path, "wb") as handle:
-        np.savez(handle, **arrays)
+    if label_rule is not None:
+        arrays["schema_label"] = np.str_(format_schema((), label_rule).strip())
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        # Write through a handle so np.savez cannot append ".npz" to the path.
+        with open(tmp, "wb") as handle:
+            np.savez(handle, **arrays)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _read_arrays(path) -> dict:
+    with open(path, "rb") as handle:
+        if not zipfile.is_zipfile(handle):
+            raise ValueError("not an .npz archive")
+        handle.seek(0)
+        with np.load(handle, allow_pickle=False) as data:
+            return {key: data[key] for key in data.files}
+
+
+def _bundle(arrays: dict) -> ModelBundle:
+    version = int(stored_array(arrays, "format_version", np.int64, 0))
+    if version != FORMAT_VERSION:
+        raise ValueError(
+            f"unsupported model format version {version}; this build "
+            f"reads version {FORMAT_VERSION}"
+        )
+    kind = str(stored_array(arrays, "kind", str, 0))
+    if kind not in _MODELS:
+        raise ValueError(f"unknown model kind {kind!r}")
+    model = _MODELS[kind].from_arrays(arrays)
+    m = model.train.shape[1]
+    scaler = None
+    # Either array of a pair present means both must be.
+    if "scaler_midhinge" in arrays or "scaler_semi_iqr" in arrays:
+        scaler = ScalingParams(
+            stored_array(arrays, "scaler_midhinge", np.float64, 1),
+            stored_array(arrays, "scaler_semi_iqr", np.float64, 1),
+        )
+        if scaler.midhinge.shape != (m,):
+            raise ValueError(f"the scaler must have {m} attributes")
+    schema = None
+    if "schema_names" in arrays or "schema_directions" in arrays:
+        names = stored_array(arrays, "schema_names", str, 1)
+        directions = stored_array(arrays, "schema_directions", str, 1)
+        if names.shape != (m,) or directions.shape != (m,):
+            raise ValueError(f"the schema arrays must have {m} entries")
+        schema = tuple(
+            AttributeSpec(str(name), Direction(str(direction)))
+            for name, direction in zip(names, directions)
+        )
+    label_rule = None
+    if "schema_label" in arrays:
+        line = stored_array(arrays, "schema_label", str, 0)
+        attrs, label_rule = parse_schema(str(line))
+        if attrs or label_rule is None:
+            raise ValueError("schema_label must hold a single label line")
+    return ModelBundle(model, scaler, schema, label_rule)
 
 
 def load_model(path) -> ModelBundle:
-    with np.load(path, allow_pickle=False) as data:
-        version = int(data["format_version"])
-        if version != FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported model format version {version}; this build "
-                f"reads version {FORMAT_VERSION}"
-            )
-        kind = str(data["kind"])
-        if kind == "nnd":
-            model: NndModel | AlpModel = NndModel(
-                DistanceVariant(str(data["variant"])),
-                data["train"],
-                data["weights"],
-                data["directional_mask"],
-                _spec_from(data, "spec") if "spec_codes" in data else None,
-                data["sorted_sums"] if "sorted_sums" in data else None,
-            )
-        elif kind == "alp":
-            model = AlpModel(
-                data["train"],
-                int(data["k"]),
-                int(data["l"]),
-                data["weights_k"],
-                data["weights_l"],
-                _spec_from(data, "spec"),
-                data["train_nn_dists"],
-            )
-        else:
-            raise ValueError(f"unknown model kind {kind!r}")
-        scaler = None
-        if "scaler_midhinge" in data:
-            scaler = ScalingParams(data["scaler_midhinge"], data["scaler_semi_iqr"])
-        schema = None
-        if "schema_names" in data:
-            schema = tuple(
-                AttributeSpec(str(name), Direction(str(direction)))
-                for name, direction in zip(
-                    data["schema_names"], data["schema_directions"]
-                )
-            )
-    return ModelBundle(model, scaler, schema)
+    """Read a bundle written by ``save_model``; any defect is a ValueError."""
+    try:
+        return _bundle(_read_arrays(path))
+    except (ValueError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"{path}: invalid model bundle: {exc}") from None

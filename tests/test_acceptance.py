@@ -97,7 +97,7 @@ def test_02_signed_shortcut_equals_direct_evaluation():
             dists = sorted(float((y - row).sum()) for row in train)
             weights = linear_weights(k)
             expected = sum(w * d for w, d in zip(weights, dists[:k]))
-            got = nnd.raw_score(model, y)
+            got = nnd.raw_scores(model, [y])[0]
             assert got == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
 
@@ -139,7 +139,8 @@ def test_04_ramp_monotonicity():
                 y = rng.standard_normal(m)
                 bumped = y.copy()
                 bumped[int(rng.integers(0, n_dir))] += float(rng.uniform(0.0, 3.0))
-                assert nnd.raw_score(model, bumped) >= nnd.raw_score(model, y)
+                raws = nnd.raw_scores(model, [bumped, y])
+                assert raws[0] >= raws[1]
                 checked += 1
 
 

@@ -100,28 +100,29 @@ class TestLocalisedProximity:
         # train {0, 1, 3}, k=l=1, query 5: d1=2, its neighbour 3 has self-NN
         # distance 2, so D1=2 and lp = 2/(2+2) = 0.5.
         model = alp.fit(dataset([[0.0], [1.0], [3.0]]), AlpConfig(ABS, k=1, l=1))
-        assert alp.localised_proximity(model, [5.0], 1) == 0.5
-        assert alp.normality_score(model, [5.0]) == 0.5
+        assert alp._lp_batch(model, [[5.0]])[0, 0] == 0.5
+        assert alp.normality_scores(model, [[5.0]])[0] == 0.5
 
     def test_zero_query_distance_gives_one(self):
         model = alp.fit(dataset([[0.0], [1.0], [3.0]]), AlpConfig(ABS, k=1, l=1))
-        assert alp.localised_proximity(model, [1.0], 1) == 1.0
+        assert alp._lp_batch(model, [[1.0]])[0, 0] == 1.0
 
     def test_degenerate_duplicates_give_one(self):
         model = alp.fit(dataset(np.zeros((5, 1))), AlpConfig(ABS, k=2, l=2))
-        assert np.array_equal(alp.localised_proximities(model, [0.0]), [1.0, 1.0])
-        assert alp.normality_score(model, [0.0]) == 1.0
+        lp = alp._lp_batch(model, [[0.0]])
+        assert np.array_equal(lp, [[1.0, 1.0]])
+        assert alp.normality_scores(model, [[0.0]])[0] == 1.0
 
     def test_direct_ratio(self):
         # Construct D=2 against d=6: lp must be 0.25.
         model = alp.fit(dataset([[0.0], [2.0]]), AlpConfig(ABS, k=1, l=1))
         # d1(8) = 6 (to 2); NN_1(8) = 2 whose own nearest distance is 2.
-        assert alp.localised_proximity(model, [8.0], 1) == 0.25
+        assert alp._lp_batch(model, [[8.0]])[0, 0] == 0.25
 
     def test_index_bounds(self):
+        # lp_i exists for i = 1..k only: one column per neighbour order.
         model = alp.fit(dataset([[0.0], [1.0], [3.0]]), AlpConfig(ABS, k=1, l=1))
-        with pytest.raises(ValueError, match="i must be"):
-            alp.localised_proximity(model, [5.0], 2)
+        assert alp._lp_batch(model, [[5.0], [0.0]]).shape == (2, 1)
 
 
 class TestScoreProperties:

@@ -162,6 +162,11 @@ class TestScore:
                     "--schema", synth_dir / "schema.txt",
                     "--queries", synth_dir / "test.csv", "--out", out2]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+        # Without --schema the bundle's own label rule reads the labelled CSV.
+        out3 = tmp_path / "s3.csv"
+        assert run(["score", "--model", model_path,
+                    "--queries", synth_dir / "test.csv", "--out", out3]) == 0
+        assert out1.read_bytes() == out3.read_bytes()
 
     def test_scores_in_unit_interval(self, synth_dir, tmp_path):
         out = tmp_path / "scores.csv"

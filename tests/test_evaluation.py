@@ -30,6 +30,23 @@ def pairwise_auroc(scores, labels):
     return (wins + 0.5 * ties) / (anom.size * norm.size)
 
 
+class FakeConfig:
+    """The smallest detector config run_cv accepts: ``fit`` returns a model
+    whose ``anomaly_scores`` is ``score(queries)``."""
+
+    detector = "fake"
+    variant = DistanceVariant.ABSOLUTE
+
+    def __init__(self, score):
+        self.score = score
+
+    def fit(self, train):
+        return self
+
+    def anomaly_scores(self, queries):
+        return self.score(queries)
+
+
 def labelled_gaussian(seed, n_normal=40, n_anom=15, m=3, shift=1.0):
     rng = np.random.default_rng(seed)
     schema = tuple(AttributeSpec(f"x{j}", Direction.HIGH) for j in range(m))
@@ -113,19 +130,20 @@ class TestRunCv:
     def test_constant_scorer_gives_half(self):
         ds = labelled_gaussian(1)
         plan = make_folds(40, 5, seed=0)
-        result = run_cv(ds, lambda train, queries: np.zeros(len(queries)), plan)
+        result = run_cv(ds, FakeConfig(lambda queries: np.zeros(len(queries))), plan)
         assert result.mean_auroc == 0.5
+        assert (result.detector, result.variant) == ("fake", "absolute")
 
     def test_label_oracle_gives_one(self):
         ds = labelled_gaussian(2, n_normal=40, n_anom=15)
         plan = make_folds(40, 5, seed=0)
 
-        def oracle(train, queries):
+        def oracle(queries):
             # Fold test sets are held-out normals followed by all anomalies.
             n_anom = 15
             return np.r_[np.zeros(len(queries) - n_anom), np.ones(n_anom)]
 
-        assert run_cv(ds, oracle, plan).mean_auroc == 1.0
+        assert run_cv(ds, FakeConfig(oracle), plan).mean_auroc == 1.0
 
     def test_detects_shifted_anomalies(self):
         ds = labelled_gaussian(3, shift=2.5)

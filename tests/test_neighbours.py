@@ -6,31 +6,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirad.distance import DistanceSpec, DistanceVariant, distance_matrix
-from dirad.neighbours import (
-    _BLOCK_BYTES,
-    _block_rows,
-    knn,
-    knn_batch,
-    self_knn,
-    self_knn_batch,
-)
+from dirad.neighbours import _BLOCK_BYTES, _block_rows, knn_batch, self_knn_batch
 
 ABS = DistanceVariant.ABSOLUTE
 RAMP = DistanceVariant.RAMP
 SIGNED = DistanceVariant.SIGNED
 
 
+def knn(train, query, k, spec):
+    """(distances, indices) of the k nearest training rows to one query."""
+    dists, idx = knn_batch(train, [query], k, spec)
+    return dists[0], idx[0]
+
+
 def test_nearer_of_two_points():
-    result = knn([[0.0], [10.0]], [1.0], 1, DistanceSpec((ABS,)))
-    assert np.array_equal(result.distances, [1.0])
-    assert np.array_equal(result.indices, [0])
+    dists, idx = knn([[0.0], [10.0]], [1.0], 1, DistanceSpec((ABS,)))
+    assert np.array_equal(dists, [1.0])
+    assert np.array_equal(idx, [0])
 
 
 def test_k_equals_n_returns_all_sorted():
     train = [[0.0], [5.0], [2.0]]
-    result = knn(train, [1.0], 3, DistanceSpec((ABS,)))
-    assert np.array_equal(result.distances, [1.0, 1.0, 4.0])
-    assert np.array_equal(result.indices, [0, 2, 1])
+    dists, idx = knn(train, [1.0], 3, DistanceSpec((ABS,)))
+    assert np.array_equal(dists, [1.0, 1.0, 4.0])
+    assert np.array_equal(idx, [0, 2, 1])
 
 
 def test_matches_full_sort_oracle():
@@ -41,9 +40,9 @@ def test_matches_full_sort_oracle():
     row = distance_matrix(query[None, :], train, spec)[0]
     order = np.argsort(row, kind="stable")
     for k in (1, 5, 20):
-        result = knn(train, query, k, spec)
-        assert np.array_equal(result.indices, order[:k])
-        assert np.array_equal(result.distances, row[order[:k]])
+        dists, idx = knn(train, query, k, spec)
+        assert np.array_equal(idx, order[:k])
+        assert np.array_equal(dists, row[order[:k]])
 
 
 def test_prefix_monotonicity_in_k():
@@ -51,19 +50,19 @@ def test_prefix_monotonicity_in_k():
     train = rng.standard_normal((15, 2))
     query = rng.standard_normal(2)
     spec = DistanceSpec((ABS, ABS))
-    prev = knn(train, query, 1, spec)
+    _, prev = knn(train, query, 1, spec)
     for k in range(2, 16):
-        cur = knn(train, query, k, spec)
-        assert np.array_equal(cur.indices[: k - 1], prev.indices)
+        _, cur = knn(train, query, k, spec)
+        assert np.array_equal(cur[: k - 1], prev)
         prev = cur
 
 
 def test_ties_broken_by_ascending_row_index():
     train = [[1.0], [1.0], [1.0], [3.0]]
-    result = knn(train, [1.0], 3, DistanceSpec((ABS,)))
-    assert np.array_equal(result.indices, [0, 1, 2])
-    repeat = knn(train, [1.0], 3, DistanceSpec((ABS,)))
-    assert np.array_equal(result.indices, repeat.indices)
+    _, idx = knn(train, [1.0], 3, DistanceSpec((ABS,)))
+    assert np.array_equal(idx, [0, 1, 2])
+    _, repeat = knn(train, [1.0], 3, DistanceSpec((ABS,)))
+    assert np.array_equal(idx, repeat)
 
 
 def test_k_out_of_range():
@@ -80,30 +79,30 @@ def test_dimension_mismatch_propagates():
 
 class TestSelfKnn:
     def test_duplicate_rows(self):
-        results = self_knn([[2.0], [2.0]], 1, DistanceSpec((ABS,)))
-        assert results[0].distances[0] == 0.0 and results[0].indices[0] == 1
-        assert results[1].distances[0] == 0.0 and results[1].indices[0] == 0
+        dists, idx = self_knn_batch([[2.0], [2.0]], 1, DistanceSpec((ABS,)))
+        assert dists[0, 0] == 0.0 and idx[0, 0] == 1
+        assert dists[1, 0] == 0.0 and idx[1, 0] == 0
 
     def test_three_point_line(self):
-        results = self_knn([[0.0], [1.0], [3.0]], 1, DistanceSpec((ABS,)))
-        assert [r.distances[0] for r in results] == [1.0, 1.0, 2.0]
+        dists, _ = self_knn_batch([[0.0], [1.0], [3.0]], 1, DistanceSpec((ABS,)))
+        assert dists[:, 0].tolist() == [1.0, 1.0, 2.0]
 
     def test_matches_per_row_knn_with_self_removed(self):
         rng = np.random.default_rng(59)
         train = rng.standard_normal((15, 2))
         spec = DistanceSpec((ABS, DistanceVariant.RAMP))
-        results = self_knn(train, 4, spec)
+        dists, idx = self_knn_batch(train, 4, spec)
         for i in range(15):
             others = np.delete(train, i, axis=0)
-            expected = knn(others, train[i], 4, spec)
+            expected_dists, expected_idx = knn(others, train[i], 4, spec)
             # Map indices back to the original row numbering.
-            mapped = expected.indices + (expected.indices >= i)
-            assert np.array_equal(results[i].distances, expected.distances)
-            assert np.array_equal(results[i].indices, mapped)
+            mapped = expected_idx + (expected_idx >= i)
+            assert np.array_equal(dists[i], expected_dists)
+            assert np.array_equal(idx[i], mapped)
 
     def test_k_must_leave_room_for_self(self):
         with pytest.raises(ValueError, match="self"):
-            self_knn([[0.0], [1.0]], 2, DistanceSpec((ABS,)))
+            self_knn_batch([[0.0], [1.0]], 2, DistanceSpec((ABS,)))
 
 
 def test_batch_matches_single_queries():
@@ -113,9 +112,9 @@ def test_batch_matches_single_queries():
     spec = DistanceSpec((ABS, ABS, ABS))
     dists, idx = knn_batch(train, queries, 5, spec)
     for i in range(7):
-        single = knn(train, queries[i], 5, spec)
-        assert np.array_equal(dists[i], single.distances)
-        assert np.array_equal(idx[i], single.indices)
+        single_dists, single_idx = knn(train, queries[i], 5, spec)
+        assert np.array_equal(dists[i], single_dists)
+        assert np.array_equal(idx[i], single_idx)
 
 
 def oracle_knn(train, queries, k, spec, exclude_self=False):

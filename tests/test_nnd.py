@@ -76,14 +76,14 @@ class TestRawScore:
     def test_zero_for_training_record(self):
         ds = directional_dataset([[1.0, 2.0], [3.0, 4.0]])
         model = nnd.fit(ds, NndConfig(ABS, k=1))
-        assert nnd.raw_score(model, [1.0, 2.0]) == 0.0
+        assert nnd.raw_scores(model, [[1.0, 2.0]])[0] == 0.0
 
     def test_single_training_point_all_variants(self):
         ds = directional_dataset([[0.0]])
         cases = {ABS: 5.0, RAMP: 0.0, SIGNED: -5.0}
         for variant, expected in cases.items():
             model = nnd.fit(ds, NndConfig(variant, k=1))
-            assert nnd.raw_score(model, [-5.0]) == expected
+            assert nnd.raw_scores(model, [[-5.0]])[0] == expected
 
     def test_k1_recovers_first_neighbour_distance(self):
         rng = np.random.default_rng(71)
@@ -92,12 +92,12 @@ class TestRawScore:
         model = nnd.fit(ds, NndConfig(ABS, k=1))
         y = rng.standard_normal(3)
         d1 = np.abs(y - train).sum(axis=1).min()
-        assert nnd.raw_score(model, y) == pytest.approx(d1, rel=1e-12)
+        assert nnd.raw_scores(model, [y])[0] == pytest.approx(d1, rel=1e-12)
 
     def test_dimension_mismatch(self):
         model = nnd.fit(directional_dataset(np.zeros((3, 2))), NndConfig(ABS, k=1))
         with pytest.raises(ValueError, match="attributes"):
-            nnd.raw_score(model, [1.0])
+            nnd.raw_scores(model, [[1.0]])
 
 
 class TestSignedRisk:
@@ -105,14 +105,14 @@ class TestSignedRisk:
         model = nnd.fit(
             directional_dataset([[5.0], [3.0], [1.0]]), NndConfig(SIGNED, k=1)
         )
-        assert nnd.signed_risk(model, [7.0]) == 2.0
+        assert nnd.signed_risks(model, [[7.0]])[0] == 2.0
 
     def test_cancellation_at_weighted_mean(self):
         model = nnd.fit(
             directional_dataset([[5.0], [3.0], [1.0]]), NndConfig(SIGNED, k=2)
         )
         target = float(model.weights @ model.sorted_sums[:2])
-        assert nnd.signed_risk(model, [target]) == pytest.approx(0.0, abs=1e-12)
+        assert nnd.signed_risks(model, [[target]])[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_strictly_increasing_in_directional_attributes(self):
         rng = np.random.default_rng(73)
@@ -123,12 +123,13 @@ class TestSignedRisk:
             bumped = y.copy()
             j = rng.integers(0, 3)
             bumped[j] += float(rng.uniform(0.01, 2.0))
-            assert nnd.signed_risk(model, bumped) > nnd.signed_risk(model, y)
+            risks = nnd.signed_risks(model, [bumped, y])
+            assert risks[0] > risks[1]
 
     def test_requires_signed_variant(self):
         model = nnd.fit(directional_dataset(np.zeros((3, 1))), NndConfig(ABS, k=1))
         with pytest.raises(ValueError, match="signed"):
-            nnd.signed_risk(model, [0.0])
+            nnd.signed_risks(model, [[0.0]])
 
 
 class TestSignedShortcut:
@@ -143,7 +144,7 @@ class TestSignedShortcut:
             model = nnd.fit(ds, NndConfig(SIGNED, k=k))
             y = rng.standard_normal(m) * 2
             expected = signed_raw_oracle(train, y, k, linear_weights(k))
-            got = nnd.raw_score(model, y)
+            got = nnd.raw_scores(model, [y])[0]
             assert got == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
     def test_mixed_composition_adds_adirectional_nnd(self):
@@ -152,11 +153,11 @@ class TestSignedShortcut:
         ds = directional_dataset(train, n_directional=2)
         model = nnd.fit(ds, NndConfig(SIGNED, k=3))
         y = rng.standard_normal(4)
-        risk = nnd.signed_risk(model, y)
+        risk = nnd.signed_risks(model, [y])[0]
         adir = train[:, 2:]
         dists = np.sort(np.abs(y[2:] - adir).sum(axis=1))
         expected = risk + float(linear_weights(3) @ dists[:3])
-        assert nnd.raw_score(model, y) == pytest.approx(expected, rel=1e-12)
+        assert nnd.raw_scores(model, [y])[0] == pytest.approx(expected, rel=1e-12)
 
 
 class TestVariantCollapse:
@@ -186,7 +187,8 @@ class TestRampMonotonicity:
             j = int(rng.integers(0, n_dir))
             bumped = y.copy()
             bumped[j] += float(rng.uniform(0.0, 3.0))
-            assert nnd.raw_score(model, bumped) >= nnd.raw_score(model, y)
+            raws = nnd.raw_scores(model, [bumped, y])
+            assert raws[0] >= raws[1]
 
 
 class TestContract:
@@ -211,4 +213,5 @@ def test_anomaly_score_is_contracted_raw():
     ds = directional_dataset(rng.standard_normal((8, 2)))
     model = nnd.fit(ds, NndConfig(RAMP, k=3))
     y = rng.standard_normal(2)
-    assert nnd.anomaly_score(model, y) == contract(nnd.raw_score(model, y))
+    raw = nnd.raw_scores(model, [y])[0]
+    assert nnd.anomaly_scores(model, [y])[0] == contract(raw)

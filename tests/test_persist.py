@@ -1,8 +1,14 @@
+import contextlib
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dirad import alp, nnd
-from dirad.dataset import AttributeSpec, Dataset, Direction, ScalingParams
+from dirad import alp, nnd, persist
+from dirad.cli import main
+from dirad.dataset import AttributeSpec, Dataset, Direction, LabelRule, ScalingParams
 from dirad.distance import DistanceVariant
 from dirad.persist import FORMAT_VERSION, load_model, save_model
 
@@ -26,6 +32,9 @@ def fitted_models():
     yield nnd.fit(all_dir, nnd.NndConfig(DistanceVariant.SIGNED, k=2))
 
 
+MODELS = list(fitted_models())
+
+
 def assert_arrays_equal(a, b):
     assert (a is None) == (b is None)
     if a is not None:
@@ -33,24 +42,17 @@ def assert_arrays_equal(a, b):
         assert a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("model", list(fitted_models()), ids=lambda m: type(m).__name__)
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
 def test_roundtrip_is_bit_exact(tmp_path, model):
     path = tmp_path / "model.npz"
     save_model(path, model)
     loaded = load_model(path).model
     assert type(loaded) is type(model)
-    if isinstance(model, nnd.NndModel):
-        assert loaded.variant == model.variant
-        assert loaded.spec == model.spec
-        assert_arrays_equal(loaded.train, model.train)
-        assert_arrays_equal(loaded.weights, model.weights)
-        assert_arrays_equal(loaded.sorted_sums, model.sorted_sums)
-        assert np.array_equal(loaded.directional_mask, model.directional_mask)
-    else:
-        assert (loaded.k, loaded.l) == (model.k, model.l)
-        assert loaded.spec == model.spec
-        assert_arrays_equal(loaded.train, model.train)
-        assert_arrays_equal(loaded.train_nn_dists, model.train_nn_dists)
+    assert loaded.spec == model.spec
+    saved, restored = model.to_arrays(), loaded.to_arrays()
+    assert saved.keys() == restored.keys()
+    for key in saved:
+        assert_arrays_equal(np.asarray(restored[key]), np.asarray(saved[key]))
 
 
 def test_roundtrip_scores_identically(tmp_path):
@@ -86,3 +88,155 @@ def test_version_mismatch_rejected(tmp_path):
     np.savez(path, format_version=np.int64(FORMAT_VERSION + 1), kind=np.str_("nnd"))
     with pytest.raises(ValueError, match="version"):
         load_model(path)
+
+
+def test_bundle_carries_label_rule(tmp_path):
+    model = MODELS[0]
+    for rule in (LabelRule("y", "anomalous", "normal"), LabelRule("status", "1")):
+        path = tmp_path / "bundle.npz"
+        save_model(path, model, label_rule=rule)
+        assert load_model(path).label_rule == rule
+    save_model(path, model)
+    assert load_model(path).label_rule is None
+
+
+def test_failed_save_keeps_the_old_bundle(tmp_path, monkeypatch):
+    model = MODELS[0]
+    path = tmp_path / "model.npz"
+    save_model(path, model)
+    before = path.read_bytes()
+
+    def broken_savez(handle, **arrays):
+        handle.write(b"partial")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(persist.np, "savez", broken_savez)
+    with pytest.raises(OSError, match="disk full"):
+        save_model(path, model)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.npz"]
+
+
+# Each fitted model saved the way `dirad score --save-model` saves it: with a
+# scaler, a schema and the label rule, so scoring the labelled query CSV below
+# needs nothing but the bundle.
+LABEL_RULE = LabelRule("label", "anomalous", "normal")
+SCHEMA = (AttributeSpec("x0", Direction.HIGH), AttributeSpec("x1", Direction.NONE))
+SCALER = ScalingParams([0.0, 0.5], [1.0, 2.0])
+NND_RAMP, NND_SIGNED, ALP_RAMP = 1, 2, 3  # positions in MODELS
+
+
+def edited_bundle(path, model_index, edit):
+    save_model(path, MODELS[model_index], SCALER, SCHEMA, LABEL_RULE)
+    with np.load(path) as stored:
+        arrays = dict(stored)
+    edit(arrays)
+    np.savez(path, **arrays)
+    return path
+
+
+def cut(stop, *keys):
+    """An edit keeping the first ``stop`` entries of each key's last axis."""
+    return lambda arrays: arrays.update({k: arrays[k][..., :stop] for k in keys})
+
+
+@pytest.mark.parametrize(
+    "model_index, edit, message",
+    [
+        (NND_RAMP, lambda a: a.pop("weights"), "missing array 'weights'"),
+        (NND_RAMP, cut(1, "directional_mask"), "directional_mask must have 2 entries"),
+        (NND_RAMP, cut(1, "weights"), r"linear_weights\(1\)"),
+        (NND_RAMP, lambda a: a.update(train=a["train"].astype(str)), "2-d float64"),
+        (NND_RAMP, lambda a: a.update(spec_codes=np.int8([1, 5])), "codes \\[5\\]"),
+        (NND_RAMP, lambda a: a.update(spec_codes=np.int8([0, 0])), "does not match"),
+        (NND_SIGNED, lambda a: a.update(sorted_sums=a["sorted_sums"][::-1]), "sums"),
+        (ALP_RAMP, cut(2, "train_nn_dists"), "train_nn_dists must have shape"),
+        (ALP_RAMP, lambda a: a.update(l=np.int64(13)), "l=13"),
+        (ALP_RAMP, cut(1, "weights_l"), r"linear_weights\(5\)"),
+        (ALP_RAMP, lambda a: a.pop("scaler_semi_iqr"), "missing array 'scaler_semi_iqr'"),
+        (ALP_RAMP, cut(1, "scaler_midhinge", "scaler_semi_iqr"), "scaler must have 2"),
+        (ALP_RAMP, cut(1, "schema_names"), "schema arrays must have 2"),
+        (ALP_RAMP, lambda a: a.update(schema_label=np.str_("x,high")), "label line"),
+    ],
+)
+def test_load_rejects_inconsistent_bundles(tmp_path, model_index, edit, message):
+    path = edited_bundle(tmp_path / "model.npz", model_index, edit)
+    with pytest.raises(ValueError, match=message):
+        load_model(path)
+
+
+def test_load_rejects_corrupted_array_data(tmp_path):
+    path = tmp_path / "model.npz"
+    model = MODELS[NND_RAMP]
+    save_model(path, model)
+    raw = bytearray(path.read_bytes())
+    raw[raw.find(model.train.tobytes()) + 3] ^= 0xFF
+    path.write_bytes(raw)
+    with pytest.raises(ValueError, match="invalid model bundle"):
+        load_model(path)
+
+
+@pytest.fixture(scope="module")
+def scoring_bundles(tmp_path_factory):
+    root = tmp_path_factory.mktemp("bundles")
+    queries = root / "queries.csv"
+    queries.write_text("x0,x1,label\n0.5,-1.0,normal\n2.0,3.0,anomalous\n")
+    paths = []
+    for i, model in enumerate(MODELS):
+        paths.append(root / f"model{i}.npz")
+        save_model(paths[-1], model, SCALER, SCHEMA, LABEL_RULE)
+    return queries, paths
+
+
+def score_bundle(bundle, queries, out):
+    """Exit code and stderr lines of `dirad score --model bundle`."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["score", "--model", str(bundle), "--queries", str(queries),
+                     "--out", str(out)])
+    return code, err.getvalue().splitlines()
+
+
+def test_intact_bundles_score_without_schema(scoring_bundles, tmp_path):
+    queries, paths = scoring_bundles
+    for path in paths:
+        out = tmp_path / "scores.csv"
+        assert score_bundle(path, queries, out) == (0, [])
+        assert len(out.read_text().splitlines()) == 3
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_damaged_bundle_fails_with_one_error_line(
+    scoring_bundles, tmp_path_factory, data
+):
+    queries, paths = scoring_bundles
+    path = data.draw(st.sampled_from(paths), label="bundle")
+    work = tmp_path_factory.mktemp("damaged")
+    bad, out = work / "bad.npz", work / "scores.csv"
+    damage = data.draw(st.sampled_from(["delete", "truncate", "retype", "cut"]))
+    if damage == "cut":
+        raw = path.read_bytes()
+        bad.write_bytes(raw[: data.draw(st.integers(0, len(raw) - 1), label="size")])
+    else:
+        with np.load(path) as stored:
+            arrays = dict(stored)
+        key = data.draw(st.sampled_from(sorted(arrays)), label="key")
+        arr = arrays[key]
+        if damage == "delete":
+            del arrays[key]
+        elif damage == "truncate":
+            # Cut the last axis: rows of `train` alone would still make a
+            # consistent, smaller NND model.
+            arrays[key] = arr[..., :-1] if arr.ndim else arr.reshape(1)[:0]
+        elif arr.dtype.kind == "U":
+            arrays[key] = arr.astype(np.bytes_)
+        else:
+            others = [t for t in (np.float64, np.float32, np.int64, np.int8, np.bool_,
+                                  np.str_) if np.dtype(t) != arr.dtype]
+            arrays[key] = arr.astype(data.draw(st.sampled_from(others), label="dtype"))
+        np.savez(bad, **arrays)
+    code, lines = score_bundle(bad, queries, out)
+    assert code == 1
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert not out.exists()
