@@ -33,9 +33,11 @@ from .evaluation import (
     FoldPlan,
     auroc,
     directionality_diagnostic,
+    fit_detector,
     holm_bonferroni,
     make_folds,
     run_cv,
+    score_queries,
     synthetic_auroc,
     wilcoxon_one_sided,
 )
@@ -62,6 +64,7 @@ __all__ = [
     "auroc",
     "directionality_diagnostic",
     "distance_matrix",
+    "fit_detector",
     "fit_scaler",
     "format_csv",
     "format_schema",
@@ -79,6 +82,7 @@ __all__ = [
     "record_distance",
     "run_cv",
     "save_model",
+    "score_queries",
     "self_knn_batch",
     "synthetic_auroc",
     "wilcoxon_one_sided",

@@ -4,10 +4,10 @@ Subcommands: synth (generate benchmark data), bench (cross-validation or
 synthetic sweeps), score (fit or load a model and score queries), stats
 (signed-rank comparisons over result tables), diagnose (directionality
 report). Every command is deterministic given its flags; outputs are written
-atomically (write-then-rename). bench and score build detector configs in
-``_detector_config`` and use them only through ``config.fit`` and
-``model.anomaly_scores``. A bundle saved by ``score --save-model`` carries
-its schema's label rule, so ``score --model`` needs no ``--schema``.
+atomically (write-then-rename). bench and score go from raw records to
+scores only through ``evaluation.fit_detector`` and ``score_queries``. A
+bundle saved by ``score --save-model`` carries the schema as read and its
+label rule, so ``score --model`` needs no ``--schema``.
 
 Environment: DIRAD_THREADS caps the bench worker threads (default 1).
 """
@@ -25,7 +25,8 @@ import numpy as np
 
 from . import evaluation, synthgen
 from .alp import AlpConfig
-from .dataset import (
+# orient, fit_scaler and apply_scaler are unused; perfbench's tracer wraps them here.
+from .dataset import (  # noqa: F401
     Dataset,
     LabelRule,
     apply_scaler,
@@ -40,10 +41,12 @@ from .distance import DistanceVariant
 from .evaluation import (
     ExperimentResult,
     SweepCell,
+    fit_detector,
     fold_results_csv,
     holm_bonferroni,
     make_folds,
     run_cv,
+    score_queries,
     summary_csv,
     sweep_csv,
     synthetic_auroc,
@@ -72,7 +75,7 @@ def _thread_count() -> int:
     try:
         value = int(raw)
     except ValueError:
-        raise SystemExit(f"DIRAD_THREADS must be an integer, got {raw!r}")
+        raise ValueError(f"DIRAD_THREADS must be an integer, got {raw!r}") from None
     return max(1, value)
 
 
@@ -82,7 +85,7 @@ def _merge_config(argv: list[str]) -> list[str]:
         return argv
     at = argv.index("--config")
     if at + 1 >= len(argv):
-        raise SystemExit("--config expects a file path")
+        raise ValueError("--config expects a file path")
     path = Path(argv[at + 1])
     prefix: list[str] = []
     for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
@@ -90,7 +93,7 @@ def _merge_config(argv: list[str]) -> list[str]:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise SystemExit(f"{path}:{lineno}: expected key=value, got {raw!r}")
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = line.split("=", 1)
         flag = "--" + key.strip().replace("_", "-")
         if flag in argv:
@@ -117,25 +120,17 @@ def _auto_int(text: str):
     return None if text.strip().lower() == "auto" else int(text)
 
 
-def _parse_with_optional_labels(text, schema, rule):
-    """Apply the schema's label rule only when its column is in the header."""
-    header = next(csv.reader(text.splitlines()[:1]), [])
-    header = [h.lstrip("﻿") for h in header]
-    use_rule = rule if rule is not None and rule.column in header else None
-    return parse_csv(text, schema, use_rule)
-
-
 def _load_dataset(data_path: str, schema_path: str) -> tuple[Dataset, LabelRule | None]:
     schema, rule = parse_schema(Path(schema_path).read_text(encoding="utf-8"))
     text = Path(data_path).read_text(encoding="utf-8")
-    return _parse_with_optional_labels(text, schema, rule), rule
+    return parse_csv(text, schema, rule), rule
 
 
 # ---------------------------------------------------------------------------
 # synth
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args, parser) -> int:
     spec = synthgen.SynthSpec(
         family=args.family,
         shift=args.shift,
@@ -195,12 +190,24 @@ def _detector_configs(args, parser) -> list[NndConfig | AlpConfig]:
 
 
 def _run_cells(jobs, worker):
-    """Run jobs (serially or thread-pooled), keeping submission order."""
+    """Run jobs (serially or thread-pooled) in submission order; returns the
+    results and ``(job, exc)`` for each job that raised."""
+
+    def attempt(job):
+        try:
+            return worker(job), None
+        except Exception as exc:  # a failed cell is reported, the run goes on
+            return None, exc
+
     threads = _thread_count()
     if threads == 1:
-        return [worker(job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, jobs))
+        outcomes = [attempt(job) for job in jobs]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            outcomes = list(pool.map(attempt, jobs))
+    results = [result for result, exc in outcomes if exc is None]
+    failures = [(job, exc) for job, (_, exc) in zip(jobs, outcomes) if exc is not None]
+    return results, failures
 
 
 def _print_cv_table(results: list[ExperimentResult]) -> None:
@@ -231,17 +238,14 @@ def _print_cv_table(results: list[ExperimentResult]) -> None:
 
 
 def _bench_cv(args, cells) -> int:
-    if len(args.schema) == 1 and len(args.data) > 1:
-        schemas = args.schema * len(args.data)
-    else:
-        schemas = args.schema
+    schemas = args.schema * len(args.data) if len(args.schema) == 1 else args.schema
     if len(schemas) != len(args.data):
-        raise SystemExit("--data and --schema counts do not match")
+        raise ValueError("--data and --schema counts do not match")
     datasets = []
     for data_path, schema_path in zip(args.data, schemas):
         ds, _ = _load_dataset(data_path, schema_path)
         if ds.labels is None:
-            raise SystemExit(f"{data_path}: schema declares no label column")
+            raise ValueError(f"{data_path}: schema declares no label column")
         datasets.append((Path(data_path).stem, ds))
 
     jobs = []
@@ -253,21 +257,16 @@ def _bench_cv(args, cells) -> int:
 
     def worker(job):
         ds_id, ds, config, plan = job
-        try:
-            return run_cv(ds, config, plan, dataset_id=ds_id)
-        except Exception as exc:  # cell failures are reported, run continues
-            return (ds_id, config, exc)
+        return run_cv(ds, config, plan, dataset_id=ds_id)
 
-    outcomes = _run_cells(jobs, worker)
-    results = [r for r in outcomes if isinstance(r, ExperimentResult)]
-    failures = [r for r in outcomes if not isinstance(r, ExperimentResult)]
+    results, failures = _run_cells(jobs, worker)
     out_dir = Path(args.out_dir)
     _write_atomic(out_dir / "folds.csv", fold_results_csv(results))
     _write_atomic(out_dir / "summary.csv", summary_csv(results))
     if results:
         _print_cv_table(results)
     print(f"wrote folds.csv and summary.csv to {out_dir}")
-    for ds_id, config, exc in failures:
+    for (ds_id, _, config, _), exc in failures:
         print(
             f"cell failed: dataset={ds_id} detector="
             f"{config.detector}:{config.variant.value}: {exc}",
@@ -292,29 +291,24 @@ def _bench_sweep(args, cells) -> int:
 
     def worker(job):
         config, shift, specs = job
-        detector, variant = config.detector, config.variant.value
-        try:
-            aurocs = [
-                synthetic_auroc(spec, config, scale=not args.no_scale)
-                for spec in specs
-            ]
-            k = "auto" if config.k is None else config.k
-            return SweepCell(
-                args.sweep, shift, detector, k, variant,
-                len(specs), float(np.mean(aurocs)),
-            )
-        except Exception as exc:
-            return (detector, variant, shift, exc)
+        aurocs = [
+            synthetic_auroc(spec, config, scale=not args.no_scale)
+            for spec in specs
+        ]
+        k = "auto" if config.k is None else config.k
+        return SweepCell(
+            args.sweep, shift, config.detector, k, config.variant.value,
+            len(specs), float(np.mean(aurocs)),
+        )
 
-    outcomes = _run_cells(jobs, worker)
-    cells_out = [c for c in outcomes if isinstance(c, SweepCell)]
-    failures = [c for c in outcomes if not isinstance(c, SweepCell)]
+    cells_out, failures = _run_cells(jobs, worker)
     out_dir = Path(args.out_dir)
     _write_atomic(out_dir / "sweep.csv", sweep_csv(cells_out))
     print(f"wrote sweep.csv to {out_dir}")
-    for detector, variant, shift, exc in failures:
+    for (config, shift, _), exc in failures:
         print(
-            f"cell failed: {detector}:{variant} shift={shift}: {exc}",
+            f"cell failed: {config.detector}:{config.variant.value} "
+            f"shift={shift}: {exc}",
             file=sys.stderr,
         )
     return 1 if failures else 0
@@ -339,10 +333,8 @@ def _fit_from_args(args, parser):
     ds, rule = _load_dataset(args.train, args.schema_path)
     if ds.labels is not None:
         ds = ds.take(np.flatnonzero(~ds.labels))  # fit on normal records only
-    ds = orient(ds)
-    scaler = fit_scaler(ds)
-    scaled = apply_scaler(ds, scaler)
-    model = _detector_config(args.detector, args.variant, args).fit(scaled)
+    config = _detector_config(args.detector, args.variant, args)
+    scaler, model = fit_detector(config, ds)
     return model, scaler, ds.schema, rule
 
 
@@ -369,10 +361,7 @@ def cmd_score(args, parser) -> int:
         return 0
     if args.model and args.schema_path:
         _, rule = parse_schema(Path(args.schema_path).read_text(encoding="utf-8"))
-    queries = _parse_with_optional_labels(text, schema, rule)
-    queries = orient(queries)
-    scaled = apply_scaler(queries, scaler)
-    scores = model.anomaly_scores(scaled.records)
+    scores = score_queries(scaler, model, parse_csv(text, schema, rule))
     lines = ["row,score"] + [
         f"{i},{float(s)!r}" for i, s in enumerate(scores, start=1)
     ]
@@ -405,7 +394,7 @@ def cmd_stats(args, parser) -> int:
         key_g, key_l = (args.detector, greater), (args.detector, lesser)
         for key in (key_g, key_l):
             if key not in table:
-                raise SystemExit(
+                raise ValueError(
                     f"no rows for detector={key[0]} variant={key[1]} in the results"
                 )
         shared = sorted(set(table[key_g]) & set(table[key_l]))
@@ -438,10 +427,10 @@ def cmd_stats(args, parser) -> int:
 # diagnose
 
 
-def cmd_diagnose(args) -> int:
+def cmd_diagnose(args, parser) -> int:
     ds, _ = _load_dataset(args.data, args.schema_path)
     if ds.labels is None:
-        raise SystemExit(f"{args.data}: schema declares no label column")
+        raise ValueError(f"{args.data}: schema declares no label column")
     report = evaluation.directionality_diagnostic(ds, tau=args.tau)
     print(f"{'attribute':<20} {'normal_mean':>12} {'anom_mean':>12} "
           f"{'difference':>12}  flagged")
@@ -563,27 +552,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_COMMANDS = {"synth": cmd_synth, "bench": cmd_bench, "score": cmd_score,
+             "stats": cmd_stats, "diagnose": cmd_diagnose}
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    args = parser.parse_args(_merge_config(argv))
     try:
-        if args.command == "synth":
-            return cmd_synth(args)
-        if args.command == "bench":
-            return cmd_bench(args, parser)
-        if args.command == "score":
-            return cmd_score(args, parser)
-        if args.command == "stats":
-            return cmd_stats(args, parser)
-        if args.command == "diagnose":
-            return cmd_diagnose(args)
-    except SystemExit:
-        raise
+        args = parser.parse_args(_merge_config(argv))
+        return _COMMANDS[args.command](args, parser)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 if __name__ == "__main__":

@@ -112,7 +112,8 @@ def parse_csv(
     """Parse an RFC-4180 style CSV (header row, '.' decimals) into a Dataset.
 
     Columns are matched to the schema by name; the header must contain exactly
-    the schema attributes plus, when ``label_rule`` is given, its label column.
+    the schema attributes plus, when ``label_rule`` is given, its label
+    column. A label column absent from the header reads as unlabelled data.
     """
     reader = csv.reader(io.StringIO(text))
     try:
@@ -121,6 +122,8 @@ def parse_csv(
         raise ValueError("missing header row") from None
     if header and header[0].startswith("﻿"):
         header = [header[0][1:]] + header[1:]
+    if label_rule is not None and label_rule.column not in header:
+        label_rule = None
     expected = [a.name for a in schema]
     if label_rule is not None:
         expected.append(label_rule.column)

@@ -4,7 +4,9 @@ The CV protocol fits everything on normal data only: each fold trains the
 scaler and the detector on four fifths of the normal records and scores a
 test set made of the held-out fifth plus all anomalous records. Reusing one
 FoldPlan across detector variants keeps the per-dataset AUROCs paired, which
-is what the signed-rank comparisons assume.
+is what the signed-rank comparisons assume. ``fit_detector`` and
+``score_queries`` are the one raw-records-to-scores path (orient, scale, fit,
+score) shared by the CV protocol, the synthetic sweep and ``dirad score``.
 """
 
 from __future__ import annotations
@@ -84,10 +86,27 @@ class ExperimentResult:
     mean_auroc: float
 
 
-def _fit_and_score(config, train_ds: Dataset, queries: np.ndarray):
-    """Fit ``config`` (an NndConfig or AlpConfig) and score the queries."""
-    model = config.fit(train_ds)
-    return model.anomaly_scores(queries), model
+def fit_detector(config, train: Dataset, scale: bool = True):
+    """Fit ``config`` on raw normal records; returns ``(scaler, model)``.
+
+    The records are oriented (``low`` attributes negated), then the
+    midhinge/semi-IQR scaler is fitted and applied; ``scale=False`` skips the
+    scaler and returns ``None`` in its place.
+    """
+    train = orient(train)
+    scaler = None
+    if scale:
+        scaler = fit_scaler(train)
+        train = apply_scaler(train, scaler)
+    return scaler, config.fit(train)
+
+
+def score_queries(scaler, model, queries: Dataset) -> np.ndarray:
+    """Anomaly scores of raw query records under ``fit_detector``'s result."""
+    queries = orient(queries)
+    if scaler is not None:
+        queries = apply_scaler(queries, scaler)
+    return model.anomaly_scores(queries.records)
 
 
 def run_cv(
@@ -99,28 +118,23 @@ def run_cv(
 ):
     """Cross-validated AUROC of a detector configuration on a labelled dataset.
 
-    Per fold: orient, fit the scaler on the fold's training normals, scale,
-    fit the detector, score the held-out normals plus all anomalies. With
+    Per fold: ``fit_detector`` on the fold's raw training normals, then
+    ``score_queries`` on the held-out normals plus all anomalies. With
     ``return_models`` the per-fold (scaler, model) pairs are returned as well.
     """
     if dataset.labels is None:
         raise ValueError("run_cv needs a labelled dataset")
-    ds = orient(dataset)
-    normal_idx = np.flatnonzero(~ds.labels)
-    anom_idx = np.flatnonzero(ds.labels)
+    normal_idx = np.flatnonzero(~dataset.labels)
+    anom_idx = np.flatnonzero(dataset.labels)
     if normal_idx.size == 0 or anom_idx.size == 0:
         raise ValueError("both classes must be present to run cross-validation")
     fold_aurocs = []
     fitted: list[tuple[ScalingParams, object]] = []
     for fold_num, (train_sel, test_sel) in enumerate(plan.folds, start=1):
         try:
-            train_ds = ds.take(normal_idx[train_sel])
-            test_ds = ds.take(np.concatenate([normal_idx[test_sel], anom_idx]))
-            scaler = fit_scaler(train_ds)
-            strain = apply_scaler(train_ds, scaler)
-            stest = apply_scaler(test_ds, scaler)
-            scores, model = _fit_and_score(config, strain, stest.records)
-            fold_aurocs.append(auroc(scores, stest.labels))
+            scaler, model = fit_detector(config, dataset.take(normal_idx[train_sel]))
+            test = dataset.take(np.concatenate([normal_idx[test_sel], anom_idx]))
+            fold_aurocs.append(auroc(score_queries(scaler, model, test), test.labels))
             if return_models:
                 fitted.append((scaler, model))
         except Exception as exc:
@@ -141,18 +155,11 @@ def run_cv(
 def synthetic_auroc(spec: SynthSpec, config, scale: bool = True) -> float:
     """Train on a generated dataset's normals, score its test set, AUROC.
 
-    Applies the same orient/scale pipeline as run_cv; ``scale=False`` skips
-    the midhinge/semi-IQR rescaling.
+    ``scale=False`` skips the midhinge/semi-IQR rescaling.
     """
     train, test = generate(spec)
-    train = orient(train)
-    test = orient(test)
-    if scale:
-        scaler = fit_scaler(train)
-        train = apply_scaler(train, scaler)
-        test = apply_scaler(test, scaler)
-    scores, _ = _fit_and_score(config, train, test.records)
-    return auroc(scores, test.labels)
+    scaler, model = fit_detector(config, train, scale)
+    return auroc(score_queries(scaler, model, test), test.labels)
 
 
 def wilcoxon_one_sided(x, y, method: str = "approx") -> float:
@@ -239,11 +246,14 @@ def directionality_diagnostic(
 ) -> tuple[AttributeDiagnostic, ...]:
     """Compare class means per attribute; flag weakly directional candidates.
 
-    An attribute is flagged when the anomalous mean does not exceed the normal
-    mean by more than tau. Report only - the schema is never modified.
+    The means are in oriented coordinates (``low`` attributes negated), so an
+    attribute is flagged when the anomalous mean does not exceed the normal
+    mean by more than tau in its declared direction. Report only - the schema
+    is never modified.
     """
     if dataset.labels is None:
         raise ValueError("the diagnostic needs a labelled dataset")
+    dataset = orient(dataset)
     lab = dataset.labels
     if not lab.any() or lab.all():
         raise ValueError("both classes must be present for the diagnostic")

@@ -27,6 +27,21 @@ def synth_dir(tmp_path):
     return out
 
 
+@pytest.fixture
+def low_dir(tmp_path):
+    """Unlabelled training rows under a schema with low attributes."""
+    out = tmp_path / "low"
+    out.mkdir()
+    rng = np.random.default_rng(5)
+    rows = ["x,y,z,w"] + [
+        ",".join(repr(float(v)) for v in row)
+        for row in rng.standard_normal((40, 4)) * [1.0, 2.0, 0.5, 3.0]
+    ]
+    (out / "train.csv").write_text("\n".join(rows) + "\n")
+    (out / "schema.txt").write_text("x,low\ny,high\nz,none\nw,low\n")
+    return out
+
+
 class TestSynth:
     def test_writes_three_files(self, synth_dir):
         for name in ("train.csv", "test.csv", "schema.txt"):
@@ -119,16 +134,22 @@ class TestBench:
 
 
 class TestScore:
-    def test_training_file_scores_half_with_k1(self, synth_dir, tmp_path):
+    @pytest.mark.parametrize("data", ["synth", "low"])
+    @pytest.mark.parametrize("variant", ["absolute", "ramp"])
+    def test_training_file_scores_half_with_k1(self, data, variant, request,
+                                               tmp_path):
         # Every training record is its own nearest neighbour: raw 0 -> 0.5.
+        # With low attributes this holds only if the queries are oriented
+        # exactly like the training records.
+        data_dir = request.getfixturevalue(f"{data}_dir")
         out = tmp_path / "scores.csv"
-        code = run(["score", "--train", synth_dir / "train.csv",
-                    "--schema", synth_dir / "schema.txt",
-                    "--detector", "nnd", "--variant", "absolute", "--k", "1",
-                    "--queries", synth_dir / "train.csv", "--out", out])
+        code = run(["score", "--train", data_dir / "train.csv",
+                    "--schema", data_dir / "schema.txt",
+                    "--detector", "nnd", "--variant", variant, "--k", "1",
+                    "--queries", data_dir / "train.csv", "--out", out])
         assert code == 0
         rows = read_rows(out)
-        assert len(rows) == 60
+        assert len(rows) == {"synth": 60, "low": 40}[data]
         assert all(float(r["score"]) == 0.5 for r in rows)
 
     def test_empty_query_file(self, synth_dir, tmp_path):
@@ -149,7 +170,7 @@ class TestScore:
                     "--queries", bad, "--out", tmp_path / "s.csv"])
         assert code == 1
 
-    def test_save_and_reload_model(self, synth_dir, tmp_path):
+    def test_save_and_reload_model(self, synth_dir, low_dir, tmp_path):
         model_path = tmp_path / "model.npz"
         out1, out2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
         assert run(["score", "--train", synth_dir / "train.csv",
@@ -167,6 +188,18 @@ class TestScore:
         assert run(["score", "--model", model_path,
                     "--queries", synth_dir / "test.csv", "--out", out3]) == 0
         assert out1.read_bytes() == out3.read_bytes()
+        # A bundle fitted under low attributes orients its queries the same
+        # way: with k=1 every training row still scores exactly 0.5.
+        low_model, low1, low2 = (tmp_path / "low.npz", tmp_path / "l1.csv",
+                                 tmp_path / "l2.csv")
+        assert run(["score", "--train", low_dir / "train.csv",
+                    "--schema", low_dir / "schema.txt", "--k", "1",
+                    "--save-model", low_model,
+                    "--queries", low_dir / "train.csv", "--out", low1]) == 0
+        assert run(["score", "--model", low_model,
+                    "--queries", low_dir / "train.csv", "--out", low2]) == 0
+        assert low1.read_bytes() == low2.read_bytes()
+        assert all(float(r["score"]) == 0.5 for r in read_rows(low2))
 
     def test_scores_in_unit_interval(self, synth_dir, tmp_path):
         out = tmp_path / "scores.csv"
@@ -231,14 +264,19 @@ class TestStats:
                     "--compare", "ramp:ramp"])
         assert code == 1
 
-    def test_missing_variant_error(self, table3_summary):
-        with pytest.raises(SystemExit):
-            run(["stats", "--results", table3_summary, "--detector", "alp",
-                 "--compare", "ramp:signed"])
+    def test_missing_variant_error(self, table3_summary, capsys):
+        code = run(["stats", "--results", table3_summary, "--detector", "alp",
+                    "--compare", "ramp:signed"])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: no rows for")
 
 
 class TestDiagnose:
-    def test_report_and_suggestions(self, tmp_path, capsys):
+    @pytest.mark.parametrize("down", ["high", "low"])
+    def test_report_and_suggestions(self, down, tmp_path, capsys):
+        # down's anomalies are low: a mistake under down,high, and exactly
+        # what down,low declares.
         data = tmp_path / "d.csv"
         data.write_text(
             "up,down,y\n"
@@ -246,14 +284,18 @@ class TestDiagnose:
             "0.9,0.1,anomalous\n0.8,0.2,anomalous\n"
         )
         schema = tmp_path / "s.txt"
-        schema.write_text("up,high\ndown,high\nlabel,y,anomalous,normal\n")
+        schema_text = f"up,high\ndown,{down}\nlabel,y,anomalous,normal\n"
+        schema.write_text(schema_text)
         assert run(["diagnose", "--data", data, "--schema", schema]) == 0
         out = capsys.readouterr().out
         assert "flagged" in out
-        assert "- down,high" in out and "+ down,none" in out
+        if down == "high":
+            assert "- down,high" in out and "+ down,none" in out
+        else:
+            assert "down," not in out
         assert "- up,high" not in out
         # The schema file itself is untouched.
-        assert schema.read_text() == "up,high\ndown,high\nlabel,y,anomalous,normal\n"
+        assert schema.read_text() == schema_text
 
 
 class TestConfigFile:
@@ -266,3 +308,20 @@ class TestConfigFile:
         out2 = tmp_path / "b"
         assert run(["synth", "--config", cfg, "--seed", "6", "--out", out2]) == 0
         assert (out1 / "train.csv").read_bytes() != (out2 / "train.csv").read_bytes()
+
+
+@pytest.mark.parametrize("argv, threads", [
+    (["synth", "--config", "missing.cfg", "--out", "x"], None),
+    (["bench", "--sweep", "gaussian", "--shifts", "0.5", "--replicates", "1",
+      "--out-dir", "x"], "x"),
+    (["bench", "--data", "a.csv", "--schema", "a.txt", "--schema", "b.txt",
+      "--out-dir", "x"], None),
+], ids=["missing-config", "bad-threads", "data-schema-counts"])
+def test_input_error_is_one_line(argv, threads, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    if threads is not None:
+        monkeypatch.setenv("DIRAD_THREADS", threads)
+    assert run(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not (tmp_path / "x").exists()

@@ -40,6 +40,19 @@ class TestParseCsv:
         with pytest.raises(ValueError, match="schema/header mismatch"):
             parse_csv("a,c\n1,2", spec(("a", "none"), ("b", "none")))
 
+    def test_absent_label_column_reads_as_unlabelled(self):
+        rule = LabelRule("y", "anomalous", "normal")
+        ds = parse_csv("a,b\n1,2\n3,4", spec(("a", "none"), ("b", "none")), rule)
+        assert np.array_equal(ds.records, [[1.0, 2.0], [3.0, 4.0]])
+        assert ds.labels is None
+
+    def test_bom_prefixed_header_with_label_column(self):
+        rule = LabelRule("y", "anomalous", "normal")
+        ds = parse_csv("\ufeffy,a\nnormal,1\nanomalous,2",
+                       spec(("a", "none")), rule)
+        assert np.array_equal(ds.records, [[1.0], [2.0]])
+        assert list(ds.labels) == [False, True]
+
     def test_unknown_label_value(self):
         rule = LabelRule("lab", "bad", "good")
         with pytest.raises(ValueError, match="unknown label value"):

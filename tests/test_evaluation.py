@@ -8,10 +8,12 @@ from dirad.evaluation import (
     ExperimentResult,
     auroc,
     directionality_diagnostic,
+    fit_detector,
     fold_results_csv,
     holm_bonferroni,
     make_folds,
     run_cv,
+    score_queries,
     summary_csv,
     synthetic_auroc,
     wilcoxon_one_sided,
@@ -197,6 +199,31 @@ class TestRunCv:
                 fitted[fold][0].semi_iqr, refitted[fold][0].semi_iqr
             )
             assert np.array_equal(fitted[fold][1].train, refitted[fold][1].train)
+
+
+class TestFitDetector:
+    def test_low_attributes_equal_negated_high_ones(self):
+        # Declaring an attribute low is the same as negating it by hand and
+        # declaring it high, for the fitted scaler and for every score.
+        ds = labelled_gaussian(7)
+        flip = np.array([-1.0, 1.0, -1.0])
+        low = Dataset(
+            tuple(AttributeSpec(a.name, Direction.LOW if f < 0 else Direction.HIGH)
+                  for a, f in zip(ds.schema, flip)),
+            ds.records * flip,
+        )
+        config = NndConfig(DistanceVariant.RAMP, k=3)
+        for scale in (True, False):
+            want_scaler, want = fit_detector(config, ds.take(range(30)), scale)
+            got_scaler, got = fit_detector(config, low.take(range(30)), scale)
+            if scale:
+                assert np.array_equal(want_scaler.midhinge, got_scaler.midhinge)
+            else:
+                assert want_scaler is None and got_scaler is None
+            assert np.array_equal(
+                score_queries(want_scaler, want, ds.take(range(30, 55))),
+                score_queries(got_scaler, got, low.take(range(30, 55))),
+            )
 
 
 class TestSyntheticAuroc:
