@@ -17,14 +17,14 @@ rankings this construction relies on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dataset import Dataset, stored_array
 from .distance import DistanceSpec, DistanceVariant
 from .neighbours import knn_batch, self_knn_batch
-from .nnd import _require_oriented, _as_queries, linear_weights
+from .nnd import _as_queries, _assign, _require_oriented, _train_and_mask, linear_weights
 
 
 def _round_half_up(x: float) -> int:
@@ -78,56 +78,71 @@ class AlpConfig:
 @dataclass(frozen=True)
 class AlpModel:
     """Fitted state: row t of train_nn_dists holds the ascending distances of
-    training record t to its k nearest other training records."""
+    training record t to its k nearest other training records.
 
+    The constructor checks the stored fields and derives the weights and the
+    spec. ``train_nn_dists`` of None runs the self-kNN that computes it; it is
+    stored because that costs O(n^2 m).
+    """
+
+    variant: DistanceVariant
     train: np.ndarray
     k: int
     l: int
-    weights_k: np.ndarray
-    weights_l: np.ndarray
-    spec: DistanceSpec
-    train_nn_dists: np.ndarray
+    directional_mask: np.ndarray
+    train_nn_dists: np.ndarray | None = None
+    weights_k: np.ndarray = field(init=False)
+    weights_l: np.ndarray = field(init=False)
+    spec: DistanceSpec = field(init=False)
 
     detector = "alp"
+
+    def __post_init__(self) -> None:
+        if self.variant is DistanceVariant.SIGNED:
+            raise ValueError("signed distance cannot be used with ALP")
+        train, mask = _train_and_mask(self.train, self.directional_mask)
+        n = train.shape[0]
+        if not 1 <= self.k <= n - 1:
+            raise ValueError(f"k must be in [1, {n - 1}], got {self.k}")
+        if not 1 <= self.l <= n:
+            raise ValueError(f"l must be in [1, {n}], got {self.l}")
+        spec = DistanceSpec.for_mask(mask, self.variant)
+        nn_dists = self.train_nn_dists
+        if nn_dists is None:
+            nn_dists, _ = self_knn_batch(train, self.k, spec)
+        elif nn_dists.shape != (n, self.k):
+            raise ValueError(f"train_nn_dists must have shape ({n}, {self.k})")
+        _assign(
+            self, train=train, directional_mask=mask, train_nn_dists=nn_dists,
+            weights_k=linear_weights(self.k), weights_l=linear_weights(self.l),
+            spec=spec,
+        )
 
     def anomaly_scores(self, queries: np.ndarray) -> np.ndarray:
         return anomaly_scores(self, queries)
 
     def to_arrays(self) -> dict:
-        """The model bundle arrays; ``from_arrays`` reads them back."""
+        """The model bundle arrays: the constructor's arguments."""
         return {
+            "variant": np.str_(self.variant.value),
             "train": self.train,
             "k": np.int64(self.k),
             "l": np.int64(self.l),
-            "weights_k": self.weights_k,
-            "weights_l": self.weights_l,
+            "directional_mask": self.directional_mask,
             "train_nn_dists": self.train_nn_dists,
-            **self.spec.to_arrays(),
         }
 
     @classmethod
     def from_arrays(cls, arrays) -> AlpModel:
-        """Inverse of ``to_arrays``; rejects arrays ``fit`` cannot produce."""
-        train = stored_array(arrays, "train", np.float64, 2)
-        n, m = train.shape
-        k = int(stored_array(arrays, "k", np.int64, 0))
-        l = int(stored_array(arrays, "l", np.int64, 0))
-        if not (1 <= k <= n - 1 and 1 <= l <= n):
-            raise ValueError(f"k={k} and l={l} must be in [1, {n - 1}] and [1, {n}]")
-        weights_k = stored_array(arrays, "weights_k", np.float64, 1)
-        weights_l = stored_array(arrays, "weights_l", np.float64, 1)
-        if weights_k.tobytes() != linear_weights(k).tobytes():
-            raise ValueError(f"weights_k differ from linear_weights({k})")
-        if weights_l.tobytes() != linear_weights(l).tobytes():
-            raise ValueError(f"weights_l differ from linear_weights({l})")
-        spec = DistanceSpec.from_arrays(arrays)
-        signed = DistanceVariant.SIGNED in spec.variants
-        if spec.m != m or spec.exponent_p != 1.0 or signed:
-            raise ValueError(f"spec must be absolute/ramp at p=1 over {m} attributes")
-        nn_dists = stored_array(arrays, "train_nn_dists", np.float64, 2)
-        if nn_dists.shape != (n, k):
-            raise ValueError(f"train_nn_dists must have shape ({n}, {k})")
-        return cls(train, k, l, weights_k, weights_l, spec, nn_dists)
+        """Inverse of ``to_arrays``; the constructor validates."""
+        return cls(
+            DistanceVariant(str(stored_array(arrays, "variant", str, 0))),
+            stored_array(arrays, "train", np.float64, 2),
+            int(stored_array(arrays, "k", np.int64, 0)),
+            int(stored_array(arrays, "l", np.int64, 0)),
+            stored_array(arrays, "directional_mask", np.bool_, 1),
+            stored_array(arrays, "train_nn_dists", np.float64, 2),
+        )
 
 
 def fit(train: Dataset, cfg: AlpConfig) -> AlpModel:
@@ -136,22 +151,9 @@ def fit(train: Dataset, cfg: AlpConfig) -> AlpModel:
     n = train.n_records
     if n < 2:
         raise ValueError(f"ALP needs at least 2 training records, got {n}")
-    if cfg.k is None:
-        k = min(default_k(n), n - 1)
-    else:
-        k = cfg.k
-        if not 1 <= k <= n - 1:
-            raise ValueError(f"k must be in [1, {n - 1}], got {k}")
-    if cfg.l is None:
-        l = default_l(n)
-    else:
-        l = cfg.l
-        if not 1 <= l <= n:
-            raise ValueError(f"l must be in [1, {n}], got {l}")
-    spec = DistanceSpec.for_schema(train.schema, cfg.variant)
-    records = np.ascontiguousarray(train.records, dtype=np.float64)
-    nn_dists, _ = self_knn_batch(records, k, spec)
-    return AlpModel(records, k, l, linear_weights(k), linear_weights(l), spec, nn_dists)
+    k = min(default_k(n), n - 1) if cfg.k is None else cfg.k
+    l = default_l(n) if cfg.l is None else cfg.l
+    return AlpModel(cfg.variant, train.records, k, l, train.directional_mask)
 
 
 def _lp_batch(model: AlpModel, queries: np.ndarray) -> np.ndarray:

@@ -374,13 +374,24 @@ def cmd_score(args, parser) -> int:
 # stats
 
 
+_SUMMARY_COLUMNS = ("detector", "variant", "dataset", "mean_auroc")
+
+
 def _read_summary(paths) -> dict:
     table: dict = {}
     for path in paths:
         with open(path, newline="", encoding="utf-8") as handle:
-            for row in csv.DictReader(handle):
-                key = (row["detector"], row["variant"])
-                table.setdefault(key, {})[row["dataset"]] = float(row["mean_auroc"])
+            reader = csv.DictReader(handle)
+            header = reader.fieldnames or ()
+            missing = [c for c in _SUMMARY_COLUMNS if c not in header]
+            if missing:
+                raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
+            for row in reader:
+                values = [row[c] for c in _SUMMARY_COLUMNS]
+                if None in values:
+                    raise ValueError(f"{path}: line {reader.line_num} is too short")
+                detector, variant, dataset, auroc = values
+                table.setdefault((detector, variant), {})[dataset] = float(auroc)
     return table
 
 

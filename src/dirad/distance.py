@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import _backend
-from .dataset import AttributeSpec, Direction, stored_array
+from .dataset import AttributeSpec, Direction
 
 
 class DistanceVariant(enum.Enum):
@@ -63,18 +63,26 @@ class DistanceSpec:
         return cls((variant,) * m, exponent_p)
 
     @classmethod
+    def for_mask(
+        cls, directional, variant: DistanceVariant, exponent_p: float = 1.0
+    ) -> "DistanceSpec":
+        """Assign ``variant`` where ``directional`` is true, absolute elsewhere."""
+        return cls(
+            tuple(variant if d else DistanceVariant.ABSOLUTE for d in directional),
+            exponent_p,
+        )
+
+    @classmethod
     def for_schema(
         cls,
         schema: Iterable[AttributeSpec],
         variant: DistanceVariant,
         exponent_p: float = 1.0,
     ) -> "DistanceSpec":
-        """Assign ``variant`` to directional attributes, absolute to the rest."""
-        variants = tuple(
-            variant if a.direction is not Direction.NONE else DistanceVariant.ABSOLUTE
-            for a in schema
+        """``for_mask`` over the attributes whose direction is not ``none``."""
+        return cls.for_mask(
+            [a.direction is not Direction.NONE for a in schema], variant, exponent_p
         )
-        return cls(variants, exponent_p)
 
     @property
     def m(self) -> int:
@@ -83,21 +91,6 @@ class DistanceSpec:
     def codes(self) -> np.ndarray:
         """int8 variant codes consumed by the batch kernels."""
         return np.array([_CODES[v] for v in self.variants], dtype=np.int8)
-
-    def to_arrays(self) -> dict:
-        """Model bundle arrays: the variant codes and the exponent."""
-        return {"spec_codes": self.codes(), "spec_p": np.float64(self.exponent_p)}
-
-    @classmethod
-    def from_arrays(cls, arrays) -> "DistanceSpec":
-        """Inverse of ``to_arrays``; rejects unknown codes and bad exponents."""
-        codes = stored_array(arrays, "spec_codes", np.int8, 1)
-        p = float(stored_array(arrays, "spec_p", np.float64, 0))
-        variants = {code: v for v, code in _CODES.items()}
-        unknown = set(codes.tolist()) - set(variants)
-        if unknown:
-            raise ValueError(f"unknown distance variant codes {sorted(unknown)}")
-        return cls(tuple(variants[c] for c in codes.tolist()), p)
 
 
 def per_attribute(diff: float, variant: DistanceVariant) -> float:

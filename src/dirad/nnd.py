@@ -14,7 +14,7 @@ squash is strictly increasing, so rankings (and hence AUROC) are unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,68 +58,69 @@ class NndConfig:
 class NndModel:
     """Fitted detector state; immutable, scoring is read-only.
 
-    ``spec`` is the distance used for neighbour queries: the full-width spec
-    for absolute/ramp, the absolute spec over the adirectional columns for
-    signed (None when every attribute is directional). ``sorted_sums`` holds
-    the descending directional attribute sums of the training rows and exists
+    The constructor checks the stored fields and derives the rest. ``spec``
+    is the distance used for neighbour queries: the full-width spec for
+    absolute/ramp, the absolute spec over the adirectional columns for signed
+    (None when every attribute is directional). ``sorted_sums`` holds the
+    descending directional attribute sums of the training rows and exists
     only for the signed variant.
     """
 
     variant: DistanceVariant
     train: np.ndarray
-    weights: np.ndarray
+    k: int
     directional_mask: np.ndarray
-    spec: DistanceSpec | None
-    sorted_sums: np.ndarray | None = None
+    exponent_p: float = 1.0
+    weights: np.ndarray = field(init=False)
+    spec: DistanceSpec | None = field(init=False)
+    sorted_sums: np.ndarray | None = field(init=False)
 
     detector = "nnd"
 
-    @property
-    def k(self) -> int:
-        return self.weights.shape[0]
+    def __post_init__(self) -> None:
+        train, mask = _train_and_mask(self.train, self.directional_mask)
+        n = train.shape[0]
+        if self.k > n:
+            raise ValueError(f"k={self.k} exceeds the training size n={n}")
+        weights = linear_weights(self.k)  # rejects k < 1
+        signed = self.variant is DistanceVariant.SIGNED
+        if signed and self.exponent_p != 1.0:
+            raise ValueError("signed distance is only defined at exponent_p=1")
+        if not signed:
+            spec = DistanceSpec.for_mask(mask, self.variant, self.exponent_p)
+        elif mask.all():
+            spec = None
+        else:
+            spec = DistanceSpec.uniform(DistanceVariant.ABSOLUTE, int((~mask).sum()))
+        sums = np.sort(train[:, mask].sum(axis=1))[::-1].copy() if signed else None
+        _assign(
+            self, train=train, directional_mask=mask, weights=weights, spec=spec,
+            sorted_sums=sums,
+        )
 
     def anomaly_scores(self, queries: np.ndarray) -> np.ndarray:
         return anomaly_scores(self, queries)
 
     def to_arrays(self) -> dict:
-        """The model bundle arrays; ``from_arrays`` reads them back."""
-        arrays = {
+        """The model bundle arrays: the constructor's arguments."""
+        return {
             "variant": np.str_(self.variant.value),
             "train": self.train,
-            "weights": self.weights,
+            "k": np.int64(self.k),
             "directional_mask": self.directional_mask,
+            "exponent_p": np.float64(self.exponent_p),
         }
-        if self.spec is not None:
-            arrays.update(self.spec.to_arrays())
-        if self.sorted_sums is not None:
-            arrays["sorted_sums"] = self.sorted_sums
-        return arrays
 
     @classmethod
     def from_arrays(cls, arrays) -> NndModel:
-        """Inverse of ``to_arrays``; rejects arrays ``fit`` cannot produce."""
-        variant = DistanceVariant(str(stored_array(arrays, "variant", str, 0)))
-        train = stored_array(arrays, "train", np.float64, 2)
-        n, m = train.shape
-        weights = stored_array(arrays, "weights", np.float64, 1)
-        k = weights.shape[0]
-        if not 1 <= k <= n:
-            raise ValueError(f"k={k} must be in [1, {n}]")
-        if weights.tobytes() != linear_weights(k).tobytes():
-            raise ValueError(f"weights differ from linear_weights({k})")
-        mask = stored_array(arrays, "directional_mask", np.bool_, 1)
-        if mask.shape != (m,):
-            raise ValueError(f"directional_mask must have {m} entries")
-        spec = DistanceSpec.from_arrays(arrays) if "spec_codes" in arrays else None
-        p = 1.0 if spec is None else spec.exponent_p
-        if spec != _neighbour_spec(variant, mask, p):
-            raise ValueError("spec does not match the variant and directional_mask")
-        sorted_sums = None
-        if variant is DistanceVariant.SIGNED:
-            sorted_sums = stored_array(arrays, "sorted_sums", np.float64, 1)
-            if sorted_sums.tobytes() != _sorted_sums(train, mask).tobytes():
-                raise ValueError("sorted_sums differ from the training rows' sums")
-        return cls(variant, train, weights, mask, spec, sorted_sums)
+        """Inverse of ``to_arrays``; the constructor validates."""
+        return cls(
+            DistanceVariant(str(stored_array(arrays, "variant", str, 0))),
+            stored_array(arrays, "train", np.float64, 2),
+            int(stored_array(arrays, "k", np.int64, 0)),
+            stored_array(arrays, "directional_mask", np.bool_, 1),
+            float(stored_array(arrays, "exponent_p", np.float64, 0)),
+        )
 
 
 def _require_oriented(ds: Dataset) -> None:
@@ -129,42 +130,31 @@ def _require_oriented(ds: Dataset) -> None:
         )
 
 
-def _neighbour_spec(
-    variant: DistanceVariant, mask: np.ndarray, exponent_p: float
-) -> DistanceSpec | None:
-    """The spec of the neighbour queries (see NndModel)."""
-    if variant is DistanceVariant.SIGNED:
-        n_adir = int((~mask).sum())
-        if not n_adir:
-            return None
-        return DistanceSpec.uniform(DistanceVariant.ABSOLUTE, n_adir)
-    return DistanceSpec(
-        tuple(variant if d else DistanceVariant.ABSOLUTE for d in mask), exponent_p
-    )
+def _train_and_mask(train, mask) -> tuple[np.ndarray, np.ndarray]:
+    """Training rows as a contiguous float64 (n, m) matrix and their (m,)
+    boolean directional mask, or a ValueError."""
+    train = np.ascontiguousarray(train, dtype=np.float64)
+    if train.ndim != 2:
+        raise ValueError("train must be a 2-d matrix")
+    m = train.shape[1]
+    mask = np.asarray(mask, dtype=np.bool_)
+    if mask.shape != (m,):
+        raise ValueError(f"directional_mask must have {m} entries")
+    return train, mask
 
 
-def _sorted_sums(records: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    return np.sort(records[:, mask].sum(axis=1))[::-1].copy()
+def _assign(model, **fields) -> None:
+    """Set fields of a frozen model from its ``__post_init__``."""
+    for name, value in fields.items():
+        object.__setattr__(model, name, value)
 
 
 def fit(train: Dataset, cfg: NndConfig) -> NndModel:
     """Fit on an (already scaled) training dataset of normal records."""
     _require_oriented(train)
-    n = train.n_records
-    if n == 0:
-        raise ValueError("training set is empty")
-    if cfg.k > n:
-        raise ValueError(f"k={cfg.k} exceeds the training size n={n}")
-    if cfg.variant is DistanceVariant.SIGNED and cfg.exponent_p != 1.0:
-        raise ValueError("signed distance is only defined at exponent_p=1")
-    weights = linear_weights(cfg.k)
-    mask = train.directional_mask
-    records = np.ascontiguousarray(train.records, dtype=np.float64)
-    spec = _neighbour_spec(cfg.variant, mask, cfg.exponent_p)
-    sums = None
-    if cfg.variant is DistanceVariant.SIGNED:
-        sums = _sorted_sums(records, mask)
-    return NndModel(cfg.variant, records, weights, mask, spec, sums)
+    return NndModel(
+        cfg.variant, train.records, cfg.k, train.directional_mask, cfg.exponent_p
+    )
 
 
 def _as_queries(queries, m: int) -> np.ndarray:

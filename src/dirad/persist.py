@@ -2,11 +2,14 @@
 
 A bundle always stores the fitted model (its ``kind`` plus its ``to_arrays``)
 and may carry the scaler, schema and label rule it was trained behind, so a
-saved model can score raw CSV queries without the original training data.
+saved model can score raw CSV queries without the original training data. A
+SHA-256 ``digest`` over every other array catches edits that leave the bundle
+well formed, such as cut training rows.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import zipfile
 from dataclasses import dataclass
@@ -26,7 +29,8 @@ from .dataset import (
 )
 from .nnd import NndModel
 
-FORMAT_VERSION = 1
+# Version 1 bundles could store a schema's ``low`` attributes as ``high``.
+FORMAT_VERSION = 2
 
 _MODELS = {"nnd": NndModel, "alp": AlpModel}
 
@@ -60,6 +64,7 @@ def save_model(
         arrays["schema_directions"] = np.array([a.direction.value for a in schema])
     if label_rule is not None:
         arrays["schema_label"] = np.str_(format_schema((), label_rule).strip())
+    arrays["digest"] = np.str_(_digest(arrays))
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
@@ -69,6 +74,17 @@ def save_model(
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def _digest(arrays: dict) -> str:
+    """SHA-256 over the key, dtype, shape and bytes of every array but
+    ``digest``, in key order."""
+    sha = hashlib.sha256()
+    for key in sorted(arrays.keys() - {"digest"}):
+        arr = np.asarray(arrays[key])
+        sha.update(repr((key, arr.dtype.str, arr.shape)).encode())
+        sha.update(arr.tobytes())
+    return sha.hexdigest()
 
 
 def _read_arrays(path) -> dict:
@@ -82,6 +98,11 @@ def _read_arrays(path) -> dict:
 
 def _bundle(arrays: dict) -> ModelBundle:
     version = int(stored_array(arrays, "format_version", np.int64, 0))
+    if version < FORMAT_VERSION:
+        raise ValueError(
+            f"model format version {version} is no longer read; re-save the "
+            "model with `dirad score --train ... --save-model`"
+        )
     if version != FORMAT_VERSION:
         raise ValueError(
             f"unsupported model format version {version}; this build "
@@ -117,6 +138,9 @@ def _bundle(arrays: dict) -> ModelBundle:
         attrs, label_rule = parse_schema(str(line))
         if attrs or label_rule is None:
             raise ValueError("schema_label must hold a single label line")
+    # Last, so that each structural defect above keeps its own message.
+    if str(stored_array(arrays, "digest", str, 0)) != _digest(arrays):
+        raise ValueError("the arrays do not match the stored digest")
     return ModelBundle(model, scaler, schema, label_rule)
 
 

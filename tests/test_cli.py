@@ -271,6 +271,22 @@ class TestStats:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: no rows for")
 
+    @pytest.mark.parametrize("text", [
+        "variant,dataset,mean_auroc\nramp,wdbc,0.9\n",
+        "detector,dataset,mean_auroc\nnnd,wdbc,0.9\n",
+        "detector,variant,mean_auroc\nnnd,ramp,0.9\n",
+        "detector,variant,dataset\nnnd,ramp,wdbc\n",
+        "detector,variant,dataset,mean_auroc\nnnd,ramp,wdbc,0.9\nnnd,ramp,wpbc\n",
+    ], ids=["no-detector", "no-variant", "no-dataset", "no-mean_auroc", "short-row"])
+    def test_malformed_results_error(self, text, tmp_path, capsys):
+        results = tmp_path / "summary.csv"
+        results.write_text(text)
+        code = run(["stats", "--results", results, "--detector", "nnd",
+                    "--compare", "ramp:absolute"])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
 
 class TestDiagnose:
     @pytest.mark.parametrize("down", ["high", "low"])

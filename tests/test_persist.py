@@ -1,5 +1,7 @@
 import contextlib
+import dataclasses
 import io
+import re
 
 import numpy as np
 import pytest
@@ -143,16 +145,16 @@ def cut(stop, *keys):
 @pytest.mark.parametrize(
     "model_index, edit, message",
     [
-        (NND_RAMP, lambda a: a.pop("weights"), "missing array 'weights'"),
+        (NND_RAMP, lambda a: a.pop("k"), "missing array 'k'"),
         (NND_RAMP, cut(1, "directional_mask"), "directional_mask must have 2 entries"),
-        (NND_RAMP, cut(1, "weights"), r"linear_weights\(1\)"),
         (NND_RAMP, lambda a: a.update(train=a["train"].astype(str)), "2-d float64"),
-        (NND_RAMP, lambda a: a.update(spec_codes=np.int8([1, 5])), "codes \\[5\\]"),
-        (NND_RAMP, lambda a: a.update(spec_codes=np.int8([0, 0])), "does not match"),
-        (NND_SIGNED, lambda a: a.update(sorted_sums=a["sorted_sums"][::-1]), "sums"),
+        (NND_RAMP, lambda a: a.update(k=np.int64(13)), "k=13 exceeds"),
+        (NND_RAMP, lambda a: a.update(variant=np.str_("bogus")), "'bogus'"),
+        (NND_SIGNED, lambda a: a.update(exponent_p=np.float64(2.0)), "exponent_p=1"),
         (ALP_RAMP, cut(2, "train_nn_dists"), "train_nn_dists must have shape"),
-        (ALP_RAMP, lambda a: a.update(l=np.int64(13)), "l=13"),
-        (ALP_RAMP, cut(1, "weights_l"), r"linear_weights\(5\)"),
+        (ALP_RAMP, lambda a: a.update(l=np.int64(13)), "l must be in"),
+        (ALP_RAMP, lambda a: a.update(variant=np.str_("signed")), "cannot be used"),
+        (ALP_RAMP, cut(1, "directional_mask"), "directional_mask must have 2"),
         (ALP_RAMP, lambda a: a.pop("scaler_semi_iqr"), "missing array 'scaler_semi_iqr'"),
         (ALP_RAMP, cut(1, "scaler_midhinge", "scaler_semi_iqr"), "scaler must have 2"),
         (ALP_RAMP, cut(1, "schema_names"), "schema arrays must have 2"),
@@ -176,6 +178,61 @@ def test_load_rejects_corrupted_array_data(tmp_path):
         load_model(path)
 
 
+def test_cut_training_rows_fail_the_digest(tmp_path):
+    # Half the rows of a 12-row ramp model still make a consistent model.
+    path = edited_bundle(
+        tmp_path / "model.npz", NND_RAMP, lambda a: a.update(train=a["train"][:6])
+    )
+    with pytest.raises(ValueError, match="digest"):
+        load_model(path)
+
+
+PERSIST_KEYS = {
+    "format_version", "kind", "digest", "scaler_midhinge", "scaler_semi_iqr",
+    "schema_names", "schema_directions", "schema_label",
+}
+
+
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
+def test_bundle_stores_only_constructor_fields(tmp_path, model):
+    path = tmp_path / "model.npz"
+    save_model(path, model, SCALER, SCHEMA, LABEL_RULE)
+    with np.load(path) as stored:
+        keys = set(stored.files)
+    fields = {f.name for f in dataclasses.fields(model) if f.init}
+    assert keys == fields | PERSIST_KEYS
+
+
+TRAIN = Dataset(SCHEMA, np.random.default_rng(43).standard_normal((12, 2)))
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        nnd.NndConfig(DistanceVariant.RAMP, k=13),
+        nnd.NndConfig(DistanceVariant.RAMP, k=0),
+        nnd.NndConfig(DistanceVariant.SIGNED, k=2, exponent_p=2.0),
+        alp.AlpConfig(DistanceVariant.RAMP, k=12, l=5),
+        alp.AlpConfig(DistanceVariant.RAMP, k=0, l=5),
+        alp.AlpConfig(DistanceVariant.RAMP, k=3, l=13),
+        alp.AlpConfig(DistanceVariant.RAMP, k=3, l=0),
+    ],
+    ids=["nnd-k13", "nnd-k0", "nnd-signed-p2", "alp-k12", "alp-k0", "alp-l13", "alp-l0"],
+)
+def test_constructor_rejects_what_fit_rejects(config):
+    with pytest.raises(ValueError) as from_fit:
+        config.fit(TRAIN)
+    mask = TRAIN.directional_mask
+    if config.detector == "nnd":
+        args = (config.variant, TRAIN.records, config.k, mask, config.exponent_p)
+        model_class = nnd.NndModel
+    else:
+        args = (config.variant, TRAIN.records, config.k, config.l, mask)
+        model_class = alp.AlpModel
+    with pytest.raises(ValueError, match=re.escape(str(from_fit.value))):
+        model_class(*args)
+
+
 @pytest.fixture(scope="module")
 def scoring_bundles(tmp_path_factory):
     root = tmp_path_factory.mktemp("bundles")
@@ -195,6 +252,28 @@ def score_bundle(bundle, queries, out):
         code = main(["score", "--model", str(bundle), "--queries", str(queries),
                      "--out", str(out)])
     return code, err.getvalue().splitlines()
+
+
+def test_version_1_bundle_names_the_fix(scoring_bundles, tmp_path):
+    # The version 1 layout of MODELS[NND_RAMP]; it cannot be told apart from
+    # one whose `low` attributes were stored as `high`.
+    queries, _ = scoring_bundles
+    model = MODELS[NND_RAMP]
+    path, out = tmp_path / "v1.npz", tmp_path / "scores.csv"
+    np.savez(
+        path, format_version=np.int64(1), kind=np.str_("nnd"),
+        variant=np.str_("ramp"), train=model.train, weights=model.weights,
+        directional_mask=model.directional_mask, spec_codes=model.spec.codes(),
+        spec_p=np.float64(1.0), scaler_midhinge=SCALER.midhinge,
+        scaler_semi_iqr=SCALER.semi_iqr, schema_names=np.array(["x0", "x1"]),
+        schema_directions=np.array(["high", "none"]),
+        schema_label=np.str_("label,label,anomalous,normal"),
+    )
+    code, lines = score_bundle(path, queries, out)
+    assert code == 1 and len(lines) == 1
+    assert lines[0].startswith("error: ")
+    assert "dirad score --train ... --save-model" in lines[0]
+    assert not out.exists()
 
 
 def test_intact_bundles_score_without_schema(scoring_bundles, tmp_path):
