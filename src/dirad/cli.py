@@ -9,7 +9,8 @@ scores only through ``evaluation.fit_detector`` and ``score_queries``. A
 bundle saved by ``score --save-model`` carries the schema as read and its
 label rule, so ``score --model`` needs no ``--schema``.
 
-Environment: DIRAD_THREADS caps the bench worker threads (default 1).
+Environment: DIRAD_THREADS caps the bench worker threads (a positive
+integer, default 1).
 """
 
 from __future__ import annotations
@@ -64,8 +65,11 @@ ALP_VARIANTS = ("absolute", "ramp")
 def _write_atomic(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _thread_count() -> int:
@@ -76,7 +80,9 @@ def _thread_count() -> int:
         value = int(raw)
     except ValueError:
         raise ValueError(f"DIRAD_THREADS must be an integer, got {raw!r}") from None
-    return max(1, value)
+    if value < 1:
+        raise ValueError(f"DIRAD_THREADS must be >= 1, got {value}")
+    return value
 
 
 def _merge_config(argv: list[str]) -> list[str]:

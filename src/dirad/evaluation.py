@@ -7,6 +7,12 @@ FoldPlan across detector variants keeps the per-dataset AUROCs paired, which
 is what the signed-rank comparisons assume. ``fit_detector`` and
 ``score_queries`` are the one raw-records-to-scores path (orient, scale, fit,
 score) shared by the CV protocol, the synthetic sweep and ``dirad score``.
+
+AUROC and the signed-rank test rank with ``_average_ranks``, a NumPy
+average-rank helper equal bit for bit to ``scipy.stats.rankdata``. SciPy is
+imported only inside the signed-rank test's normal approximation, so
+importing this module (and every CLI command but ``dirad stats``) does not
+load it.
 """
 
 from __future__ import annotations
@@ -15,10 +21,27 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from .dataset import Dataset, ScalingParams, apply_scaler, fit_scaler, orient
 from .synthgen import SynthSpec, generate
+
+
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of a float vector, ties given the mean of their ranks.
+
+    Equal to ``scipy.stats.rankdata(values)`` bit for bit: -0.0 ties with
+    +0.0, infinities tie with themselves, and any NaN makes every rank NaN.
+    """
+    n = values.size
+    if np.isnan(values).any():
+        return np.full(n, np.nan)
+    order = np.argsort(values, kind="stable")
+    xs = values[order]
+    starts = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
+    ends = np.append(starts[1:], n)
+    ranks = np.empty(n, dtype=np.float64)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
 
 
 def auroc(scores, labels) -> float:
@@ -35,7 +58,7 @@ def auroc(scores, labels) -> float:
     n_norm = lab.size - n_anom
     if n_anom == 0 or n_norm == 0:
         raise ValueError("both classes must be present to compute AUROC")
-    ranks = stats.rankdata(s)
+    ranks = _average_ranks(s)
     u = ranks[lab].sum() - n_anom * (n_anom + 1) / 2.0
     return float(u / (n_anom * n_norm))
 
@@ -184,7 +207,7 @@ def wilcoxon_one_sided(x, y, method: str = "approx") -> float:
         raise ValueError(
             f"need at least 5 nonzero differences for the signed-rank test, got {n}"
         )
-    ranks = stats.rankdata(np.abs(d))
+    ranks = _average_ranks(np.abs(d))
     w_plus = float(ranks[d > 0].sum())
 
     if method == "exact":
@@ -208,7 +231,11 @@ def wilcoxon_one_sided(x, y, method: str = "approx") -> float:
     if var <= 0:
         raise ValueError("zero variance: all differences are tied away")
     z = (w_plus - mean - 0.5) / np.sqrt(var)
-    return float(min(stats.norm.sf(z), 1.0))
+    # ndtr(-z) is the upper normal tail, the same value as stats.norm.sf(z);
+    # imported here so that only this branch loads SciPy.
+    from scipy.special import ndtr
+
+    return float(min(ndtr(-z), 1.0))
 
 
 def holm_bonferroni(pvals) -> np.ndarray:

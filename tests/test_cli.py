@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from dirad import cli
 from dirad.cli import main
 
 
@@ -201,6 +202,38 @@ class TestScore:
         assert low1.read_bytes() == low2.read_bytes()
         assert all(float(r["score"]) == 0.5 for r in read_rows(low2))
 
+    def test_directory_as_out_is_one_error_and_leaves_no_tmp(self, synth_dir,
+                                                             tmp_path, capsys):
+        out = tmp_path / "outdir"
+        out.mkdir()
+        code = run(["score", "--train", synth_dir / "train.csv",
+                    "--schema", synth_dir / "schema.txt",
+                    "--queries", synth_dir / "test.csv", "--out", out])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert out.is_dir() and not any(out.iterdir())
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "outdir"]
+
+    def test_failed_rename_keeps_existing_output(self, synth_dir, tmp_path,
+                                                 monkeypatch, capsys):
+        out = tmp_path / "scores.csv"
+        out.write_bytes(b"row,score\n1,0.25\n")
+
+        def refuse(src, dst):
+            raise OSError(f"cannot rename {src} to {dst}")
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        code = run(["score", "--train", synth_dir / "train.csv",
+                    "--schema", synth_dir / "schema.txt",
+                    "--queries", synth_dir / "test.csv", "--out", out])
+        monkeypatch.undo()
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot rename")
+        assert out.read_bytes() == b"row,score\n1,0.25\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "scores.csv"]
+
     def test_scores_in_unit_interval(self, synth_dir, tmp_path):
         out = tmp_path / "scores.csv"
         assert run(["score", "--train", synth_dir / "train.csv",
@@ -330,9 +363,14 @@ class TestConfigFile:
     (["synth", "--config", "missing.cfg", "--out", "x"], None),
     (["bench", "--sweep", "gaussian", "--shifts", "0.5", "--replicates", "1",
       "--out-dir", "x"], "x"),
+    (["bench", "--sweep", "gaussian", "--shifts", "0.5", "--replicates", "1",
+      "--out-dir", "x"], "0"),
+    (["bench", "--sweep", "gaussian", "--shifts", "0.5", "--replicates", "1",
+      "--out-dir", "x"], "-4"),
     (["bench", "--data", "a.csv", "--schema", "a.txt", "--schema", "b.txt",
       "--out-dir", "x"], None),
-], ids=["missing-config", "bad-threads", "data-schema-counts"])
+], ids=["missing-config", "bad-threads", "zero-threads", "negative-threads",
+        "data-schema-counts"])
 def test_input_error_is_one_line(argv, threads, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     if threads is not None:

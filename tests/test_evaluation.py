@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 from dirad.alp import AlpConfig
 from dirad.dataset import AttributeSpec, Dataset, Direction
 from dirad.distance import DistanceVariant
 from dirad.evaluation import (
     ExperimentResult,
+    _average_ranks,
     auroc,
     directionality_diagnostic,
     fit_detector,
@@ -30,6 +34,43 @@ def pairwise_auroc(scores, labels):
     wins = np.sum(anom[:, None] > norm[None, :])
     ties = np.sum(anom[:, None] == norm[None, :])
     return (wins + 0.5 * ties) / (anom.size * norm.size)
+
+
+# Rounded values tie often; the specials cover -0.0 next to +0.0 and +-inf.
+rank_values = st.one_of(
+    st.floats(-4.0, 4.0).map(lambda v: round(v, 1)),
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf]),
+    st.floats(allow_nan=False),
+)
+
+
+@st.composite
+def rank_vectors(draw, with_nan=False):
+    """A shuffled vector with repeated entries, and a NaN if ``with_nan``."""
+    values = draw(st.lists(rank_values, min_size=int(with_nan), max_size=40))
+    if values:
+        values += draw(st.lists(st.sampled_from(values), max_size=10))
+    if with_nan:
+        values[draw(st.integers(0, len(values) - 1))] = np.nan
+    return np.array(draw(st.permutations(values)), dtype=np.float64)
+
+
+def reference_wilcoxon(x, y, method):
+    """The signed-rank p-value from scipy's ranks and normal tail; the exact
+    null enumerates all 2**n sign assignments."""
+    d = np.asarray(x, dtype=np.float64) - np.asarray(y, dtype=np.float64)
+    d = d[d != 0]
+    n = d.size
+    ranks = stats.rankdata(np.abs(d))
+    w_plus = float(ranks[d > 0].sum())
+    if method == "exact":
+        signs = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+        return int(((signs * ranks).sum(axis=1) >= w_plus).sum()) / (1 << n)
+    _, tie_sizes = np.unique(ranks, return_counts=True)
+    tie_term = float((tie_sizes**3 - tie_sizes).sum()) / 48.0
+    var = n * (n + 1) * (2 * n + 1) / 24.0 - tie_term
+    z = (w_plus - n * (n + 1) / 4.0 - 0.5) / np.sqrt(var)
+    return float(min(stats.norm.sf(z), 1.0))
 
 
 class FakeConfig:
@@ -59,6 +100,25 @@ def labelled_gaussian(seed, n_normal=40, n_anom=15, m=3, shift=1.0):
     return Dataset(schema, records, labels)
 
 
+class TestAverageRanks:
+    @settings(max_examples=300, deadline=None)
+    @given(rank_vectors())
+    @example(np.array([np.inf, 0.0, -np.inf, -0.0, np.inf, 1.0]))
+    def test_equals_scipy_rankdata_bitwise(self, values):
+        ours = _average_ranks(values)
+        ref = stats.rankdata(values)
+        assert ours.dtype == ref.dtype == np.float64
+        assert ours.tobytes() == ref.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(rank_vectors(with_nan=True))
+    def test_any_nan_makes_every_rank_nan(self, values):
+        ours = _average_ranks(values)
+        assert ours.shape == values.shape
+        assert np.isnan(ours).all()
+        assert np.isnan(stats.rankdata(values)).all()
+
+
 class TestAuroc:
     def test_worked_example(self):
         assert auroc([0.1, 0.4, 0.35, 0.8], [False, False, True, True]) == 0.75
@@ -72,6 +132,9 @@ class TestAuroc:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="both classes"):
             auroc([1.0, 2.0], [True, True])
+
+    def test_nan_score_gives_nan(self):
+        assert np.isnan(auroc([0.1, np.nan, 0.3, 0.8], [False, False, True, True]))
 
     def test_matches_pairwise_oracle_exactly(self):
         rng = np.random.default_rng(43)
@@ -256,8 +319,6 @@ class TestWilcoxon:
         assert wilcoxon_one_sided(x, y, method="exact") == 1.0 / 2**12
 
     def test_exact_matches_scipy_on_untied_data(self):
-        from scipy import stats
-
         rng = np.random.default_rng(59)
         for _ in range(10):
             x = rng.standard_normal(12)
@@ -271,6 +332,29 @@ class TestWilcoxon:
         x = [0.922, 0.923, 0.653, 0.769, 0.927, 0.504, 1.000, 0.718, 0.624, 0.976, 0.994, 0.625]
         y = [0.823, 0.971, 0.602, 0.715, 0.901, 0.476, 1.000, 0.648, 0.597, 0.950, 0.995, 0.570]
         assert wilcoxon_one_sided(x, y) == pytest.approx(0.011654, abs=5e-6)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+            min_size=5, max_size=12,
+        ),
+        st.sampled_from(["approx", "exact"]),
+    )
+    @example(
+        [(922, 823), (923, 971), (653, 602), (769, 715), (927, 901), (504, 476),
+         (1000, 1000), (718, 648), (624, 597), (976, 950), (994, 995), (625, 570)],
+        "approx",
+    )
+    def test_equals_scipy_reference_bitwise(self, pairs, method):
+        # Thousandths from a few integers make tied and zero differences common.
+        x = np.array([a for a, _ in pairs]) / 1000.0
+        y = np.array([b for _, b in pairs]) / 1000.0
+        if np.count_nonzero(x - y) < 5:
+            with pytest.raises(ValueError, match="at least 5"):
+                wilcoxon_one_sided(x, y, method=method)
+            return
+        assert wilcoxon_one_sided(x, y, method=method) == reference_wilcoxon(x, y, method)
 
     def test_too_few_nonzero_differences(self):
         with pytest.raises(ValueError, match="at least 5"):
