@@ -2,9 +2,7 @@
 
 Must stay bit-identical to the scalar reference in
 ``distance.record_distance``: every cell accumulates attribute by attribute in
-index order from a ``+0.0`` start, and Minkowski powers go through libm pow
-(np.power is allowed to differ in the last ulp on SIMD builds, so it cannot be
-used here).
+index order from a ``+0.0`` start.
 
 Each call allocates the result and one scratch buffer of the same shape. Per
 attribute, ``out=`` ufuncs write the column difference into the scratch buffer
@@ -12,11 +10,7 @@ and add it into the result; training columns are read from a contiguous
 transposed copy of ``train``.
 """
 
-import math
-
 import numpy as np
-
-_libm_pow = np.frompyfunc(math.pow, 2, 1)
 
 
 def backend_name() -> str:
@@ -24,7 +18,7 @@ def backend_name() -> str:
     return "python"
 
 
-def pairwise(queries, train, codes, p):
+def pairwise(queries, train, codes):
     """Distance matrix between query rows and training rows.
 
     codes[j] selects the per-attribute variant: 0 absolute, 1 ramp, 2 signed.
@@ -40,9 +34,5 @@ def pairwise(queries, train, codes, p):
             np.abs(buf, out=buf)
         elif c == 1:
             np.maximum(buf, 0.0, out=buf)
-        if p != 1.0:
-            _libm_pow(buf, p, out=buf, casting="unsafe")
         np.add(out, buf, out=out)
-    if p != 1.0:
-        _libm_pow(out, 1.0 / p, out=out, casting="unsafe")
     return out

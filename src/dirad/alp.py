@@ -45,18 +45,6 @@ def default_l(n: int) -> int:
     return min(max(1, _round_half_up(6.0 * math.log(n))), n)
 
 
-def wmax(values, weights: np.ndarray) -> float:
-    """Weighted maximum: sum_i w_i * X^(i) with X^(i) the i-th largest value."""
-    v = np.asarray(values, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
-    if v.ndim != 1 or v.shape != w.shape:
-        raise ValueError(
-            f"values and weights must be equal-length vectors, got "
-            f"{v.shape} and {w.shape}"
-        )
-    return float(np.dot(w, np.sort(v)[::-1]))
-
-
 @dataclass(frozen=True)
 class AlpConfig:
     """k/l of None means the log-based defaults resolved at fit time."""

@@ -86,13 +86,18 @@ def _thread_count() -> int:
 
 
 def _merge_config(argv: list[str]) -> list[str]:
-    """Prepend key=value pairs from --config as flags; real flags win."""
-    if "--config" not in argv:
+    """Prepend key=value pairs from --config (or --config=) as flags; real
+    flags win, given as ``--flag value`` or ``--flag=value``."""
+    keys = [arg.split("=", 1)[0] for arg in argv]
+    if "--config" not in keys:
         return argv
-    at = argv.index("--config")
-    if at + 1 >= len(argv):
+    at = keys.index("--config")
+    if argv[at] != "--config":
+        path = Path(argv[at][len("--config="):])
+    elif at + 1 < len(argv):
+        path = Path(argv[at + 1])
+    else:
         raise ValueError("--config expects a file path")
-    path = Path(argv[at + 1])
     prefix: list[str] = []
     for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
@@ -102,7 +107,7 @@ def _merge_config(argv: list[str]) -> list[str]:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = line.split("=", 1)
         flag = "--" + key.strip().replace("_", "-")
-        if flag in argv:
+        if flag in keys:
             continue
         value = value.strip()
         if value.lower() in ("true", "yes", "1") and flag in _BOOL_FLAGS:
@@ -397,7 +402,16 @@ def _read_summary(paths) -> dict:
                 if None in values:
                     raise ValueError(f"{path}: line {reader.line_num} is too short")
                 detector, variant, dataset, auroc = values
-                table.setdefault((detector, variant), {})[dataset] = float(auroc)
+                try:
+                    mean = float(auroc)
+                except ValueError:
+                    mean = float("nan")
+                if not np.isfinite(mean):
+                    raise ValueError(
+                        f"{path}: line {reader.line_num}: mean_auroc must be a "
+                        f"finite number, got {auroc!r}"
+                    )
+                table.setdefault((detector, variant), {})[dataset] = mean
     return table
 
 
@@ -579,7 +593,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(_merge_config(argv))
         return _COMMANDS[args.command](args, parser)
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError, csv.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -6,15 +6,14 @@ Three per-attribute treatments of a difference ``y_j - x_j``:
 * ramp: ``max(0, y_j - x_j)`` -- low test values count as absence of evidence,
 * signed: ``y_j - x_j`` -- low test values offset high values elsewhere.
 
-Record distances sum these per attribute (a Boscovich-style p=1 distance);
-absolute and ramp also support a general Minkowski exponent p > 1. Signed is
-only defined at p = 1.
+Record distances sum these per attribute: a Boscovich-style city-block form,
+the Minkowski distance at p = 1. No other exponent is offered, since signed
+distance exists only at p = 1.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -39,49 +38,34 @@ _CODES = {
 
 @dataclass(frozen=True)
 class DistanceSpec:
-    """Per-attribute variant assignment plus the Minkowski exponent."""
+    """Per-attribute variant assignment."""
 
     variants: tuple[DistanceVariant, ...]
-    exponent_p: float = 1.0
 
     def __post_init__(self) -> None:
         variants = tuple(self.variants)
         if not variants:
             raise ValueError("a distance spec needs at least one attribute")
-        p = float(self.exponent_p)
-        if not math.isfinite(p) or p < 1.0:
-            raise ValueError(f"exponent_p must be finite and >= 1, got {p}")
-        if p != 1.0 and DistanceVariant.SIGNED in variants:
-            raise ValueError("signed distance is only defined at exponent_p=1")
         object.__setattr__(self, "variants", variants)
-        object.__setattr__(self, "exponent_p", p)
 
     @classmethod
-    def uniform(
-        cls, variant: DistanceVariant, m: int, exponent_p: float = 1.0
-    ) -> "DistanceSpec":
-        return cls((variant,) * m, exponent_p)
+    def uniform(cls, variant: DistanceVariant, m: int) -> "DistanceSpec":
+        return cls((variant,) * m)
 
     @classmethod
-    def for_mask(
-        cls, directional, variant: DistanceVariant, exponent_p: float = 1.0
-    ) -> "DistanceSpec":
+    def for_mask(cls, directional, variant: DistanceVariant) -> "DistanceSpec":
         """Assign ``variant`` where ``directional`` is true, absolute elsewhere."""
         return cls(
-            tuple(variant if d else DistanceVariant.ABSOLUTE for d in directional),
-            exponent_p,
+            tuple(variant if d else DistanceVariant.ABSOLUTE for d in directional)
         )
 
     @classmethod
     def for_schema(
-        cls,
-        schema: Iterable[AttributeSpec],
-        variant: DistanceVariant,
-        exponent_p: float = 1.0,
+        cls, schema: Iterable[AttributeSpec], variant: DistanceVariant
     ) -> "DistanceSpec":
         """``for_mask`` over the attributes whose direction is not ``none``."""
         return cls.for_mask(
-            [a.direction is not Direction.NONE for a in schema], variant, exponent_p
+            [a.direction is not Direction.NONE for a in schema], variant
         )
 
     @property
@@ -107,9 +91,8 @@ def record_distance(
 ) -> float:
     """Scalar record-level distance; the reference the batch kernels match.
 
-    At p=1 this is the plain per-attribute sum (asymmetric whenever a ramp or
-    signed attribute is present); for p>1 it is the Minkowski form over
-    absolute/ramp attributes.
+    The plain per-attribute sum, accumulated in index order from ``+0.0``;
+    asymmetric whenever a ramp or signed attribute is present.
     """
     ya = np.asarray(y, dtype=np.float64)
     xa = np.asarray(x, dtype=np.float64)
@@ -120,15 +103,10 @@ def record_distance(
             f"dimension mismatch: y has {ya.shape[0]}, x has {xa.shape[0]}, "
             f"spec has {spec.m}"
         )
-    p = spec.exponent_p
     acc = 0.0
-    if p == 1.0:
-        for j, variant in enumerate(spec.variants):
-            acc += per_attribute(float(ya[j]) - float(xa[j]), variant)
-        return acc
     for j, variant in enumerate(spec.variants):
-        acc += math.pow(per_attribute(float(ya[j]) - float(xa[j]), variant), p)
-    return math.pow(acc, 1.0 / p)
+        acc += per_attribute(float(ya[j]) - float(xa[j]), variant)
+    return acc
 
 
 def distance_matrix(
@@ -147,4 +125,4 @@ def distance_matrix(
             f"dimension mismatch: queries have {q.shape[1]} columns, train has "
             f"{t.shape[1]}, spec has {spec.m}"
         )
-    return _backend.pairwise(q, t, spec.codes(), spec.exponent_p)
+    return _backend.pairwise(q, t, spec.codes())

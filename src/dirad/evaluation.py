@@ -247,7 +247,7 @@ def holm_bonferroni(pvals) -> np.ndarray:
     p = np.asarray(pvals, dtype=np.float64)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("pvals must be a non-empty vector")
-    if np.any(p <= 0) or np.any(p > 1):
+    if not np.all((p > 0) & (p <= 1)):  # NaN fails both comparisons
         raise ValueError("p-values must lie in (0, 1]")
     m = p.size
     order = np.argsort(p, kind="stable")

@@ -46,7 +46,6 @@ def contract(raw):
 class NndConfig:
     variant: DistanceVariant
     k: int = 8
-    exponent_p: float = 1.0
 
     detector = "nnd"
 
@@ -70,7 +69,6 @@ class NndModel:
     train: np.ndarray
     k: int
     directional_mask: np.ndarray
-    exponent_p: float = 1.0
     weights: np.ndarray = field(init=False)
     spec: DistanceSpec | None = field(init=False)
     sorted_sums: np.ndarray | None = field(init=False)
@@ -84,10 +82,8 @@ class NndModel:
             raise ValueError(f"k={self.k} exceeds the training size n={n}")
         weights = linear_weights(self.k)  # rejects k < 1
         signed = self.variant is DistanceVariant.SIGNED
-        if signed and self.exponent_p != 1.0:
-            raise ValueError("signed distance is only defined at exponent_p=1")
         if not signed:
-            spec = DistanceSpec.for_mask(mask, self.variant, self.exponent_p)
+            spec = DistanceSpec.for_mask(mask, self.variant)
         elif mask.all():
             spec = None
         else:
@@ -108,18 +104,21 @@ class NndModel:
             "train": self.train,
             "k": np.int64(self.k),
             "directional_mask": self.directional_mask,
-            "exponent_p": np.float64(self.exponent_p),
         }
 
     @classmethod
     def from_arrays(cls, arrays) -> NndModel:
-        """Inverse of ``to_arrays``; the constructor validates."""
+        """Inverse of ``to_arrays``; the constructor validates. Older bundles
+        also store ``exponent_p``, which must be 1, the only exponent there is."""
+        if "exponent_p" in arrays:
+            p = float(stored_array(arrays, "exponent_p", np.float64, 0))
+            if p != 1.0:
+                raise ValueError(f"only exponent_p=1 is supported, got {p}")
         return cls(
             DistanceVariant(str(stored_array(arrays, "variant", str, 0))),
             stored_array(arrays, "train", np.float64, 2),
             int(stored_array(arrays, "k", np.int64, 0)),
             stored_array(arrays, "directional_mask", np.bool_, 1),
-            float(stored_array(arrays, "exponent_p", np.float64, 0)),
         )
 
 
@@ -152,9 +151,7 @@ def _assign(model, **fields) -> None:
 def fit(train: Dataset, cfg: NndConfig) -> NndModel:
     """Fit on an (already scaled) training dataset of normal records."""
     _require_oriented(train)
-    return NndModel(
-        cfg.variant, train.records, cfg.k, train.directional_mask, cfg.exponent_p
-    )
+    return NndModel(cfg.variant, train.records, cfg.k, train.directional_mask)
 
 
 def _as_queries(queries, m: int) -> np.ndarray:

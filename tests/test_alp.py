@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dirad import alp
-from dirad.alp import AlpConfig, default_k, default_l, wmax
+from dirad.alp import AlpConfig, default_k, default_l
 from dirad.dataset import AttributeSpec, Dataset, Direction
 from dirad.distance import DistanceVariant
 
@@ -36,32 +36,6 @@ class TestDefaults:
     def test_k_clamped_at_fit_time(self):
         model = alp.fit(dataset(np.arange(6.0)[:, None]), AlpConfig(ABS))
         assert model.k == 5  # default_k(6) = 10, clamped to n-1
-
-
-class TestWmax:
-    def test_single_value_is_plain_max(self):
-        assert wmax([0.7], np.array([1.0])) == 0.7
-
-    def test_weighted_ordered_average(self):
-        assert wmax([0.2, 0.8], np.array([2 / 3, 1 / 3])) == pytest.approx(0.6)
-
-    def test_constant_collection(self):
-        w = np.array([0.5, 0.3, 0.2])
-        assert wmax([0.4, 0.4, 0.4], w) == pytest.approx(0.4, abs=1e-12)
-
-    def test_between_min_and_max(self):
-        rng = np.random.default_rng(7)
-        from dirad.nnd import linear_weights
-
-        for _ in range(50):
-            k = int(rng.integers(1, 9))
-            values = rng.random(k)
-            out = wmax(values, linear_weights(k))
-            assert values.min() - 1e-12 <= out <= values.max() + 1e-12
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="equal-length"):
-            wmax([0.1, 0.2], np.array([1.0]))
 
 
 class TestConfigAndFit:
@@ -103,6 +77,14 @@ class TestLocalisedProximity:
         assert alp._lp_batch(model, [[5.0]])[0, 0] == 0.5
         assert alp.normality_scores(model, [[5.0]])[0] == 0.5
 
+    def test_weighted_maximum_of_two_proximities(self):
+        # Same instance with k=2: d = (2, 4) and the neighbour 3 has self-NN
+        # distances (2, 3), so lp = (1/2, 3/7), weighted 2/3 and 1/3.
+        model = alp.fit(dataset([[0.0], [1.0], [3.0]]), AlpConfig(ABS, k=2, l=1))
+        assert np.allclose(alp._lp_batch(model, [[5.0]]), [[0.5, 3 / 7]])
+        score = alp.normality_scores(model, [[5.0]])[0]
+        assert score == pytest.approx(10 / 21, abs=1e-12)
+
     def test_zero_query_distance_gives_one(self):
         model = alp.fit(dataset([[0.0], [1.0], [3.0]]), AlpConfig(ABS, k=1, l=1))
         assert alp._lp_batch(model, [[1.0]])[0, 0] == 1.0
@@ -141,6 +123,9 @@ class TestScoreProperties:
             scores = alp.normality_scores(model, queries)
             assert np.all((lp >= 0) & (lp <= 1))
             assert np.all((scores >= 0) & (scores <= 1))
+            # A weighted maximum lies between the smallest and largest lp.
+            assert np.all(lp.min(axis=1) - 1e-12 <= scores)
+            assert np.all(scores <= lp.max(axis=1) + 1e-12)
 
     def test_training_permutation_leaves_scores_unchanged(self):
         # Absolute variant: continuous data gives no exact distance ties, so

@@ -320,6 +320,21 @@ class TestStats:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
+    @pytest.mark.parametrize("method", ["approx", "exact"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "high"])
+    def test_non_finite_auroc_names_its_line(self, table3_summary, method, value,
+                                             capsys):
+        # Line 14 holds the first nnd:ramp row, after the header and 12 rows.
+        text = table3_summary.read_text().replace("nnd,ramp,0.922", f"nnd,ramp,{value}")
+        table3_summary.write_text(text)
+        code = run(["stats", "--results", table3_summary, "--detector", "nnd",
+                    "--compare", "ramp:absolute", "--method", method, "--holm"])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {table3_summary}: line 14: mean_auroc must be a finite "
+            f"number, got {value!r}"
+        ]
+
 
 class TestDiagnose:
     @pytest.mark.parametrize("down", ["high", "low"])
@@ -358,6 +373,43 @@ class TestConfigFile:
         assert run(["synth", "--config", cfg, "--seed", "6", "--out", out2]) == 0
         assert (out1 / "train.csv").read_bytes() != (out2 / "train.csv").read_bytes()
 
+    def test_equals_spelling_matches_two_tokens(self, synth_dir, tmp_path):
+        cfg = tmp_path / "k1.cfg"
+        cfg.write_text("k=1\nfolds=3\n")
+        data = ["bench", "--data", synth_dir / "test.csv",
+                "--schema", synth_dir / "schema.txt", "--variants", "ramp"]
+        outs = [tmp_path / name for name in ("default", "split", "joined")]
+        assert run(data + ["--folds", "3", "--out-dir", outs[0]]) == 0
+        assert run(data + ["--config", cfg, "--out-dir", outs[1]]) == 0
+        assert run(data + [f"--config={cfg}", "--out-dir", outs[2]]) == 0
+        summaries = [(out / "summary.csv").read_bytes() for out in outs]
+        assert summaries[1] == summaries[2] != summaries[0]
+
+    def test_equals_spelled_flag_wins(self, table3_summary, tmp_path):
+        # --compare appends, so a config value that is not skipped would add
+        # a second comparison to the report.
+        cfg = tmp_path / "stats.cfg"
+        cfg.write_text("compare=ramp:absolute\n")
+        reports = []
+        for config in (["--config", cfg], [f"--config={cfg}"]):
+            for compare in (["--compare", "ramp:signed"], ["--compare=ramp:signed"]):
+                reports.append(tmp_path / f"report{len(reports)}.csv")
+                assert run(["stats", *config, "--results", table3_summary,
+                            *compare, "--out", reports[-1]]) == 0
+        assert [r["lesser"] for r in read_rows(reports[0])] == ["signed"]
+        assert len({report.read_bytes() for report in reports}) == 1
+
+
+def write_oversized_inputs(root):
+    """Inputs whose one long field exceeds the csv module's 131,072-char limit."""
+    long_field = "1" * 200_000
+    (root / "schema.txt").write_text("x,high\nlabel,label,anomalous,normal\n")
+    (root / "train.csv").write_text("x\n1\n2\n")
+    (root / "big.csv").write_text(f"x,label\n{long_field},normal\n")
+    (root / "big_summary.csv").write_text(
+        f"detector,variant,dataset,mean_auroc\nnnd,ramp,d{long_field},0.9\n"
+    )
+
 
 @pytest.mark.parametrize("argv, threads", [
     (["synth", "--config", "missing.cfg", "--out", "x"], None),
@@ -369,10 +421,18 @@ class TestConfigFile:
       "--out-dir", "x"], "-4"),
     (["bench", "--data", "a.csv", "--schema", "a.txt", "--schema", "b.txt",
       "--out-dir", "x"], None),
+    (["bench", "--data", "big.csv", "--schema", "schema.txt", "--out-dir", "x"],
+     None),
+    (["score", "--train", "train.csv", "--schema", "schema.txt", "--k", "1",
+      "--queries", "big.csv", "--out", "x"], None),
+    (["diagnose", "--data", "big.csv", "--schema", "schema.txt"], None),
+    (["stats", "--results", "big_summary.csv", "--compare", "ramp:absolute"], None),
 ], ids=["missing-config", "bad-threads", "zero-threads", "negative-threads",
-        "data-schema-counts"])
+        "data-schema-counts", "bench-long-field", "score-long-field",
+        "diagnose-long-field", "stats-long-field"])
 def test_input_error_is_one_line(argv, threads, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
+    write_oversized_inputs(tmp_path)
     if threads is not None:
         monkeypatch.setenv("DIRAD_THREADS", threads)
     assert run(argv) == 1

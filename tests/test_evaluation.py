@@ -401,6 +401,10 @@ class TestHolmBonferroni:
         with pytest.raises(ValueError, match="lie in"):
             holm_bonferroni([0.0, 0.5])
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="lie in"):
+            holm_bonferroni([0.5, float("nan")])
+
 
 class TestDiagnostic:
     def test_clear_directionality_not_flagged(self):

@@ -184,12 +184,11 @@ def problems(draw, self_query):
     """(train, queries or None, k, spec) for a neighbour query."""
     kind = draw(st.sampled_from(KINDS))
     m = draw(st.integers(1, 4))
-    p = 1.0 if kind == "extreme" else draw(st.sampled_from([1.0, 2.0]))
-    pool = [ABS, RAMP, SIGNED] if p == 1.0 else [ABS, RAMP]
-    variants = draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m))
+    pool = st.sampled_from([ABS, RAMP, SIGNED])
+    variants = draw(st.lists(pool, min_size=m, max_size=m))
     if kind == "extreme":
         variants[0] = SIGNED
-    spec = DistanceSpec(tuple(variants), p)
+    spec = DistanceSpec(tuple(variants))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if self_query:
         # Above sqrt(_BLOCK_BYTES / 8) rows the self-query spans two blocks.

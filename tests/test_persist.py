@@ -137,6 +137,13 @@ def edited_bundle(path, model_index, edit):
     return path
 
 
+def with_exponent(arrays, p):
+    """Give bundle arrays the older NND layout: an ``exponent_p`` array under
+    a digest that covers it."""
+    arrays["exponent_p"] = np.float64(p)
+    arrays["digest"] = np.str_(persist._digest(arrays))
+
+
 def cut(stop, *keys):
     """An edit keeping the first ``stop`` entries of each key's last axis."""
     return lambda arrays: arrays.update({k: arrays[k][..., :stop] for k in keys})
@@ -150,7 +157,7 @@ def cut(stop, *keys):
         (NND_RAMP, lambda a: a.update(train=a["train"].astype(str)), "2-d float64"),
         (NND_RAMP, lambda a: a.update(k=np.int64(13)), "k=13 exceeds"),
         (NND_RAMP, lambda a: a.update(variant=np.str_("bogus")), "'bogus'"),
-        (NND_SIGNED, lambda a: a.update(exponent_p=np.float64(2.0)), "exponent_p=1"),
+        (NND_SIGNED, lambda a: with_exponent(a, 2.0), "exponent_p=1"),
         (ALP_RAMP, cut(2, "train_nn_dists"), "train_nn_dists must have shape"),
         (ALP_RAMP, lambda a: a.update(l=np.int64(13)), "l must be in"),
         (ALP_RAMP, lambda a: a.update(variant=np.str_("signed")), "cannot be used"),
@@ -211,20 +218,19 @@ TRAIN = Dataset(SCHEMA, np.random.default_rng(43).standard_normal((12, 2)))
     [
         nnd.NndConfig(DistanceVariant.RAMP, k=13),
         nnd.NndConfig(DistanceVariant.RAMP, k=0),
-        nnd.NndConfig(DistanceVariant.SIGNED, k=2, exponent_p=2.0),
         alp.AlpConfig(DistanceVariant.RAMP, k=12, l=5),
         alp.AlpConfig(DistanceVariant.RAMP, k=0, l=5),
         alp.AlpConfig(DistanceVariant.RAMP, k=3, l=13),
         alp.AlpConfig(DistanceVariant.RAMP, k=3, l=0),
     ],
-    ids=["nnd-k13", "nnd-k0", "nnd-signed-p2", "alp-k12", "alp-k0", "alp-l13", "alp-l0"],
+    ids=["nnd-k13", "nnd-k0", "alp-k12", "alp-k0", "alp-l13", "alp-l0"],
 )
 def test_constructor_rejects_what_fit_rejects(config):
     with pytest.raises(ValueError) as from_fit:
         config.fit(TRAIN)
     mask = TRAIN.directional_mask
     if config.detector == "nnd":
-        args = (config.variant, TRAIN.records, config.k, mask, config.exponent_p)
+        args = (config.variant, TRAIN.records, config.k, mask)
         model_class = nnd.NndModel
     else:
         args = (config.variant, TRAIN.records, config.k, config.l, mask)
@@ -274,6 +280,23 @@ def test_version_1_bundle_names_the_fix(scoring_bundles, tmp_path):
     assert lines[0].startswith("error: ")
     assert "dirad score --train ... --save-model" in lines[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "model_index", [i for i, m in enumerate(MODELS) if m.detector == "nnd"]
+)
+def test_older_bundle_with_unit_exponent_scores_identically(
+    scoring_bundles, tmp_path, model_index
+):
+    queries, paths = scoring_bundles
+    older = edited_bundle(
+        tmp_path / "older.npz", model_index, lambda a: with_exponent(a, 1.0)
+    )
+    outputs = []
+    for path in (paths[model_index], older):
+        outputs.append(tmp_path / f"{path.stem}.csv")
+        assert score_bundle(path, queries, outputs[-1]) == (0, [])
+    assert outputs[0].read_bytes() == outputs[1].read_bytes()
 
 
 def test_intact_bundles_score_without_schema(scoring_bundles, tmp_path):
