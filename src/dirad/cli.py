@@ -5,7 +5,8 @@ synthetic sweeps), score (fit or load a model and score queries), stats
 (signed-rank comparisons over result tables), diagnose (directionality
 report). Every command is deterministic given its flags; outputs are written
 atomically (write-then-rename). bench and score go from raw records to
-scores only through ``evaluation.fit_detector`` and ``score_queries``. A
+scores only through ``evaluation.fit_detector`` and ``score_queries``, or
+``synthetic_auroc`` for a sweep, which share one orient-and-scale path. A
 bundle saved by ``score --save-model`` carries the schema as read and its
 label rule, so ``score --model`` needs no ``--schema``.
 
@@ -131,10 +132,20 @@ def _auto_int(text: str):
     return None if text.strip().lower() == "auto" else int(text)
 
 
+def _parsed(path, parse, text: str, *args):
+    """``parse(text, *args)`` for the text read from ``path``; an error it
+    raises names the file, e.g. ``big.csv: field larger than field limit``."""
+    try:
+        return parse(text, *args)
+    except (ValueError, csv.Error) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _load_dataset(data_path: str, schema_path: str) -> tuple[Dataset, LabelRule | None]:
-    schema, rule = parse_schema(Path(schema_path).read_text(encoding="utf-8"))
+    schema_text = Path(schema_path).read_text(encoding="utf-8")
+    schema, rule = _parsed(schema_path, parse_schema, schema_text)
     text = Path(data_path).read_text(encoding="utf-8")
-    return parse_csv(text, schema, rule), rule
+    return _parsed(data_path, parse_csv, text, schema, rule), rule
 
 
 # ---------------------------------------------------------------------------
@@ -292,37 +303,41 @@ def _bench_sweep(args, cells) -> int:
         if args.shifts
         else synthgen.default_shifts(args.sweep)
     )
-    jobs = []
-    for config in cells:
-        for shift in shifts:
-            specs = synthgen.grid(
-                args.sweep, [shift], args.replicates, base_seed=args.seed
-            )
-            jobs.append((config, shift, specs))
+    specs = synthgen.grid(args.sweep, shifts, args.replicates, base_seed=args.seed)
 
-    def worker(job):
-        config, shift, specs = job
-        aurocs = [
-            synthetic_auroc(spec, config, scale=not args.no_scale)
-            for spec in specs
-        ]
+    def worker(i):
+        return i, synthetic_auroc(specs[i], cells, scale=not args.no_scale)
+
+    # One job per (shift, replicate) problem: it is generated, oriented and
+    # scaled once, then every config is fitted and scored on it.
+    results, failures = _run_cells(range(len(specs)), worker)
+    outcomes = dict(results)
+    # A problem that failed as a whole fails every config on it.
+    outcomes.update((i, [exc] * len(cells)) for i, exc in failures)
+    reps = args.replicates
+    cells_out, cell_failures = [], []
+    for c, config in enumerate(cells):
         k = "auto" if config.k is None else config.k
-        return SweepCell(
-            args.sweep, shift, config.detector, k, config.variant.value,
-            len(specs), float(np.mean(aurocs)),
-        )
-
-    cells_out, failures = _run_cells(jobs, worker)
+        for s, shift in enumerate(shifts):
+            aurocs = [outcomes[i][c] for i in range(s * reps, (s + 1) * reps)]
+            exc = next((a for a in aurocs if isinstance(a, Exception)), None)
+            if exc is None:
+                cells_out.append(SweepCell(
+                    args.sweep, shift, config.detector, k, config.variant.value,
+                    reps, float(np.mean(aurocs)),
+                ))
+            else:
+                cell_failures.append((config, shift, exc))
     out_dir = Path(args.out_dir)
     _write_atomic(out_dir / "sweep.csv", sweep_csv(cells_out))
     print(f"wrote sweep.csv to {out_dir}")
-    for (config, shift, _), exc in failures:
+    for config, shift, exc in cell_failures:
         print(
             f"cell failed: {config.detector}:{config.variant.value} "
             f"shift={shift}: {exc}",
             file=sys.stderr,
         )
-    return 1 if failures else 0
+    return 1 if cell_failures else 0
 
 
 def cmd_bench(args, parser) -> int:
@@ -371,8 +386,10 @@ def cmd_score(args, parser) -> int:
         print(f"wrote 0 scores to {args.out}")
         return 0
     if args.model and args.schema_path:
-        _, rule = parse_schema(Path(args.schema_path).read_text(encoding="utf-8"))
-    scores = score_queries(scaler, model, parse_csv(text, schema, rule))
+        schema_text = Path(args.schema_path).read_text(encoding="utf-8")
+        _, rule = _parsed(args.schema_path, parse_schema, schema_text)
+    queries = _parsed(args.queries, parse_csv, text, schema, rule)
+    scores = score_queries(scaler, model, queries)
     lines = ["row,score"] + [
         f"{i},{float(s)!r}" for i, s in enumerate(scores, start=1)
     ]

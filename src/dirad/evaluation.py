@@ -6,7 +6,9 @@ test set made of the held-out fifth plus all anomalous records. Reusing one
 FoldPlan across detector variants keeps the per-dataset AUROCs paired, which
 is what the signed-rank comparisons assume. ``fit_detector`` and
 ``score_queries`` are the one raw-records-to-scores path (orient, scale, fit,
-score) shared by the CV protocol, the synthetic sweep and ``dirad score``.
+score) shared by the CV protocol and ``dirad score``; the synthetic sweep
+orients and scales through the same two helpers, once per generated problem
+for all of its detector configs.
 
 AUROC and the signed-rank test rank with ``_average_ranks``, a NumPy
 average-rank helper equal bit for bit to ``scipy.stats.rankdata``. SciPy is
@@ -109,6 +111,22 @@ class ExperimentResult:
     mean_auroc: float
 
 
+def _prepare_train(train: Dataset, scale: bool) -> tuple[ScalingParams | None, Dataset]:
+    """Orient raw normal records, then fit and apply the scaler unless
+    ``scale`` is false: ``(scaler or None, records ready to fit on)``."""
+    train = orient(train)
+    if not scale:
+        return None, train
+    scaler = fit_scaler(train)
+    return scaler, apply_scaler(train, scaler)
+
+
+def _prepare_queries(scaler: ScalingParams | None, queries: Dataset) -> Dataset:
+    """Raw query records oriented and scaled as ``_prepare_train`` did."""
+    queries = orient(queries)
+    return queries if scaler is None else apply_scaler(queries, scaler)
+
+
 def fit_detector(config, train: Dataset, scale: bool = True):
     """Fit ``config`` on raw normal records; returns ``(scaler, model)``.
 
@@ -116,20 +134,13 @@ def fit_detector(config, train: Dataset, scale: bool = True):
     midhinge/semi-IQR scaler is fitted and applied; ``scale=False`` skips the
     scaler and returns ``None`` in its place.
     """
-    train = orient(train)
-    scaler = None
-    if scale:
-        scaler = fit_scaler(train)
-        train = apply_scaler(train, scaler)
+    scaler, train = _prepare_train(train, scale)
     return scaler, config.fit(train)
 
 
 def score_queries(scaler, model, queries: Dataset) -> np.ndarray:
     """Anomaly scores of raw query records under ``fit_detector``'s result."""
-    queries = orient(queries)
-    if scaler is not None:
-        queries = apply_scaler(queries, scaler)
-    return model.anomaly_scores(queries.records)
+    return model.anomaly_scores(_prepare_queries(scaler, queries).records)
 
 
 def run_cv(
@@ -175,14 +186,29 @@ def run_cv(
     return (result, fitted) if return_models else result
 
 
-def synthetic_auroc(spec: SynthSpec, config, scale: bool = True) -> float:
+def synthetic_auroc(spec: SynthSpec, configs, scale: bool = True):
     """Train on a generated dataset's normals, score its test set, AUROC.
 
-    ``scale=False`` skips the midhinge/semi-IQR rescaling.
+    The problem is generated, oriented and scaled once (``scale=False`` skips
+    the midhinge/semi-IQR rescaling), then every config is fitted and scored
+    on it. Given one config, returns its AUROC. Given a sequence of configs,
+    returns one entry per config: its AUROC, or the exception its fit or
+    scoring raised, so that one failing config costs the others nothing.
     """
+    single = not isinstance(configs, Sequence)
     train, test = generate(spec)
-    scaler, model = fit_detector(config, train, scale)
-    return auroc(score_queries(scaler, model, test), test.labels)
+    scaler, train = _prepare_train(train, scale)
+    queries = _prepare_queries(scaler, test).records
+    outcomes: list = []
+    for config in [configs] if single else configs:
+        try:
+            scores = config.fit(train).anomaly_scores(queries)
+            outcomes.append(auroc(scores, test.labels))
+        except Exception as exc:
+            if single:
+                raise
+            outcomes.append(exc)
+    return outcomes[0] if single else outcomes
 
 
 def wilcoxon_one_sided(x, y, method: str = "approx") -> float:

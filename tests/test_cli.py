@@ -3,8 +3,10 @@ import csv
 import numpy as np
 import pytest
 
-from dirad import cli
+from dirad import cli, evaluation, synthgen
 from dirad.cli import main
+from dirad.distance import DistanceVariant
+from dirad.nnd import NndConfig
 
 
 def run(argv):
@@ -117,6 +119,52 @@ class TestBench:
         assert len(rows) == 3 * 2  # shifts x variants
         assert {r["shift"] for r in rows} == {"0.0", "0.5", "1.0"}
         assert all(r["replicates"] == "2" for r in rows)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_sweep_partial_failure(self, threads, tmp_path, monkeypatch, capsys):
+        # ALP k=1000 cannot fit 1,000 training rows: every ALP cell fails,
+        # in (config, shift) order, and the NND cells are still written.
+        monkeypatch.setenv("DIRAD_THREADS", threads)
+        out = tmp_path / "sweep"
+        code = run(["bench", "--sweep", "gaussian", "--shifts", "0.0,0.5",
+                    "--replicates", "2", "--detectors", "nnd,alp",
+                    "--nnd-variants", "ramp", "--k", "3", "--alp-k", "1000",
+                    "--out-dir", out])
+        assert code == 1
+        rows = read_rows(out / "sweep.csv")
+        assert [(r["detector"], r["variant"], r["shift"]) for r in rows] == [
+            ("nnd", "ramp", "0.0"), ("nnd", "ramp", "0.5")]
+        assert capsys.readouterr().err.splitlines() == [
+            f"cell failed: alp:{variant} shift={shift}: "
+            f"k must be in [1, 999], got 1000"
+            for variant in ("absolute", "ramp") for shift in ("0.0", "0.5")
+        ]
+
+    def test_sweep_builds_each_problem_once(self, tmp_path, monkeypatch):
+        generated = []
+
+        def counting_generate(spec):
+            generated.append(spec)
+            return synthgen.generate(spec)
+
+        monkeypatch.setattr(evaluation, "generate", counting_generate)
+        out = tmp_path / "sweep"
+        assert run(["bench", "--sweep", "gaussian", "--shifts", "0.2,0.7",
+                    "--replicates", "2", "--detectors", "nnd", "--k", "4",
+                    "--seed", "5", "--out-dir", out]) == 0
+        assert len(generated) == 4  # 2 shifts x 2 replicates, not x 3 variants
+        rows = read_rows(out / "sweep.csv")
+        assert len(rows) == 3 * 2
+        for row in rows:
+            # The reference fits and scores one config at a time.
+            config = NndConfig(DistanceVariant(row["variant"]), k=4)
+            aurocs = []
+            for spec in synthgen.grid("gaussian", [float(row["shift"])], 2, 5):
+                train, test = synthgen.generate(spec)
+                scaler, model = evaluation.fit_detector(config, train)
+                scores = evaluation.score_queries(scaler, model, test)
+                aurocs.append(evaluation.auroc(scores, test.labels))
+            assert row["mean_auroc"] == repr(float(np.mean(aurocs)))
 
     def test_bench_rerun_byte_identical(self, synth_dir, tmp_path):
         args = ["bench", "--data", synth_dir / "test.csv",
@@ -409,6 +457,22 @@ def write_oversized_inputs(root):
     (root / "big_summary.csv").write_text(
         f"detector,variant,dataset,mean_auroc\nnnd,ramp,d{long_field},0.9\n"
     )
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("big.csv", "field larger than field limit"),
+    ("wrong.csv", "schema/header mismatch"),
+])
+def test_bad_data_file_is_named(bad, message, tmp_path, monkeypatch, capsys):
+    # Of two --data files under one schema, the error names the bad one.
+    monkeypatch.chdir(tmp_path)
+    write_oversized_inputs(tmp_path)
+    (tmp_path / "good.csv").write_text("x,label\n1,normal\n2,anomalous\n")
+    (tmp_path / "wrong.csv").write_text("y,label\n1,normal\n")
+    assert run(["bench", "--data", "good.csv", "--data", bad,
+                "--schema", "schema.txt", "--out-dir", "x"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {bad}: {message}")
 
 
 @pytest.mark.parametrize("argv, threads", [

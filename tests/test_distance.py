@@ -1,3 +1,5 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -138,6 +140,53 @@ class TestDistanceMatrix:
             for j, x in enumerate(train):
                 expected = np.float64(record_distance(y, x, spec))
                 assert dm[i, j].tobytes() == expected.tobytes()
+
+
+    @pytest.mark.filterwarnings(
+        "ignore:overflow encountered:RuntimeWarning",
+        "ignore:invalid value encountered:RuntimeWarning",
+    )
+    @pytest.mark.parametrize("n", [3, 511, 512, 513, 2000])
+    def test_rows_either_side_of_the_ufunc_buffer_match_bitwise(self, n):
+        # The kernel runs with a 512-element ufunc buffer: training sets of
+        # 511-513 rows put block rows on both sides of it, 2000 well past it.
+        rng = np.random.default_rng(n)
+        specials = np.array([0.0, -0.0, 1e308, -1e308, 1.5, -2.25])
+        spec = DistanceSpec((ABS, RAMP, SIGNED, ABS, SIGNED, RAMP))
+
+        def draw(rows):
+            values = rng.standard_normal((rows, spec.m)) * 10
+            special = rng.random((rows, spec.m)) < 0.4
+            values[special] = rng.choice(specials, int(special.sum()))
+            return values
+
+        queries, train = draw(3), draw(n)
+        dm = distance_matrix(queries, train, spec)
+        expected = np.array(
+            [[record_distance(y, x, spec) for x in train] for y in queries]
+        )
+        assert dm.tobytes() == expected.tobytes()
+
+    def test_ufunc_buffer_size_restored(self):
+        spec = DistanceSpec((ABS, RAMP))
+        rng = np.random.default_rng(3)
+        queries, train = rng.standard_normal((4, 2)), rng.standard_normal((600, 2))
+
+        def call_with(bufsize):
+            old = np.setbufsize(bufsize)
+            try:
+                distance_matrix(queries, train, spec)
+                return np.getbufsize()
+            finally:
+                np.setbufsize(old)
+
+        assert call_with(16384) == 16384
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            assert list(pool.map(call_with, [1024, 4096, 8192, 32768])) == [
+                1024, 4096, 8192, 32768]
+        main_thread = np.getbufsize()
+        distance_matrix(queries, train, spec)
+        assert np.getbufsize() == main_thread
 
 
 class TestVariantIdentities:

@@ -308,6 +308,16 @@ class TestSyntheticAuroc:
         assert 0.0 <= scaled <= 1.0 and 0.0 <= raw <= 1.0
 
 
+    def test_sequence_of_configs_scores_each_on_one_problem(self):
+        spec = SynthSpec("gaussian", 0.5, n_train=100, seed=11)
+        good = NndConfig(DistanceVariant.RAMP, k=4)
+        bad = AlpConfig(DistanceVariant.RAMP, k=100)  # needs k < n_train
+        got = synthetic_auroc(spec, [good, bad, good])
+        assert got[0] == got[2] == synthetic_auroc(spec, good)
+        assert isinstance(got[1], ValueError) and "k must be" in str(got[1])
+        with pytest.raises(ValueError, match="k must be"):
+            synthetic_auroc(spec, bad)
+
 class TestWilcoxon:
     def test_identical_columns_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):
