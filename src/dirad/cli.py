@@ -263,12 +263,22 @@ def _bench_cv(args, cells) -> int:
     schemas = args.schema * len(args.data) if len(args.schema) == 1 else args.schema
     if len(schemas) != len(args.data):
         raise ValueError("--data and --schema counts do not match")
+    # A dataset's id is its file stem; results are keyed by it.
+    paths_by_id = {}
+    for data_path in args.data:
+        ds_id = Path(data_path).stem
+        if ds_id in paths_by_id:
+            raise ValueError(
+                f"--data {paths_by_id[ds_id]} and {data_path} share the "
+                f"dataset id '{ds_id}'"
+            )
+        paths_by_id[ds_id] = data_path
     datasets = []
-    for data_path, schema_path in zip(args.data, schemas):
+    for (ds_id, data_path), schema_path in zip(paths_by_id.items(), schemas):
         ds, _ = _load_dataset(data_path, schema_path)
         if ds.labels is None:
             raise ValueError(f"{data_path}: schema declares no label column")
-        datasets.append((Path(data_path).stem, ds))
+        datasets.append((ds_id, ds))
 
     jobs = []
     for ds_id, ds in datasets:

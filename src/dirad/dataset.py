@@ -198,6 +198,11 @@ def format_csv(ds: Dataset, label_rule: LabelRule | None = None) -> str:
     return out.getvalue()
 
 
+def _label_is_attribute(lineno: int, column: str) -> ValueError:
+    # parse_csv would read the labels from the attribute's column.
+    return ValueError(f"line {lineno}: label column '{column}' is also an attribute")
+
+
 def parse_schema(text: str) -> tuple[tuple[AttributeSpec, ...], LabelRule | None]:
     """Parse a schema file: one ``name,direction`` line per attribute.
 
@@ -223,10 +228,14 @@ def parse_schema(text: str) -> tuple[tuple[AttributeSpec, ...], LabelRule | None
                     f"line {lineno}: label line needs a column and an "
                     f"anomalous literal"
                 )
+            if any(a.name == label.column for a in attrs):
+                raise _label_is_attribute(lineno, label.column)
             continue
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected 'name,direction', got {raw!r}")
         name, direction = parts
+        if label is not None and name == label.column:
+            raise _label_is_attribute(lineno, name)
         try:
             attrs.append(AttributeSpec(name, Direction(direction)))
         except ValueError:

@@ -9,6 +9,21 @@ Three per-attribute treatments of a difference ``y_j - x_j``:
 Record distances sum these per attribute: a Boscovich-style city-block form,
 the Minkowski distance at p = 1. No other exponent is offered, since signed
 distance exists only at p = 1.
+
+``distance_matrix`` is the batch kernel, bit-identical to the scalar
+reference ``record_distance``: every cell accumulates attribute by attribute
+in index order from a ``+0.0`` start. Each call allocates the result and one
+scratch buffer of the same shape. Per attribute, ``out=`` ufuncs write the
+column difference into the scratch buffer and add it into the result;
+training columns are read from a contiguous transposed copy of ``train``.
+
+The loop runs with NumPy's ufunc buffer set to 512 elements. At the default
+8,192, a broadcast ufunc whose rows are shorter than the buffer copies its
+operands through it. On NumPy 2.4.6 (2-vCPU Xeon), the column subtract of a
+65 x 1000 block, the block shape of a 1,000-row training set, took 71-95 us
+at the default and 16-27 us at 512; blocks whose rows hold 5,000 or more
+elements were within noise either way. Only elementwise ufuncs may run under
+the setting: a float reduction's summation order could depend on it.
 """
 
 from __future__ import annotations
@@ -19,7 +34,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import _backend
 from .dataset import AttributeSpec, Direction
 
 
@@ -27,13 +41,6 @@ class DistanceVariant(enum.Enum):
     ABSOLUTE = "absolute"
     RAMP = "ramp"
     SIGNED = "signed"
-
-
-_CODES = {
-    DistanceVariant.ABSOLUTE: 0,
-    DistanceVariant.RAMP: 1,
-    DistanceVariant.SIGNED: 2,
-}
 
 
 @dataclass(frozen=True)
@@ -71,10 +78,6 @@ class DistanceSpec:
     @property
     def m(self) -> int:
         return len(self.variants)
-
-    def codes(self) -> np.ndarray:
-        """int8 variant codes consumed by the batch kernels."""
-        return np.array([_CODES[v] for v in self.variants], dtype=np.int8)
 
 
 def per_attribute(diff: float, variant: DistanceVariant) -> float:
@@ -125,4 +128,20 @@ def distance_matrix(
             f"dimension mismatch: queries have {q.shape[1]} columns, train has "
             f"{t.shape[1]}, spec has {spec.m}"
         )
-    return _backend.pairwise(q, t, spec.codes())
+    columns = np.ascontiguousarray(t.T)
+    out = np.zeros((q.shape[0], columns.shape[1]), dtype=np.float64)
+    buf = np.empty_like(out)
+    # Saved and restored by hand, as NumPy 1.x has no context manager for it;
+    # on NumPy 2 the size is a context variable, so other threads keep theirs.
+    old = np.setbufsize(512)
+    try:
+        for j, variant in enumerate(spec.variants):
+            np.subtract(q[:, j, None], columns[j], out=buf)
+            if variant is DistanceVariant.ABSOLUTE:
+                np.abs(buf, out=buf)
+            elif variant is DistanceVariant.RAMP:
+                np.maximum(buf, 0.0, out=buf)
+            np.add(out, buf, out=out)
+    finally:
+        np.setbufsize(old)
+    return out

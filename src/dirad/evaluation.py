@@ -144,17 +144,12 @@ def score_queries(scaler, model, queries: Dataset) -> np.ndarray:
 
 
 def run_cv(
-    dataset: Dataset,
-    config,
-    plan: FoldPlan,
-    dataset_id: str = "",
-    return_models: bool = False,
-):
+    dataset: Dataset, config, plan: FoldPlan, dataset_id: str = ""
+) -> ExperimentResult:
     """Cross-validated AUROC of a detector configuration on a labelled dataset.
 
     Per fold: ``fit_detector`` on the fold's raw training normals, then
-    ``score_queries`` on the held-out normals plus all anomalies. With
-    ``return_models`` the per-fold (scaler, model) pairs are returned as well.
+    ``score_queries`` on the held-out normals plus all anomalies.
     """
     if dataset.labels is None:
         raise ValueError("run_cv needs a labelled dataset")
@@ -163,52 +158,45 @@ def run_cv(
     if normal_idx.size == 0 or anom_idx.size == 0:
         raise ValueError("both classes must be present to run cross-validation")
     fold_aurocs = []
-    fitted: list[tuple[ScalingParams, object]] = []
     for fold_num, (train_sel, test_sel) in enumerate(plan.folds, start=1):
         try:
             scaler, model = fit_detector(config, dataset.take(normal_idx[train_sel]))
             test = dataset.take(np.concatenate([normal_idx[test_sel], anom_idx]))
             fold_aurocs.append(auroc(score_queries(scaler, model, test), test.labels))
-            if return_models:
-                fitted.append((scaler, model))
         except Exception as exc:
             raise RuntimeError(
                 f"fold {fold_num}/{len(plan.folds)} of {dataset_id or 'dataset'} "
                 f"failed: {exc}"
             ) from exc
-    result = ExperimentResult(
+    return ExperimentResult(
         dataset_id,
         config.detector,
         config.variant.value,
         tuple(fold_aurocs),
         float(np.mean(fold_aurocs)),
     )
-    return (result, fitted) if return_models else result
 
 
-def synthetic_auroc(spec: SynthSpec, configs, scale: bool = True):
+def synthetic_auroc(spec: SynthSpec, configs: Sequence, scale: bool = True) -> list:
     """Train on a generated dataset's normals, score its test set, AUROC.
 
     The problem is generated, oriented and scaled once (``scale=False`` skips
-    the midhinge/semi-IQR rescaling), then every config is fitted and scored
-    on it. Given one config, returns its AUROC. Given a sequence of configs,
-    returns one entry per config: its AUROC, or the exception its fit or
-    scoring raised, so that one failing config costs the others nothing.
+    the midhinge/semi-IQR rescaling), then every config in ``configs`` is
+    fitted and scored on it. Returns one entry per config: its AUROC, or the
+    exception its fit or scoring raised, so that one failing config costs the
+    others nothing.
     """
-    single = not isinstance(configs, Sequence)
     train, test = generate(spec)
     scaler, train = _prepare_train(train, scale)
     queries = _prepare_queries(scaler, test).records
     outcomes: list = []
-    for config in [configs] if single else configs:
+    for config in configs:
         try:
             scores = config.fit(train).anomaly_scores(queries)
             outcomes.append(auroc(scores, test.labels))
         except Exception as exc:
-            if single:
-                raise
             outcomes.append(exc)
-    return outcomes[0] if single else outcomes
+    return outcomes
 
 
 def wilcoxon_one_sided(x, y, method: str = "approx") -> float:

@@ -5,7 +5,11 @@ triangle-inequality assumptions of spatial indexes, and the target dataset
 sizes keep O(n*m) per query tractable. Ties are broken by ascending training
 row index so results are deterministic.
 
-Queries run in blocks whose distance matrix stays within ``_BLOCK_BYTES``.
+One blocked loop, ``_knn``, serves both query kinds. Queries run in blocks
+whose distance matrix stays within ``_BLOCK_BYTES``; a self-query is the same
+loop with the training rows as queries and each block's own rows masked to
++inf, so a row is never its own neighbour.
+
 Each block's k nearest are selected without a full sort: ``np.partition``
 finds every row's k-th smallest distance, the row keeps all entries below it
 plus the lowest-index entries equal to it, and only those k candidates are
@@ -75,6 +79,26 @@ def _smallest_k(block: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
+def _knn(
+    t: np.ndarray, q: np.ndarray, k: int, spec: DistanceSpec, self_query: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of ``q``'s k nearest rows of ``t``, one block at a time.
+
+    ``self_query`` means ``q`` is ``t``: each block's own rows are masked.
+    """
+    rows = q.shape[0]
+    dists = np.empty((rows, k), dtype=np.float64)
+    idx = np.empty((rows, k), dtype=np.int64)
+    step = _block_rows(t.shape[0])
+    for start in range(0, rows, step):
+        stop = min(start + step, rows)
+        block = distance_matrix(q[start:stop], t, spec)
+        if self_query:
+            block[np.arange(stop - start), np.arange(start, stop)] = np.inf
+        dists[start:stop], idx[start:stop] = _smallest_k(block, k)
+    return dists, idx
+
+
 def knn_batch(
     train: np.ndarray, queries: np.ndarray, k: int, spec: DistanceSpec
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -90,13 +114,7 @@ def knn_batch(
     n = t.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    dists = np.empty((q.shape[0], k), dtype=np.float64)
-    idx = np.empty((q.shape[0], k), dtype=np.int64)
-    step = _block_rows(n)
-    for start in range(0, q.shape[0], step):
-        block = distance_matrix(q[start : start + step], t, spec)
-        dists[start : start + step], idx[start : start + step] = _smallest_k(block, k)
-    return dists, idx
+    return _knn(t, q, k, spec, self_query=False)
 
 
 def self_knn_batch(
@@ -107,13 +125,4 @@ def self_knn_batch(
     n = t.shape[0]
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must be in [1, {n - 1}] for self-queries, got {k}")
-    dists = np.empty((n, k), dtype=np.float64)
-    idx = np.empty((n, k), dtype=np.int64)
-    step = _block_rows(n)
-    for start in range(0, n, step):
-        stop = min(start + step, n)
-        block = distance_matrix(t[start:stop], t, spec)
-        block[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        dists[start:stop], idx[start:stop] = _smallest_k(block, k)
-    return dists, idx
-
+    return _knn(t, t, k, spec, self_query=True)

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dirad import alp, nnd
+from dirad import alp, evaluation, nnd
 from dirad.alp import AlpConfig, default_k, default_l
 from dirad.dataset import (
     AttributeSpec,
@@ -25,6 +25,7 @@ from dirad.dataset import (
 from dirad.distance import DistanceVariant
 from dirad.evaluation import (
     auroc,
+    fit_detector,
     holm_bonferroni,
     make_folds,
     run_cv,
@@ -60,6 +61,19 @@ def directional_dataset(records, n_directional=None):
         for j in range(m)
     )
     return Dataset(schema, records)
+
+
+def fitted_per_fold(monkeypatch, dataset, config, plan):
+    """Each fold's (scaler, model), captured from ``run_cv``'s fit calls."""
+    fitted = []
+
+    def spy(*args, **kwargs):
+        fitted.append(fit_detector(*args, **kwargs))
+        return fitted[-1]
+
+    monkeypatch.setattr(evaluation, "fit_detector", spy)
+    run_cv(dataset, config, plan)
+    return fitted
 
 
 def test_01_auroc_matches_pairwise_oracle():
@@ -172,8 +186,8 @@ def test_07_synthetic_null_is_chance_level():
                     synthetic_auroc(
                         SynthSpec(family, 0.0,
                                   seed=replicate_seed(0, family, 0.0, r)),
-                        NndConfig(variant, k=8),
-                    )
+                        [NndConfig(variant, k=8)],
+                    )[0]
                     for r in range(20)
                 ]
                 mean = float(np.mean(values))
@@ -191,8 +205,8 @@ def test_08_synthetic_variant_ordering():
                     synthetic_auroc(
                         SynthSpec("gaussian", 0.5,
                                   seed=replicate_seed(0, "gaussian", 0.5, r)),
-                        NndConfig(variant, k=8),
-                    )
+                        [NndConfig(variant, k=8)],
+                    )[0]
                     for r in range(20)
                 ]
             )
@@ -218,8 +232,8 @@ def test_09_alp_ramp_beats_absolute_on_shifted_gaussian():
                 synthetic_auroc(
                     SynthSpec("gaussian", 0.5,
                               seed=replicate_seed(0, "gaussian", 0.5, r)),
-                    AlpConfig(variant),
-                )
+                    [AlpConfig(variant)],
+                )[0]
                 for r in range(10)
             ]
             means[variant] = float(np.mean(values))
@@ -285,7 +299,7 @@ def test_11_real_data_spot_checks():
         assert time.perf_counter() - start < 600.0
 
 
-def test_12_no_leakage_from_fold_test_records():
+def test_12_no_leakage_from_fold_test_records(monkeypatch):
     with criterion(12, "fold-test perturbations never move fitted state"):
         rng = np.random.default_rng(1012)
         for run_idx in range(10):
@@ -305,7 +319,7 @@ def test_12_no_leakage_from_fold_test_records():
             else:
                 config = AlpConfig(RAMP if run_idx % 4 == 0 else ABS, k=3, l=4)
             plan = make_folds(n_normal, folds=5, seed=int(rng.integers(0, 1000)))
-            _, fitted = run_cv(ds, config, plan, return_models=True)
+            fitted = fitted_per_fold(monkeypatch, ds, config, plan)
 
             fold = int(rng.integers(0, 5))
             normal_idx = np.flatnonzero(~labels)
@@ -314,7 +328,7 @@ def test_12_no_leakage_from_fold_test_records():
             test_rows = np.r_[normal_idx[plan.folds[fold][1]], anom_idx]
             perturbed[test_rows] += rng.uniform(0.5, 3.0, perturbed[test_rows].shape)
             ds2 = Dataset(ds.schema, perturbed, labels)
-            _, refitted = run_cv(ds2, config, plan, return_models=True)
+            refitted = fitted_per_fold(monkeypatch, ds2, config, plan)
 
             scaler_a, model_a = fitted[fold]
             scaler_b, model_b = refitted[fold]

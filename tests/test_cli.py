@@ -475,6 +475,24 @@ def test_bad_data_file_is_named(bad, message, tmp_path, monkeypatch, capsys):
     assert len(err) == 1 and err[0].startswith(f"error: {bad}: {message}")
 
 
+@pytest.mark.parametrize("second", ["b/x.csv", "a/x.csv"])
+def test_repeated_dataset_id_is_rejected(second, tmp_path, monkeypatch, capsys):
+    # Results are keyed by file stem, so two --data files named x.csv would
+    # write two `x` groups into summary.csv.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "schema.txt").write_text("x,high\nlabel,label,anomalous,normal\n")
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        (tmp_path / sub / "x.csv").write_text("x,label\n1,normal\n2,anomalous\n")
+    assert run(["bench", "--data", "a/x.csv", "--data", second,
+                "--schema", "schema.txt", "--out-dir", "out"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        f"error: --data a/x.csv and {second} share the dataset id 'x'"
+    ]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv, threads", [
     (["synth", "--config", "missing.cfg", "--out", "x"], None),
     (["bench", "--sweep", "gaussian", "--shifts", "0.5", "--replicates", "1",

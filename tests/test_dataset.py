@@ -212,6 +212,18 @@ class TestSchemaFile:
         with pytest.raises(ValueError, match="direction"):
             parse_schema("a,up\n")
 
+    @pytest.mark.parametrize("text, lineno", [
+        ("v,none\nu,high\nlabel,u,1\n", 3),
+        ("label,u,1\nv,none\nu,high\n", 3),
+    ], ids=["label-last", "label-first"])
+    def test_label_column_that_is_an_attribute_rejected(self, text, lineno):
+        # Otherwise parse_csv reads the labels from the attribute's column.
+        with pytest.raises(ValueError) as info:
+            parse_schema(text)
+        assert str(info.value) == (
+            f"line {lineno}: label column 'u' is also an attribute"
+        )
+
     def test_comments_and_blanks_skipped(self):
         parsed_schema, rule = parse_schema("# header\n\na,none\n")
         assert parsed_schema == spec(("a", "none"))

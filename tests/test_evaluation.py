@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from dirad import evaluation
 from dirad.alp import AlpConfig
 from dirad.dataset import AttributeSpec, Dataset, Direction
 from dirad.distance import DistanceVariant
@@ -88,6 +89,19 @@ class FakeConfig:
 
     def anomaly_scores(self, queries):
         return self.score(queries)
+
+
+def fitted_per_fold(monkeypatch, dataset, config, plan):
+    """Each fold's (scaler, model), captured from ``run_cv``'s fit calls."""
+    fitted = []
+
+    def spy(*args, **kwargs):
+        fitted.append(fit_detector(*args, **kwargs))
+        return fitted[-1]
+
+    monkeypatch.setattr(evaluation, "fit_detector", spy)
+    run_cv(dataset, config, plan)
+    return fitted
 
 
 def labelled_gaussian(seed, n_normal=40, n_anom=15, m=3, shift=1.0):
@@ -238,13 +252,13 @@ class TestRunCv:
         with pytest.raises(RuntimeError, match="fold 1/5"):
             run_cv(ds, NndConfig(DistanceVariant.ABSOLUTE, k=500), plan, "tiny")
 
-    def test_scaler_and_model_fit_only_on_fold_train_normals(self):
+    def test_scaler_and_model_fit_only_on_fold_train_normals(self, monkeypatch):
         # Perturbing the records a fold tests on must not move that fold's
         # fitted scaler or model (leakage check at the bit level).
         ds = labelled_gaussian(6)
         plan = make_folds(40, 5, seed=2)
         config = NndConfig(DistanceVariant.RAMP, k=3)
-        _, fitted = run_cv(ds, config, plan, return_models=True)
+        fitted = fitted_per_fold(monkeypatch, ds, config, plan)
 
         normal_idx = np.flatnonzero(~ds.labels)
         anom_idx = np.flatnonzero(ds.labels)
@@ -254,7 +268,7 @@ class TestRunCv:
             test_rows = np.r_[normal_idx[plan.folds[fold][1]], anom_idx]
             records[test_rows] += rng.uniform(0.5, 2.0, records[test_rows].shape)
             perturbed = Dataset(ds.schema, records, ds.labels)
-            _, refitted = run_cv(perturbed, config, plan, return_models=True)
+            refitted = fitted_per_fold(monkeypatch, perturbed, config, plan)
             assert np.array_equal(
                 fitted[fold][0].midhinge, refitted[fold][0].midhinge
             )
@@ -294,8 +308,8 @@ class TestSyntheticAuroc:
         vals = [
             synthetic_auroc(
                 SynthSpec("gaussian", 0.0, n_train=200, seed=replicate_seed(0, "gaussian", 0.0, r)),
-                NndConfig(DistanceVariant.ABSOLUTE, k=8),
-            )
+                [NndConfig(DistanceVariant.ABSOLUTE, k=8)],
+            )[0]
             for r in range(5)
         ]
         assert 0.35 < np.mean(vals) < 0.65
@@ -303,8 +317,8 @@ class TestSyntheticAuroc:
     def test_scale_flag_changes_pipeline(self):
         spec = SynthSpec("gaussian", 0.5, n_train=100, seed=11)
         config = NndConfig(DistanceVariant.RAMP, k=4)
-        scaled = synthetic_auroc(spec, config, scale=True)
-        raw = synthetic_auroc(spec, config, scale=False)
+        scaled = synthetic_auroc(spec, [config], scale=True)[0]
+        raw = synthetic_auroc(spec, [config], scale=False)[0]
         assert 0.0 <= scaled <= 1.0 and 0.0 <= raw <= 1.0
 
 
@@ -313,10 +327,10 @@ class TestSyntheticAuroc:
         good = NndConfig(DistanceVariant.RAMP, k=4)
         bad = AlpConfig(DistanceVariant.RAMP, k=100)  # needs k < n_train
         got = synthetic_auroc(spec, [good, bad, good])
-        assert got[0] == got[2] == synthetic_auroc(spec, good)
+        assert got[0] == got[2] == synthetic_auroc(spec, [good])[0]
         assert isinstance(got[1], ValueError) and "k must be" in str(got[1])
-        with pytest.raises(ValueError, match="k must be"):
-            synthetic_auroc(spec, bad)
+        (alone,) = synthetic_auroc(spec, [bad])
+        assert isinstance(alone, ValueError) and "k must be" in str(alone)
 
 class TestWilcoxon:
     def test_identical_columns_rejected(self):

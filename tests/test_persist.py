@@ -269,7 +269,8 @@ def test_version_1_bundle_names_the_fix(scoring_bundles, tmp_path):
     np.savez(
         path, format_version=np.int64(1), kind=np.str_("nnd"),
         variant=np.str_("ramp"), train=model.train, weights=model.weights,
-        directional_mask=model.directional_mask, spec_codes=model.spec.codes(),
+        directional_mask=model.directional_mask,
+        spec_codes=np.array([1, 0], dtype=np.int8),  # v1 layout: ramp, absolute
         spec_p=np.float64(1.0), scaler_midhinge=SCALER.midhinge,
         scaler_semi_iqr=SCALER.semi_iqr, schema_names=np.array(["x0", "x1"]),
         schema_directions=np.array(["high", "none"]),
