@@ -30,7 +30,6 @@ from .distance import (
 )
 from .evaluation import (
     ExperimentResult,
-    FoldPlan,
     auroc,
     directionality_diagnostic,
     fit_detector,
@@ -54,7 +53,6 @@ __all__ = [
     "DistanceSpec",
     "DistanceVariant",
     "ExperimentResult",
-    "FoldPlan",
     "LabelRule",
     "ModelBundle",
     "ScalingParams",

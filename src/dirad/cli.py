@@ -4,13 +4,14 @@ Subcommands: synth (generate benchmark data), bench (cross-validation or
 synthetic sweeps), score (fit or load a model and score queries), stats
 (signed-rank comparisons over result tables), diagnose (directionality
 report). Every command is deterministic given its flags; outputs are written
-atomically (write-then-rename). bench and score go from raw records to
-scores only through ``evaluation.fit_detector`` and ``score_queries``, or
-``synthetic_auroc`` for a sweep, which share one orient-and-scale path. A
-bundle saved by ``score --save-model`` carries the schema as read and its
-label rule, so ``score --model`` needs no ``--schema``.
+atomically (write-then-rename). A bench job is one dataset (``run_cv``) or
+one generated problem (``synthetic_auroc``), scored under every config; a job
+that raises fails each of its cells. score goes through ``fit_detector`` and
+``score_queries``; all share one orient-and-scale path. A bundle saved by
+``score --save-model`` carries the schema as read and its label rule, so
+``score --model`` needs no ``--schema``.
 
-Environment: DIRAD_THREADS caps the bench worker threads (a positive
+Environment: DIRAD_THREADS caps the threads that run bench jobs (a positive
 integer, default 1).
 """
 
@@ -211,36 +212,29 @@ def _detector_configs(args, parser) -> list[NndConfig | AlpConfig]:
     return cells
 
 
-def _run_cells(jobs, worker):
-    """Run jobs (serially or thread-pooled) in submission order; returns the
-    results and ``(job, exc)`` for each job that raised."""
+def _run_cells(jobs, worker, width: int) -> list:
+    """Run jobs (serially or thread-pooled); returns, in job order, each job's
+    list of ``width`` outcomes, ``[exc] * width`` for a job that raised."""
 
     def attempt(job):
         try:
-            return worker(job), None
-        except Exception as exc:  # a failed cell is reported, the run goes on
-            return None, exc
+            return worker(job)
+        except Exception as exc:  # a failed job fails its cells; the run goes on
+            return [exc] * width
 
     threads = _thread_count()
     if threads == 1:
-        outcomes = [attempt(job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(attempt, jobs))
-    results = [result for result, exc in outcomes if exc is None]
-    failures = [(job, exc) for job, (_, exc) in zip(jobs, outcomes) if exc is not None]
-    return results, failures
+        return [attempt(job) for job in jobs]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(attempt, jobs))
 
 
 def _print_cv_table(results: list[ExperimentResult]) -> None:
+    """The mean-AUROC table of a non-empty list of results."""
     datasets = sorted({r.dataset_id for r in results})
     columns = sorted({(r.detector, r.variant) for r in results})
     means = {(r.dataset_id, r.detector, r.variant): r.mean_auroc for r in results}
-    headers = (
-        ["dataset"]
-        + [f"{d}:{v}" for d, v in columns]
-        + ["best_nnd", "best_alp"]
-    )
+    headers = ["dataset", *(f"{d}:{v}" for d, v in columns), "best_nnd", "best_alp"]
     rows = []
     for ds in datasets:
         row = [ds]
@@ -252,8 +246,7 @@ def _print_cv_table(results: list[ExperimentResult]) -> None:
                    if d == family and (ds, d, v) in means]
             row.append(max(fam, key=lambda t: t[1])[0] if fam else "-")
         rows.append(row)
-    widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
-              for i, h in enumerate(headers)]
+    widths = [max(len(h), *(len(r[i]) for r in rows)) for i, h in enumerate(headers)]
     print("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
     for row in rows:
         print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
@@ -280,25 +273,31 @@ def _bench_cv(args, cells) -> int:
             raise ValueError(f"{data_path}: schema declares no label column")
         datasets.append((ds_id, ds))
 
-    jobs = []
-    for ds_id, ds in datasets:
-        n_normal = int((~ds.labels).sum())
-        plan = make_folds(n_normal, folds=args.folds, seed=args.seed)
-        for config in cells:
-            jobs.append((ds_id, ds, config, plan))
+    # One job per dataset: every config is fitted and scored on each fold.
+    jobs = [
+        (ds_id, ds, make_folds(int((~ds.labels).sum()), args.folds, args.seed))
+        for ds_id, ds in datasets
+    ]
 
     def worker(job):
-        ds_id, ds, config, plan = job
-        return run_cv(ds, config, plan, dataset_id=ds_id)
+        ds_id, ds, folds = job
+        return run_cv(ds, cells, folds, ds_id)
 
-    results, failures = _run_cells(jobs, worker)
+    outcomes = _run_cells(jobs, worker, len(cells))
+    results, failures = [], []
+    for (ds_id, _, _), row in zip(jobs, outcomes):
+        for config, outcome in zip(cells, row):
+            if isinstance(outcome, Exception):
+                failures.append((ds_id, config, outcome))
+            else:
+                results.append(outcome)
     out_dir = Path(args.out_dir)
     _write_atomic(out_dir / "folds.csv", fold_results_csv(results))
     _write_atomic(out_dir / "summary.csv", summary_csv(results))
     if results:
         _print_cv_table(results)
     print(f"wrote folds.csv and summary.csv to {out_dir}")
-    for (ds_id, _, config, _), exc in failures:
+    for ds_id, config, exc in failures:
         print(
             f"cell failed: dataset={ds_id} detector="
             f"{config.detector}:{config.variant.value}: {exc}",
@@ -315,15 +314,12 @@ def _bench_sweep(args, cells) -> int:
     )
     specs = synthgen.grid(args.sweep, shifts, args.replicates, base_seed=args.seed)
 
-    def worker(i):
-        return i, synthetic_auroc(specs[i], cells, scale=not args.no_scale)
-
     # One job per (shift, replicate) problem: it is generated, oriented and
     # scaled once, then every config is fitted and scored on it.
-    results, failures = _run_cells(range(len(specs)), worker)
-    outcomes = dict(results)
-    # A problem that failed as a whole fails every config on it.
-    outcomes.update((i, [exc] * len(cells)) for i, exc in failures)
+    outcomes = _run_cells(
+        specs, lambda spec: synthetic_auroc(spec, cells, scale=not args.no_scale),
+        len(cells),
+    )
     reps = args.replicates
     cells_out, cell_failures = [], []
     for c, config in enumerate(cells):
@@ -416,7 +412,9 @@ _SUMMARY_COLUMNS = ("detector", "variant", "dataset", "mean_auroc")
 
 
 def _read_summary(paths) -> dict:
+    """``{(detector, variant): {dataset: mean_auroc}}``; repeated rows are errors."""
     table: dict = {}
+    read_at: dict = {}  # (detector, variant, dataset) -> "path: line N"
     for path in paths:
         with open(path, newline="", encoding="utf-8") as handle:
             reader = csv.DictReader(handle)
@@ -425,9 +423,10 @@ def _read_summary(paths) -> dict:
             if missing:
                 raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
             for row in reader:
+                where = f"{path}: line {reader.line_num}"
                 values = [row[c] for c in _SUMMARY_COLUMNS]
                 if None in values:
-                    raise ValueError(f"{path}: line {reader.line_num} is too short")
+                    raise ValueError(f"{where} is too short")
                 detector, variant, dataset, auroc = values
                 try:
                     mean = float(auroc)
@@ -435,9 +434,15 @@ def _read_summary(paths) -> dict:
                     mean = float("nan")
                 if not np.isfinite(mean):
                     raise ValueError(
-                        f"{path}: line {reader.line_num}: mean_auroc must be a "
-                        f"finite number, got {auroc!r}"
+                        f"{where}: mean_auroc must be a finite number, got {auroc!r}"
                     )
+                key = (detector, variant, dataset)
+                if key in read_at:
+                    raise ValueError(
+                        f"{where}: detector={detector} variant={variant} "
+                        f"dataset={dataset} repeats {read_at[key]}"
+                    )
+                read_at[key] = where
                 table.setdefault((detector, variant), {})[dataset] = mean
     return table
 

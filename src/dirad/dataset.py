@@ -236,6 +236,8 @@ def parse_schema(text: str) -> tuple[tuple[AttributeSpec, ...], LabelRule | None
         name, direction = parts
         if label is not None and name == label.column:
             raise _label_is_attribute(lineno, name)
+        if any(a.name == name for a in attrs):
+            raise ValueError(f"line {lineno}: attribute {name!r} is declared twice")
         try:
             attrs.append(AttributeSpec(name, Direction(direction)))
         except ValueError:

@@ -2,13 +2,12 @@
 
 The CV protocol fits everything on normal data only: each fold trains the
 scaler and the detector on four fifths of the normal records and scores a
-test set made of the held-out fifth plus all anomalous records. Reusing one
-FoldPlan across detector variants keeps the per-dataset AUROCs paired, which
-is what the signed-rank comparisons assume. ``fit_detector`` and
-``score_queries`` are the one raw-records-to-scores path (orient, scale, fit,
-score) shared by the CV protocol and ``dirad score``; the synthetic sweep
-orients and scales through the same two helpers, once per generated problem
-for all of its detector configs.
+test set made of the held-out fifth plus all anomalous records. A CV fold and
+a generated sweep problem are both one problem for ``_problem_aurocs``: it is
+oriented and scaled once, then every detector config is fitted and scored on
+it, so all configs see the same folds, keeping the per-dataset AUROCs paired
+as the signed-rank comparisons assume. ``fit_detector`` and ``score_queries``
+are the same orient-and-scale path for one config, as ``dirad score`` uses.
 
 AUROC and the signed-rank test rank with ``_average_ranks``, a NumPy
 average-rank helper equal bit for bit to ``scipy.stats.rankdata``. SciPy is
@@ -65,23 +64,13 @@ def auroc(scores, labels) -> float:
     return float(u / (n_anom * n_norm))
 
 
-@dataclass(frozen=True)
-class FoldPlan:
-    """Disjoint, exhaustive test chunks over the normal records.
+def make_folds(n_normal: int, folds: int = 5, seed: int = 0) -> tuple:
+    """Seeded shuffle split into near-equal contiguous test chunks.
 
-    Each fold is a pair (train, test) of index arrays into the normal-record
-    subset; the test chunks partition it.
-    """
-
-    folds: tuple[tuple[np.ndarray, np.ndarray], ...]
-    seed: int
-
-
-def make_folds(n_normal: int, folds: int = 5, seed: int = 0) -> FoldPlan:
-    """Seeded shuffle split into near-equal contiguous chunks.
-
-    The first ``n_normal % folds`` chunks take the remainder, so e.g. 11
-    records over 5 folds give test sizes (3, 2, 2, 2, 2).
+    Returns one ``(train, test)`` pair of index arrays into the normal-record
+    subset per fold; the test chunks partition it. The first
+    ``n_normal % folds`` chunks take the remainder, so e.g. 11 records over 5
+    folds give test sizes (3, 2, 2, 2, 2).
     """
     if folds < 2:
         raise ValueError(f"folds must be >= 2, got {folds}")
@@ -89,17 +78,11 @@ def make_folds(n_normal: int, folds: int = 5, seed: int = 0) -> FoldPlan:
         raise ValueError(
             f"need at least {folds} normal records for {folds}-fold CV, got {n_normal}"
         )
-    perm = np.random.default_rng(seed).permutation(n_normal)
-    base, rem = divmod(n_normal, folds)
-    plan = []
-    start = 0
-    for f in range(folds):
-        size = base + (1 if f < rem else 0)
-        test = perm[start : start + size]
-        train = np.concatenate([perm[:start], perm[start + size :]])
-        plan.append((train, test))
-        start += size
-    return FoldPlan(tuple(plan), seed)
+    chunks = np.array_split(np.random.default_rng(seed).permutation(n_normal), folds)
+    return tuple(
+        (np.concatenate(chunks[:f] + chunks[f + 1 :]), test)
+        for f, test in enumerate(chunks)
+    )
 
 
 @dataclass(frozen=True)
@@ -127,14 +110,13 @@ def _prepare_queries(scaler: ScalingParams | None, queries: Dataset) -> Dataset:
     return queries if scaler is None else apply_scaler(queries, scaler)
 
 
-def fit_detector(config, train: Dataset, scale: bool = True):
+def fit_detector(config, train: Dataset):
     """Fit ``config`` on raw normal records; returns ``(scaler, model)``.
 
     The records are oriented (``low`` attributes negated), then the
-    midhinge/semi-IQR scaler is fitted and applied; ``scale=False`` skips the
-    scaler and returns ``None`` in its place.
+    midhinge/semi-IQR scaler is fitted and applied.
     """
-    scaler, train = _prepare_train(train, scale)
+    scaler, train = _prepare_train(train, True)
     return scaler, config.fit(train)
 
 
@@ -143,52 +125,19 @@ def score_queries(scaler, model, queries: Dataset) -> np.ndarray:
     return model.anomaly_scores(_prepare_queries(scaler, queries).records)
 
 
-def run_cv(
-    dataset: Dataset, config, plan: FoldPlan, dataset_id: str = ""
-) -> ExperimentResult:
-    """Cross-validated AUROC of a detector configuration on a labelled dataset.
+def _problem_aurocs(train: Dataset, test: Dataset, configs: Sequence, scale: bool):
+    """Fit every config on raw normals ``train``; AUROC on labelled raw ``test``.
 
-    Per fold: ``fit_detector`` on the fold's raw training normals, then
-    ``score_queries`` on the held-out normals plus all anomalies.
+    The problem is oriented and scaled once (``scale=False`` skips the
+    rescaling). Returns one entry per config: its AUROC, or the exception its
+    fit or scoring raised, so one failing config costs the others nothing. If
+    preparing the problem fails, every config gets that exception.
     """
-    if dataset.labels is None:
-        raise ValueError("run_cv needs a labelled dataset")
-    normal_idx = np.flatnonzero(~dataset.labels)
-    anom_idx = np.flatnonzero(dataset.labels)
-    if normal_idx.size == 0 or anom_idx.size == 0:
-        raise ValueError("both classes must be present to run cross-validation")
-    fold_aurocs = []
-    for fold_num, (train_sel, test_sel) in enumerate(plan.folds, start=1):
-        try:
-            scaler, model = fit_detector(config, dataset.take(normal_idx[train_sel]))
-            test = dataset.take(np.concatenate([normal_idx[test_sel], anom_idx]))
-            fold_aurocs.append(auroc(score_queries(scaler, model, test), test.labels))
-        except Exception as exc:
-            raise RuntimeError(
-                f"fold {fold_num}/{len(plan.folds)} of {dataset_id or 'dataset'} "
-                f"failed: {exc}"
-            ) from exc
-    return ExperimentResult(
-        dataset_id,
-        config.detector,
-        config.variant.value,
-        tuple(fold_aurocs),
-        float(np.mean(fold_aurocs)),
-    )
-
-
-def synthetic_auroc(spec: SynthSpec, configs: Sequence, scale: bool = True) -> list:
-    """Train on a generated dataset's normals, score its test set, AUROC.
-
-    The problem is generated, oriented and scaled once (``scale=False`` skips
-    the midhinge/semi-IQR rescaling), then every config in ``configs`` is
-    fitted and scored on it. Returns one entry per config: its AUROC, or the
-    exception its fit or scoring raised, so that one failing config costs the
-    others nothing.
-    """
-    train, test = generate(spec)
-    scaler, train = _prepare_train(train, scale)
-    queries = _prepare_queries(scaler, test).records
+    try:
+        scaler, train = _prepare_train(train, scale)
+        queries = _prepare_queries(scaler, test).records
+    except Exception as exc:
+        return [exc] * len(configs)
     outcomes: list = []
     for config in configs:
         try:
@@ -197,6 +146,51 @@ def synthetic_auroc(spec: SynthSpec, configs: Sequence, scale: bool = True) -> l
         except Exception as exc:
             outcomes.append(exc)
     return outcomes
+
+
+def run_cv(dataset: Dataset, configs: Sequence, folds, dataset_id: str = "") -> list:
+    """Cross-validated AUROCs of detector configs on a labelled dataset.
+
+    Each of ``make_folds``'s folds is one ``_problem_aurocs`` problem: its
+    training normals, then its held-out normals plus all anomalies. Returns
+    one entry per config: an ``ExperimentResult`` of its fold AUROCs, or a
+    ``RuntimeError`` naming the first fold it failed on. A dataset without
+    labels or without both classes raises ``ValueError``.
+    """
+    if dataset.labels is None:
+        raise ValueError("run_cv needs a labelled dataset")
+    normal_idx = np.flatnonzero(~dataset.labels)
+    anom_idx = np.flatnonzero(dataset.labels)
+    if normal_idx.size == 0 or anom_idx.size == 0:
+        raise ValueError("both classes must be present to run cross-validation")
+    outcomes: list = [[] for _ in configs]  # fold AUROCs, or the failure
+    for fold_num, (train_sel, test_sel) in enumerate(folds, start=1):
+        live = [c for c, got in enumerate(outcomes) if isinstance(got, list)]
+        train = dataset.take(normal_idx[train_sel])
+        test = dataset.take(np.concatenate([normal_idx[test_sel], anom_idx]))
+        aurocs = _problem_aurocs(train, test, [configs[c] for c in live], scale=True)
+        for c, value in zip(live, aurocs):
+            if isinstance(value, Exception):
+                outcomes[c] = RuntimeError(
+                    f"fold {fold_num}/{len(folds)} of {dataset_id or 'dataset'} "
+                    f"failed: {value}"
+                )
+            else:
+                outcomes[c].append(value)
+    return [
+        got if isinstance(got, Exception) else ExperimentResult(
+            dataset_id, config.detector, config.variant.value,
+            tuple(got), float(np.mean(got)),
+        )
+        for config, got in zip(configs, outcomes)
+    ]
+
+
+def synthetic_auroc(spec: SynthSpec, configs: Sequence, scale: bool = True) -> list:
+    """AUROC of every config on one generated problem: ``_problem_aurocs`` on
+    ``generate(spec)``'s training normals and test set."""
+    train, test = generate(spec)
+    return _problem_aurocs(train, test, configs, scale)
 
 
 def wilcoxon_one_sided(x, y, method: str = "approx") -> float:

@@ -24,8 +24,9 @@ from dirad.dataset import (
 )
 from dirad.distance import DistanceVariant
 from dirad.evaluation import (
+    ExperimentResult,
+    _prepare_train,
     auroc,
-    fit_detector,
     holm_bonferroni,
     make_folds,
     run_cv,
@@ -63,17 +64,37 @@ def directional_dataset(records, n_directional=None):
     return Dataset(schema, records)
 
 
+class KeepModels:
+    """A detector config whose ``fit`` delegates to ``config`` and keeps each
+    model it returns."""
+
+    def __init__(self, config):
+        self.config, self.models = config, []
+
+    def __getattr__(self, name):
+        return getattr(self.config, name)
+
+    def fit(self, train):
+        self.models.append(self.config.fit(train))
+        return self.models[-1]
+
+
 def fitted_per_fold(monkeypatch, dataset, config, plan):
-    """Each fold's (scaler, model), captured from ``run_cv``'s fit calls."""
-    fitted = []
+    """Each fold's (scaler, model) as ``run_cv`` used them: the scaler from a
+    spy on ``evaluation._prepare_train``, the model from ``config.fit``."""
+    scalers = []
 
-    def spy(*args, **kwargs):
-        fitted.append(fit_detector(*args, **kwargs))
-        return fitted[-1]
+    def spy(train, scale):
+        prepared = _prepare_train(train, scale)
+        scalers.append(prepared[0])
+        return prepared
 
-    monkeypatch.setattr(evaluation, "fit_detector", spy)
-    run_cv(dataset, config, plan)
-    return fitted
+    monkeypatch.setattr(evaluation, "_prepare_train", spy)
+    keep = KeepModels(config)
+    (result,) = run_cv(dataset, [keep], plan)
+    assert isinstance(result, ExperimentResult)
+    assert len(scalers) == len(keep.models) == len(plan)
+    return list(zip(scalers, keep.models))
 
 
 def test_01_auroc_matches_pairwise_oracle():
@@ -284,7 +305,7 @@ def test_11_real_data_spot_checks():
 
         def cv_mean(ds, config):
             plan = make_folds(int((~ds.labels).sum()), folds=5, seed=0)
-            return run_cv(ds, config, plan).mean_auroc
+            return run_cv(ds, [config], plan)[0].mean_auroc
 
         bankruptcy = _load_uci("qualitative-bankruptcy")
         assert cv_mean(bankruptcy, NndConfig(ABS, k=8)) >= 0.99
@@ -325,7 +346,7 @@ def test_12_no_leakage_from_fold_test_records(monkeypatch):
             normal_idx = np.flatnonzero(~labels)
             anom_idx = np.flatnonzero(labels)
             perturbed = np.array(records)
-            test_rows = np.r_[normal_idx[plan.folds[fold][1]], anom_idx]
+            test_rows = np.r_[normal_idx[plan[fold][1]], anom_idx]
             perturbed[test_rows] += rng.uniform(0.5, 3.0, perturbed[test_rows].shape)
             ds2 = Dataset(ds.schema, perturbed, labels)
             refitted = fitted_per_fold(monkeypatch, ds2, config, plan)

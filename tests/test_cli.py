@@ -140,6 +140,40 @@ class TestBench:
             for variant in ("absolute", "ramp") for shift in ("0.0", "0.5")
         ]
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_cv_partial_failure(self, threads, tmp_path, monkeypatch, capsys):
+        # good's folds train on 8 normals, so ALP k=8 fails in fold 1;
+        # oneclass has no anomalies, so every cell on it fails. The failures
+        # come in (dataset, config) order and only good's NND rows are written.
+        monkeypatch.setenv("DIRAD_THREADS", threads)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "schema.txt").write_text("x,high\ny,low\nlabel,label,anomalous,normal\n")
+        normals = [f"{0.1 * i},{1.0 - 0.07 * i},normal" for i in range(10)]
+        anomalies = ["2.5,-1.0,anomalous", "3.0,0.2,anomalous", "1.9,-2.0,anomalous"]
+        (tmp_path / "good.csv").write_text("\n".join(["x,y,label", *normals, *anomalies]) + "\n")
+        (tmp_path / "oneclass.csv").write_text("\n".join(["x,y,label", *normals[:7]]) + "\n")
+        code = run(["bench", "--data", "good.csv", "--data", "oneclass.csv",
+                    "--schema", "schema.txt", "--detectors", "nnd,alp",
+                    "--k", "3", "--alp-k", "8", "--alp-l", "4", "--out-dir", "out"])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"cell failed: dataset=good detector=alp:{variant}: fold 1/5 of good "
+            f"failed: k must be in [1, 7], got 8"
+            for variant in ("absolute", "ramp")
+        ] + [
+            f"cell failed: dataset=oneclass detector={cell}: both classes must be "
+            f"present to run cross-validation"
+            for cell in ("nnd:absolute", "nnd:ramp", "nnd:signed",
+                         "alp:absolute", "alp:ramp")
+        ]
+        nnd_cells = [("good", "nnd", v) for v in ("absolute", "ramp", "signed")]
+        summary = read_rows(tmp_path / "out" / "summary.csv")
+        assert [(r["dataset"], r["detector"], r["variant"]) for r in summary] == nnd_cells
+        folds = read_rows(tmp_path / "out" / "folds.csv")
+        assert [(r["dataset"], r["detector"], r["variant"], r["fold"]) for r in folds] == [
+            (*cell, fold) for cell in nnd_cells for fold in ("1", "2", "3", "4", "5", "mean")
+        ]
+
     def test_sweep_builds_each_problem_once(self, tmp_path, monkeypatch):
         generated = []
 
@@ -282,6 +316,32 @@ class TestScore:
         assert out.read_bytes() == b"row,score\n1,0.25\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "scores.csv"]
 
+    def test_labelled_train_file_fits_on_normal_rows_only(self, tmp_path):
+        # The anomalies sit among the queries, so a fit that took them in
+        # would give those queries near-zero distances and move the scaler.
+        (tmp_path / "schema.txt").write_text("x,high\ny,none\nlabel,label,anomalous,normal\n")
+        rng = np.random.default_rng(8)
+        normal = [f"{a},{b},normal" for a, b in rng.standard_normal((30, 2)).tolist()]
+        anomalous = [f"{4.0 + a},{b},anomalous"
+                     for a, b in rng.standard_normal((6, 2)).tolist()]
+        files = {
+            "mixed.csv": ["x,y,label", *normal[:15], *anomalous, *normal[15:]],
+            "normal.csv": ["x,y,label", *normal],
+            "all_normal.csv": ["x,y,label", *normal[:15],
+                               *(row.replace("anomalous", "normal") for row in anomalous),
+                               *normal[15:]],
+        }
+        for name, lines in files.items():
+            (tmp_path / name).write_text("\n".join(lines) + "\n")
+        scores = {}
+        for name in files:
+            out = tmp_path / f"scores_{name}"
+            assert run(["score", "--train", tmp_path / name,
+                        "--schema", tmp_path / "schema.txt", "--k", "2",
+                        "--queries", tmp_path / "mixed.csv", "--out", out]) == 0
+            scores[name] = out.read_bytes()
+        assert scores["mixed.csv"] == scores["normal.csv"] != scores["all_normal.csv"]
+
     def test_scores_in_unit_interval(self, synth_dir, tmp_path):
         out = tmp_path / "scores.csv"
         assert run(["score", "--train", synth_dir / "train.csv",
@@ -384,6 +444,31 @@ class TestStats:
         ]
 
 
+    @pytest.mark.parametrize("split", [False, True], ids=["one-file", "two-files"])
+    def test_repeated_row_is_rejected(self, split, tmp_path, capsys):
+        # A repeat must not silently replace the row read first.
+        header = "dataset,detector,variant,mean_auroc"
+        rows = [f"d{i},nnd,{v},{0.5 + 0.05 * i + (0.02 if v == 'ramp' else 0.0)}"
+                for i in range(1, 7) for v in ("absolute", "ramp")]
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        if split:
+            first.write_text("\n".join([header, *rows]) + "\n")
+            second.write_text(f"{header}\nd1,nnd,ramp,0.1\n")
+            results = ["--results", first, "--results", second]
+            repeat = f"{second}: line 2"
+        else:
+            first.write_text("\n".join([header, *rows, "d1,nnd,ramp,0.1"]) + "\n")
+            results = ["--results", first]
+            repeat = f"{first}: line 14"
+        out = tmp_path / "report.csv"
+        assert run(["stats", *results, "--compare", "ramp:absolute", "--out", out]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {repeat}: detector=nnd variant=ramp dataset=d1 repeats "
+            f"{first}: line 3"
+        ]
+        assert not out.exists()
+
+
 class TestDiagnose:
     @pytest.mark.parametrize("down", ["high", "low"])
     def test_report_and_suggestions(self, down, tmp_path, capsys):
@@ -408,6 +493,16 @@ class TestDiagnose:
         assert "- up,high" not in out
         # The schema file itself is untouched.
         assert schema.read_text() == schema_text
+
+    def test_attribute_declared_twice_names_the_schema(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("u,y\n0.1,normal\n0.9,anomalous\n")
+        schema = tmp_path / "s.txt"
+        schema.write_text("u,high\nu,low\nlabel,y,anomalous,normal\n")
+        assert run(["diagnose", "--data", data, "--schema", schema]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {schema}: line 2: attribute 'u' is declared twice"
+        ]
 
 
 class TestConfigFile:
@@ -446,6 +541,42 @@ class TestConfigFile:
                             *compare, "--out", reports[-1]]) == 0
         assert [r["lesser"] for r in read_rows(reports[0])] == ["signed"]
         assert len({report.read_bytes() for report in reports}) == 1
+
+    def test_blank_comment_and_boolean_lines(self, table3_summary, tmp_path):
+        # holm=true adds the flag and no_scale=false adds nothing: each run
+        # matches the same command line without the file.
+        cfg = tmp_path / "stats.cfg"
+        cfg.write_text("# defaults\n\n   \nholm=true\nno_scale=false\n")
+        reports = [tmp_path / "by_config.csv", tmp_path / "by_flag.csv"]
+        assert run(["stats", "--config", cfg, "--results", table3_summary,
+                    "--compare", "ramp:absolute", "--out", reports[0]]) == 0
+        assert run(["stats", "--holm", "--results", table3_summary,
+                    "--compare", "ramp:absolute", "--out", reports[1]]) == 0
+        assert reports[0].read_bytes() == reports[1].read_bytes()
+        assert read_rows(reports[0])[0]["holm_p"] != ""
+        sweep = ["bench", "--sweep", "gaussian", "--shifts", "0.5",
+                 "--replicates", "1", "--variants", "ramp"]
+        outs = [tmp_path / "sweep_config", tmp_path / "sweep_flags"]
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("no_scale=false\n# k for NND\nk=2\n")
+        assert run([*sweep, "--config", cfg, "--out-dir", outs[0]]) == 0
+        assert run([*sweep, "--k", "2", "--out-dir", outs[1]]) == 0
+        assert (outs[0] / "sweep.csv").read_bytes() == (outs[1] / "sweep.csv").read_bytes()
+
+    def test_line_without_equals_is_named(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("# ok\nseed=3\noops\n")
+        assert run(["synth", "--config", cfg, "--out", tmp_path / "x"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {cfg}:3: expected key=value, got 'oops'"
+        ]
+        assert not (tmp_path / "x").exists()
+
+    def test_trailing_config_without_path(self, tmp_path, capsys):
+        assert run(["synth", "--out", tmp_path / "x", "--config"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --config expects a file path"
+        ]
 
 
 def write_oversized_inputs(root):

@@ -224,6 +224,16 @@ class TestSchemaFile:
             f"line {lineno}: label column 'u' is also an attribute"
         )
 
+    @pytest.mark.parametrize("text, lineno", [
+        ("u,high\nu,low\n", 2),
+        ("u,high\n# note\n\nv,none\nu,high\nlabel,y,1\n", 5),
+    ], ids=["adjacent", "apart"])
+    def test_attribute_declared_twice_rejected(self, text, lineno):
+        # Otherwise the fault surfaces only in parse_csv, without a line.
+        with pytest.raises(ValueError) as info:
+            parse_schema(text)
+        assert str(info.value) == f"line {lineno}: attribute 'u' is declared twice"
+
     def test_comments_and_blanks_skipped(self):
         parsed_schema, rule = parse_schema("# header\n\na,none\n")
         assert parsed_schema == spec(("a", "none"))

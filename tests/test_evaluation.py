@@ -11,6 +11,7 @@ from dirad.distance import DistanceVariant
 from dirad.evaluation import (
     ExperimentResult,
     _average_ranks,
+    _prepare_train,
     auroc,
     directionality_diagnostic,
     fit_detector,
@@ -91,17 +92,37 @@ class FakeConfig:
         return self.score(queries)
 
 
+class KeepModels:
+    """A detector config whose ``fit`` delegates to ``config`` and keeps each
+    model it returns."""
+
+    def __init__(self, config):
+        self.config, self.models = config, []
+
+    def __getattr__(self, name):
+        return getattr(self.config, name)
+
+    def fit(self, train):
+        self.models.append(self.config.fit(train))
+        return self.models[-1]
+
+
 def fitted_per_fold(monkeypatch, dataset, config, plan):
-    """Each fold's (scaler, model), captured from ``run_cv``'s fit calls."""
-    fitted = []
+    """Each fold's (scaler, model) as ``run_cv`` used them: the scaler from a
+    spy on ``evaluation._prepare_train``, the model from ``config.fit``."""
+    scalers = []
 
-    def spy(*args, **kwargs):
-        fitted.append(fit_detector(*args, **kwargs))
-        return fitted[-1]
+    def spy(train, scale):
+        prepared = _prepare_train(train, scale)
+        scalers.append(prepared[0])
+        return prepared
 
-    monkeypatch.setattr(evaluation, "fit_detector", spy)
-    run_cv(dataset, config, plan)
-    return fitted
+    monkeypatch.setattr(evaluation, "_prepare_train", spy)
+    keep = KeepModels(config)
+    (result,) = run_cv(dataset, [keep], plan)
+    assert isinstance(result, ExperimentResult)
+    assert len(scalers) == len(keep.models) == len(plan)
+    return list(zip(scalers, keep.models))
 
 
 def labelled_gaussian(seed, n_normal=40, n_anom=15, m=3, shift=1.0):
@@ -180,23 +201,23 @@ class TestAuroc:
 class TestMakeFolds:
     def test_even_split(self):
         plan = make_folds(10, 5, seed=0)
-        assert [len(test) for _, test in plan.folds] == [2, 2, 2, 2, 2]
+        assert [len(test) for _, test in plan] == [2, 2, 2, 2, 2]
 
     def test_remainder_goes_to_leading_folds(self):
         plan = make_folds(11, 5, seed=0)
-        assert [len(test) for _, test in plan.folds] == [3, 2, 2, 2, 2]
+        assert [len(test) for _, test in plan] == [3, 2, 2, 2, 2]
 
     def test_deterministic(self):
         a = make_folds(23, 5, seed=9)
         b = make_folds(23, 5, seed=9)
-        for (tr1, te1), (tr2, te2) in zip(a.folds, b.folds):
+        for (tr1, te1), (tr2, te2) in zip(a, b):
             assert np.array_equal(tr1, tr2) and np.array_equal(te1, te2)
 
     def test_partition_and_disjointness(self):
         plan = make_folds(17, 5, seed=4)
-        all_test = np.concatenate([test for _, test in plan.folds])
+        all_test = np.concatenate([test for _, test in plan])
         assert sorted(all_test) == list(range(17))
-        for train, test in plan.folds:
+        for train, test in plan:
             assert not set(train) & set(test)
             assert len(train) + len(test) == 17
 
@@ -209,7 +230,7 @@ class TestRunCv:
     def test_constant_scorer_gives_half(self):
         ds = labelled_gaussian(1)
         plan = make_folds(40, 5, seed=0)
-        result = run_cv(ds, FakeConfig(lambda queries: np.zeros(len(queries))), plan)
+        result = run_cv(ds, [FakeConfig(lambda queries: np.zeros(len(queries)))], plan)[0]
         assert result.mean_auroc == 0.5
         assert (result.detector, result.variant) == ("fake", "absolute")
 
@@ -222,12 +243,12 @@ class TestRunCv:
             n_anom = 15
             return np.r_[np.zeros(len(queries) - n_anom), np.ones(n_anom)]
 
-        assert run_cv(ds, FakeConfig(oracle), plan).mean_auroc == 1.0
+        assert run_cv(ds, [FakeConfig(oracle)], plan)[0].mean_auroc == 1.0
 
     def test_detects_shifted_anomalies(self):
         ds = labelled_gaussian(3, shift=2.5)
         plan = make_folds(40, 5, seed=1)
-        result = run_cv(ds, NndConfig(DistanceVariant.RAMP, k=4), plan, "toy")
+        result = run_cv(ds, [NndConfig(DistanceVariant.RAMP, k=4)], plan, "toy")[0]
         assert result.dataset_id == "toy"
         assert result.detector == "nnd" and result.variant == "ramp"
         assert len(result.fold_aurocs) == 5
@@ -237,20 +258,21 @@ class TestRunCv:
     def test_alp_config_dispatch(self):
         ds = labelled_gaussian(4, shift=2.5)
         plan = make_folds(40, 5, seed=1)
-        result = run_cv(ds, AlpConfig(DistanceVariant.RAMP, k=3, l=4), plan)
+        result = run_cv(ds, [AlpConfig(DistanceVariant.RAMP, k=3, l=4)], plan)[0]
         assert result.detector == "alp"
         assert result.mean_auroc > 0.8
 
     def test_unlabelled_dataset_rejected(self):
         ds = Dataset((AttributeSpec("a"),), [[1.0], [2.0]])
         with pytest.raises(ValueError, match="labelled"):
-            run_cv(ds, NndConfig(DistanceVariant.ABSOLUTE), make_folds(2, 2))
+            run_cv(ds, [NndConfig(DistanceVariant.ABSOLUTE)], make_folds(2, 2))
 
     def test_fold_context_on_failure(self):
         ds = labelled_gaussian(5)
         plan = make_folds(40, 5, seed=0)
-        with pytest.raises(RuntimeError, match="fold 1/5"):
-            run_cv(ds, NndConfig(DistanceVariant.ABSOLUTE, k=500), plan, "tiny")
+        (failure,) = run_cv(ds, [NndConfig(DistanceVariant.ABSOLUTE, k=500)], plan, "tiny")
+        assert isinstance(failure, RuntimeError)
+        assert str(failure).startswith("fold 1/5 of tiny failed: ")
 
     def test_scaler_and_model_fit_only_on_fold_train_normals(self, monkeypatch):
         # Perturbing the records a fold tests on must not move that fold's
@@ -265,7 +287,7 @@ class TestRunCv:
         rng = np.random.default_rng(99)
         for fold in range(5):
             records = np.array(ds.records)
-            test_rows = np.r_[normal_idx[plan.folds[fold][1]], anom_idx]
+            test_rows = np.r_[normal_idx[plan[fold][1]], anom_idx]
             records[test_rows] += rng.uniform(0.5, 2.0, records[test_rows].shape)
             perturbed = Dataset(ds.schema, records, ds.labels)
             refitted = fitted_per_fold(monkeypatch, perturbed, config, plan)
@@ -291,12 +313,15 @@ class TestFitDetector:
         )
         config = NndConfig(DistanceVariant.RAMP, k=3)
         for scale in (True, False):
-            want_scaler, want = fit_detector(config, ds.take(range(30)), scale)
-            got_scaler, got = fit_detector(config, low.take(range(30)), scale)
             if scale:
+                want_scaler, want = fit_detector(config, ds.take(range(30)))
+                got_scaler, got = fit_detector(config, low.take(range(30)))
                 assert np.array_equal(want_scaler.midhinge, got_scaler.midhinge)
             else:
+                want_scaler, want = _prepare_train(ds.take(range(30)), False)
+                got_scaler, got = _prepare_train(low.take(range(30)), False)
                 assert want_scaler is None and got_scaler is None
+                want, got = config.fit(want), config.fit(got)
             assert np.array_equal(
                 score_queries(want_scaler, want, ds.take(range(30, 55))),
                 score_queries(got_scaler, got, low.take(range(30, 55))),
