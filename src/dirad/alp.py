@@ -24,7 +24,9 @@ import numpy as np
 from .dataset import Dataset, stored_array
 from .distance import DistanceSpec, DistanceVariant
 from .neighbours import knn_batch, self_knn_batch
-from .nnd import _as_queries, _assign, _require_oriented, _train_and_mask, linear_weights
+from .nnd import (
+    _as_queries, _assign, _checked_knn, _require_oriented, _train_and_mask, linear_weights,
+)
 
 
 def _round_half_up(x: float) -> int:
@@ -106,8 +108,17 @@ class AlpModel:
             spec=spec,
         )
 
-    def anomaly_scores(self, queries: np.ndarray) -> np.ndarray:
-        return anomaly_scores(self, queries)
+    def anomaly_scores(self, queries: np.ndarray, knn=None) -> np.ndarray:
+        return anomaly_scores(self, queries, knn)
+
+    @property
+    def neighbour_problem(self) -> tuple:
+        """``(columns, spec, k)`` of the kNN that scoring runs, as for
+        ``NndModel``: every column, at max(k, l) neighbours."""
+        return tuple(range(self.train.shape[1])), self.spec, max(self.k, self.l)
+
+    def query_knn(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return query_knn(self, queries)
 
     def to_arrays(self) -> dict:
         """The model bundle arrays: the constructor's arguments."""
@@ -144,11 +155,21 @@ def fit(train: Dataset, cfg: AlpConfig) -> AlpModel:
     return AlpModel(cfg.variant, train.records, k, l, train.directional_mask)
 
 
-def _lp_batch(model: AlpModel, queries: np.ndarray) -> np.ndarray:
-    """(q, k) localised proximities; entry (r, i-1) is lp_i of query r."""
+def query_knn(model: AlpModel, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (q, max(k, l)) ``knn_batch`` result that scoring ``queries`` runs on."""
     q = _as_queries(queries, model.train.shape[1])
-    kq = max(model.k, model.l)
-    dists, idx = knn_batch(model.train, q, kq, model.spec)
+    return knn_batch(model.train, q, max(model.k, model.l), model.spec)
+
+
+def _lp_batch(model: AlpModel, queries: np.ndarray, knn=None) -> np.ndarray:
+    """(q, k) localised proximities; entry (r, i-1) is lp_i of query r.
+
+    ``knn``, if given, stands in for ``query_knn(model, queries)``.
+    """
+    q = _as_queries(queries, model.train.shape[1])
+    if knn is None:
+        knn = query_knn(model, q)
+    dists, idx = _checked_knn(knn, q.shape[0], max(model.k, model.l))
     d = dists[:, : model.k]
     # D[r, i] = sum_j w'_j * (i-th self-NN distance of the j-th neighbour of r)
     local = model.train_nn_dists[idx[:, : model.l], :]
@@ -159,14 +180,15 @@ def _lp_batch(model: AlpModel, queries: np.ndarray) -> np.ndarray:
     return np.where(denom == 0.0, 1.0, big_d / safe)
 
 
-def normality_scores(model: AlpModel, queries: np.ndarray) -> np.ndarray:
+def normality_scores(model: AlpModel, queries: np.ndarray, knn=None) -> np.ndarray:
     """Weighted maximum of the localised proximities, one score per row."""
-    lp = _lp_batch(model, queries)
+    lp = _lp_batch(model, queries, knn)
     raw = np.sort(lp, axis=1)[:, ::-1] @ model.weights_k
     # The weights sum to 1 only within rounding, so pin the hard [0, 1] range.
     return np.clip(raw, 0.0, 1.0)
 
 
-def anomaly_scores(model: AlpModel, queries: np.ndarray) -> np.ndarray:
-    """Evaluation-facing complement: higher means more anomalous."""
-    return 1.0 - normality_scores(model, queries)
+def anomaly_scores(model: AlpModel, queries: np.ndarray, knn=None) -> np.ndarray:
+    """Evaluation-facing complement: higher means more anomalous; ``knn`` as
+    in ``_lp_batch``."""
+    return 1.0 - normality_scores(model, queries, knn)

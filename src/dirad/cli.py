@@ -273,19 +273,18 @@ def _bench_cv(args, cells) -> int:
             raise ValueError(f"{data_path}: schema declares no label column")
         datasets.append((ds_id, ds))
 
-    # One job per dataset: every config is fitted and scored on each fold.
-    jobs = [
-        (ds_id, ds, make_folds(int((~ds.labels).sum()), args.folds, args.seed))
-        for ds_id, ds in datasets
-    ]
+    if args.folds < 2:  # a bad flag fails the run; a small dataset, its cells
+        raise ValueError(f"folds must be >= 2, got {args.folds}")
 
+    # One job per dataset: every config is fitted and scored on each fold.
     def worker(job):
-        ds_id, ds, folds = job
+        ds_id, ds = job
+        folds = make_folds(int((~ds.labels).sum()), args.folds, args.seed)
         return run_cv(ds, cells, folds, ds_id)
 
-    outcomes = _run_cells(jobs, worker, len(cells))
+    outcomes = _run_cells(datasets, worker, len(cells))
     results, failures = [], []
-    for (ds_id, _, _), row in zip(jobs, outcomes):
+    for (ds_id, _), row in zip(datasets, outcomes):
         for config, outcome in zip(cells, row):
             if isinstance(outcome, Exception):
                 failures.append((ds_id, config, outcome))

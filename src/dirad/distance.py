@@ -135,13 +135,15 @@ def distance_matrix(
     # on NumPy 2 the size is a context variable, so other threads keep theirs.
     old = np.setbufsize(512)
     try:
-        for j, variant in enumerate(spec.variants):
-            np.subtract(q[:, j, None], columns[j], out=buf)
-            if variant is DistanceVariant.ABSOLUTE:
-                np.abs(buf, out=buf)
-            elif variant is DistanceVariant.RAMP:
-                np.maximum(buf, 0.0, out=buf)
-            np.add(out, buf, out=out)
+        # Huge finite inputs overflow to inf, as in ``record_distance``, silently.
+        with np.errstate(over="ignore"):
+            for j, variant in enumerate(spec.variants):
+                np.subtract(q[:, j, None], columns[j], out=buf)
+                if variant is DistanceVariant.ABSOLUTE:
+                    np.abs(buf, out=buf)
+                elif variant is DistanceVariant.RAMP:
+                    np.maximum(buf, 0.0, out=buf)
+                np.add(out, buf, out=out)
     finally:
         np.setbufsize(old)
     return out

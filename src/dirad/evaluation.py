@@ -6,8 +6,12 @@ test set made of the held-out fifth plus all anomalous records. A CV fold and
 a generated sweep problem are both one problem for ``_problem_aurocs``: it is
 oriented and scaled once, then every detector config is fitted and scored on
 it, so all configs see the same folds, keeping the per-dataset AUROCs paired
-as the signed-rank comparisons assume. ``fit_detector`` and ``score_queries``
-are the same orient-and-scale path for one config, as ``dirad score`` uses.
+as the signed-rank comparisons assume. Each neighbour problem (training
+columns searched, distance spec) is searched once per fold or sweep problem,
+at the largest k its models need; each model scores on its k-prefix, which
+the total (distance, row index) order makes equal to its own search.
+``fit_detector`` and ``score_queries`` are the same orient-and-scale path for
+one config, as ``dirad score`` uses, and each model runs its own search.
 
 AUROC and the signed-rank test rank with ``_average_ranks``, a NumPy
 average-rank helper equal bit for bit to ``scipy.stats.rankdata``. SciPy is
@@ -125,12 +129,47 @@ def score_queries(scaler, model, queries: Dataset) -> np.ndarray:
     return model.anomaly_scores(_prepare_queries(scaler, queries).records)
 
 
+def _neighbour_plans(models: Sequence, queries: np.ndarray) -> dict:
+    """One query kNN per neighbour problem, at the largest k any model needs.
+
+    Models that search the same training columns under the same spec share a
+    problem; the (distance, row index) order is total, so a smaller k's
+    neighbours are exactly the prefix of the largest k's. The search runs as
+    the largest-k model's own ``query_knn``. One that raises is left out, so
+    each of its models runs its own search and raises its own exception.
+    """
+    owners: dict = {}
+    for model in models:
+        problem = getattr(model, "neighbour_problem", None)
+        if problem is not None and problem[2] > owners.get(problem[:2], (0, None))[0]:
+            owners[problem[:2]] = (problem[2], model)
+    plans = {}
+    for key, (_, owner) in owners.items():
+        try:
+            plans[key] = owner.query_knn(queries)
+        except Exception:
+            pass
+    return plans
+
+
+def _plan_prefix(model, plans: dict):
+    """``model``'s cut of its problem's plan: contiguous (q, k) copies of the
+    columns its k needs, or None when it has no plan."""
+    problem = getattr(model, "neighbour_problem", None)
+    plan = None if problem is None else plans.get(problem[:2])
+    if plan is None:
+        return None
+    return tuple(np.ascontiguousarray(a[:, : problem[2]]) for a in plan)
+
+
 def _problem_aurocs(train: Dataset, test: Dataset, configs: Sequence, scale: bool):
     """Fit every config on raw normals ``train``; AUROC on labelled raw ``test``.
 
     The problem is oriented and scaled once (``scale=False`` skips the
-    rescaling). Returns one entry per config: its AUROC, or the exception its
-    fit or scoring raised, so one failing config costs the others nothing. If
+    rescaling), and each neighbour problem is searched once for every model
+    (``_neighbour_plans``); each model scores on its ``_plan_prefix``.
+    Returns one entry per config: its AUROC, or the exception its fit or
+    scoring raised, so one failing config costs the others nothing. If
     preparing the problem fails, every config gets that exception.
     """
     try:
@@ -138,10 +177,22 @@ def _problem_aurocs(train: Dataset, test: Dataset, configs: Sequence, scale: boo
         queries = _prepare_queries(scaler, test).records
     except Exception as exc:
         return [exc] * len(configs)
-    outcomes: list = []
+    models: list = []
     for config in configs:
         try:
-            scores = config.fit(train).anomaly_scores(queries)
+            models.append(config.fit(train))
+        except Exception as exc:
+            models.append(exc)
+    plans = _neighbour_plans(models, queries)
+    outcomes: list = []
+    for model in models:
+        if isinstance(model, Exception):
+            outcomes.append(model)
+            continue
+        knn = _plan_prefix(model, plans)
+        try:
+            scores = (model.anomaly_scores(queries) if knn is None
+                      else model.anomaly_scores(queries, knn))
             outcomes.append(auroc(scores, test.labels))
         except Exception as exc:
             outcomes.append(exc)

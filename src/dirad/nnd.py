@@ -35,10 +35,12 @@ def contract(raw):
     """Squash a raw score into (0, 1): a -> a / (2(|a| + 1)) + 1/2.
 
     Strictly increasing bijection from the reals onto (0, 1); 0 maps to 0.5.
-    Accepts scalars or arrays.
+    +inf and -inf map to the limits 1.0 and 0.0. Accepts scalars or arrays.
     """
     raw = np.asarray(raw, dtype=np.float64)
-    out = 0.5 * (raw / (np.abs(raw) + 1.0)) + 0.5
+    with np.errstate(invalid="ignore"):  # inf / inf, replaced below
+        ratio = raw / (np.abs(raw) + 1.0)
+    out = 0.5 * np.where(np.isinf(raw), np.sign(raw), ratio) + 0.5
     return out if out.ndim else float(out)
 
 
@@ -94,8 +96,23 @@ class NndModel:
             sorted_sums=sums,
         )
 
-    def anomaly_scores(self, queries: np.ndarray) -> np.ndarray:
-        return anomaly_scores(self, queries)
+    def anomaly_scores(self, queries: np.ndarray, knn=None) -> np.ndarray:
+        return anomaly_scores(self, queries, knn)
+
+    @property
+    def neighbour_problem(self) -> tuple | None:
+        """``(columns, spec, k)`` of the kNN that scoring runs: the training
+        columns searched, their distance spec and the neighbours taken. None
+        when scoring runs no kNN (signed, every attribute directional)."""
+        if self.spec is None:
+            return None
+        mask = self.directional_mask
+        signed = self.variant is DistanceVariant.SIGNED
+        columns = np.flatnonzero(~mask if signed else np.ones_like(mask))
+        return tuple(columns.tolist()), self.spec, self.k
+
+    def query_knn(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return query_knn(self, queries)
 
     def to_arrays(self) -> dict:
         """The model bundle arrays: the constructor's arguments."""
@@ -164,33 +181,55 @@ def _as_queries(queries, m: int) -> np.ndarray:
     return q
 
 
+def _checked_knn(knn, rows: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """A caller's ``(dists, idx)`` for ``rows`` queries at ``k`` neighbours,
+    or a ValueError."""
+    dists, idx = knn
+    if dists.shape != (rows, k) or idx.shape != (rows, k):
+        raise ValueError(f"knn must hold ({rows}, {k}) distances and indices")
+    return dists, idx
+
+
 def signed_risks(model: NndModel, queries: np.ndarray) -> np.ndarray:
     """Directional risk S_y - sum_i w_i S_(i) per query row (signed only)."""
     if model.variant is not DistanceVariant.SIGNED:
         raise ValueError("signed risk is only defined for the signed variant")
     q = _as_queries(queries, model.train.shape[1])
-    sums = q[:, model.directional_mask].sum(axis=1)
+    with np.errstate(over="ignore"):  # huge finite rows sum to inf
+        sums = q[:, model.directional_mask].sum(axis=1)
     top = float(np.dot(model.weights, model.sorted_sums[: model.k]))
     return sums - top
 
 
-def raw_scores(model: NndModel, queries: np.ndarray) -> np.ndarray:
-    """Raw detector scores for a (q, m) query matrix (may be negative)."""
+def query_knn(model: NndModel, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (q, k) ``knn_batch`` result that scoring ``queries`` runs on."""
+    if model.spec is None:
+        raise ValueError("this model scores without a kNN")
     q = _as_queries(queries, model.train.shape[1])
     if model.variant is not DistanceVariant.SIGNED:
-        dists, _ = knn_batch(model.train, q, model.k, model.spec)
-        return dists @ model.weights
+        return knn_batch(model.train, q, model.k, model.spec)
+    adir = ~model.directional_mask
+    return knn_batch(model.train[:, adir], q[:, adir], model.k, model.spec)
 
+
+def raw_scores(model: NndModel, queries: np.ndarray, knn=None) -> np.ndarray:
+    """Raw detector scores for a (q, m) query matrix (may be negative).
+
+    ``knn``, if given, stands in for ``query_knn(model, queries)``; any equal
+    ``(dists, idx)`` pair, such as a prefix of a larger k's, scores the same.
+    """
+    q = _as_queries(queries, model.train.shape[1])
+    if model.spec is None:
+        return signed_risks(model, q)
+    dists, _ = _checked_knn(query_knn(model, q) if knn is None else knn, q.shape[0], model.k)
+    if model.variant is not DistanceVariant.SIGNED:
+        return dists @ model.weights
     # Without directional attributes the risk is +0.0, which leaves the
     # (non-negative) adirectional part unchanged bit for bit.
-    risk = signed_risks(model, q)
-    if model.spec is None:
-        return risk
-    adir = ~model.directional_mask
-    dists, _ = knn_batch(model.train[:, adir], q[:, adir], model.k, model.spec)
-    return risk + dists @ model.weights
+    return signed_risks(model, q) + dists @ model.weights
 
 
-def anomaly_scores(model: NndModel, queries: np.ndarray) -> np.ndarray:
-    """Contracted scores in (0, 1), one per query row."""
-    return contract(raw_scores(model, queries))
+def anomaly_scores(model: NndModel, queries: np.ndarray, knn=None) -> np.ndarray:
+    """Contracted scores in (0, 1), one per query row; ``knn`` as in
+    ``raw_scores``."""
+    return contract(raw_scores(model, queries, knn))

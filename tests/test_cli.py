@@ -1,4 +1,5 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -174,6 +175,39 @@ class TestBench:
             (*cell, fold) for cell in nnd_cells for fold in ("1", "2", "3", "4", "5", "mean")
         ]
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_too_few_normals_fails_only_that_dataset(self, threads, synth_dir, tmp_path,
+                                                     monkeypatch, capsys):
+        # small has 3 normals for 5 folds: its cells fail, the other file's
+        # results are still written.
+        monkeypatch.setenv("DIRAD_THREADS", threads)
+        lines = (synth_dir / "test.csv").read_text().splitlines()
+        normals = [row for row in lines[1:] if row.endswith(",normal")]
+        anomalies = [row for row in lines[1:] if row.endswith(",anomalous")]
+        small = tmp_path / "small.csv"
+        small.write_text("\n".join([lines[0], *normals[:3], *anomalies[:3]]) + "\n")
+        out = tmp_path / "out"
+        code = run(["bench", "--data", synth_dir / "test.csv", "--data", small,
+                    "--schema", synth_dir / "schema.txt", "--detectors", "nnd",
+                    "--nnd-variants", "ramp,signed", "--k", "3", "--out-dir", out])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"cell failed: dataset=small detector=nnd:{variant}: need at least 5 "
+            f"normal records for 5-fold CV, got 3"
+            for variant in ("ramp", "signed")
+        ]
+        summary = read_rows(out / "summary.csv")
+        assert [(r["dataset"], r["variant"]) for r in summary] == [
+            ("test", "ramp"), ("test", "signed")]
+
+    def test_one_fold_is_a_usage_error(self, synth_dir, tmp_path, capsys):
+        code = run(["bench", "--data", synth_dir / "test.csv",
+                    "--schema", synth_dir / "schema.txt", "--folds", "1",
+                    "--out-dir", tmp_path / "out"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: folds must be >= 2, got 1\n"
+        assert not (tmp_path / "out").exists()
+
     def test_sweep_builds_each_problem_once(self, tmp_path, monkeypatch):
         generated = []
 
@@ -217,6 +251,30 @@ class TestBench:
 
 
 class TestScore:
+    @pytest.mark.parametrize("schema", ["x1,high\nx2,high\nx3,high\n",
+                                        "x1,high\nx2,none\nx3,high\n"])
+    @pytest.mark.parametrize("variant", ["absolute", "ramp", "signed"])
+    def test_huge_finite_query_scores_one(self, schema, variant, tmp_path, capsys):
+        # Scaled by a semi-IQR near 0.67 the row stays finite, but every
+        # distance (and the signed risk) overflows to inf, which contracts to
+        # its limit 1.0; the overflow is expected and prints nothing.
+        assert run(["synth", "--family", "gaussian", "--shift", "1", "--m", "3",
+                    "--n-train", "200", "--out", tmp_path]) == 0
+        capsys.readouterr()
+        (tmp_path / "schema.txt").write_text(schema)
+        queries = tmp_path / "huge.csv"
+        queries.write_text("x1,x2,x3\n" + ",".join(["1e308"] * 3) + "\n")
+        out = tmp_path / "scores.csv"
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            code = run(["score", "--train", tmp_path / "train.csv",
+                        "--schema", tmp_path / "schema.txt", "--detector", "nnd",
+                        "--variant", variant, "--queries", queries, "--out", out])
+        assert code == 0
+        assert [str(w.message) for w in seen] == []
+        assert capsys.readouterr().err == ""
+        assert out.read_text() == "row,score\n1,1.0\n"
+
     @pytest.mark.parametrize("data", ["synth", "low"])
     @pytest.mark.parametrize("variant", ["absolute", "ramp"])
     def test_training_file_scores_half_with_k1(self, data, variant, request,

@@ -4,13 +4,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from dirad import evaluation
+from dirad import evaluation, neighbours
 from dirad.alp import AlpConfig
 from dirad.dataset import AttributeSpec, Dataset, Direction
-from dirad.distance import DistanceVariant
+from dirad.distance import DistanceVariant, distance_matrix
 from dirad.evaluation import (
     ExperimentResult,
     _average_ranks,
+    _neighbour_plans,
+    _plan_prefix,
     _prepare_train,
     auroc,
     directionality_diagnostic,
@@ -326,6 +328,117 @@ class TestFitDetector:
                 score_queries(want_scaler, want, ds.take(range(30, 55))),
                 score_queries(got_scaler, got, low.take(range(30, 55))),
             )
+
+
+@st.composite
+def shared_plan_problems(draw):
+    """Training and query rows with ties and duplicates, a directional mask
+    (all, none or some attributes), and an NND k below or above ALP's
+    max(k, l)."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(6, 24))
+    values = st.integers(-3, 3).map(lambda v: v / 2.0)
+    rows = draw(st.lists(st.lists(values, min_size=m, max_size=m), min_size=n, max_size=n))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=4))  # duplicated rows
+    queries = draw(st.lists(st.lists(values, min_size=m, max_size=m), min_size=1, max_size=8))
+    queries += draw(st.lists(st.sampled_from(rows), max_size=3))  # queries on rows
+    kind = draw(st.sampled_from(["all", "none", "some"]))
+    mask = {"all": [True] * m, "none": [False] * m,
+            "some": draw(st.lists(st.booleans(), min_size=m, max_size=m))}[kind]
+    n = len(rows)
+    alp_k, alp_l = draw(st.integers(1, n - 1)), draw(st.integers(1, n))
+    nnd_k = draw(st.one_of(st.integers(1, max(alp_k, alp_l)), st.integers(max(alp_k, alp_l), n)))
+    schema = tuple(AttributeSpec(f"x{j}", Direction.HIGH if d else Direction.NONE)
+                   for j, d in enumerate(mask))
+    configs = [NndConfig(v, k=nnd_k) for v in DistanceVariant] + [
+        AlpConfig(v, k=alp_k, l=alp_l)
+        for v in (DistanceVariant.ABSOLUTE, DistanceVariant.RAMP)
+    ]
+    return Dataset(schema, rows), np.array(queries, dtype=np.float64), configs
+
+
+def labelled_mixed(seed, n_normal=40, n_anom=15):
+    """Two high, one low and one adirectional attribute, anomalies shifted."""
+    rng = np.random.default_rng(seed)
+    directions = (Direction.HIGH, Direction.LOW, Direction.NONE, Direction.HIGH)
+    schema = tuple(AttributeSpec(f"x{j}", d) for j, d in enumerate(directions))
+    records = np.vstack([rng.standard_normal((n_normal, 4)),
+                         rng.standard_normal((n_anom, 4)) + [1.5, -1.5, 0.0, 1.5]])
+    labels = np.r_[np.zeros(n_normal, dtype=bool), np.ones(n_anom, dtype=bool)]
+    return Dataset(schema, np.round(records, 1), labels)
+
+
+def counted_cells(monkeypatch, dataset, configs, folds):
+    """run_cv's results and the distance cells its kNN kernels computed."""
+    cells = []
+
+    def spy(queries, train, spec):
+        block = distance_matrix(queries, train, spec)
+        cells.append(block.size)
+        return block
+
+    with monkeypatch.context() as patch:
+        patch.setattr(neighbours, "distance_matrix", spy)
+        results = run_cv(dataset, configs, folds)
+    return results, sum(cells)
+
+
+class TestNeighbourPlans:
+    @settings(max_examples=100, deadline=None)
+    @given(shared_plan_problems())
+    def test_shared_plan_scores_equal_own_search_bitwise(self, problem):
+        train, queries, configs = problem
+        models = [config.fit(train) for config in configs]
+        plans = _neighbour_plans(models, queries)
+        problems = {model.neighbour_problem[:2] for model in models
+                    if model.neighbour_problem is not None}
+        assert set(plans) == problems
+        for model in models:
+            knn = _plan_prefix(model, plans)
+            own = model.anomaly_scores(queries)
+            if model.neighbour_problem is None:
+                assert knn is None
+                continue
+            assert knn[0].flags.c_contiguous and knn[1].flags.c_contiguous
+            assert model.anomaly_scores(queries, knn).tobytes() == own.tobytes()
+
+    def test_plan_runs_at_the_largest_k_of_its_problem(self):
+        ds = labelled_mixed(0)
+        train = evaluation.orient(ds.take(np.flatnonzero(~ds.labels)))
+        models = [NndConfig(DistanceVariant.RAMP, k=8).fit(train),
+                  AlpConfig(DistanceVariant.RAMP, k=5, l=12).fit(train),
+                  NndConfig(DistanceVariant.SIGNED, k=8).fit(train)]
+        plans = _neighbour_plans(models, train.records[:7])
+        assert sorted(d.shape for d, _ in plans.values()) == [(7, 8), (7, 12)]
+        assert [_plan_prefix(m, plans)[0].shape for m in models] == [(7, 8), (7, 12), (7, 8)]
+
+    def test_nnd_absolute_and_ramp_add_no_cells(self, monkeypatch):
+        # ALP searches each of its specs at max(k, l) >= 8, so NND's top-8
+        # under the same spec is a prefix of that search: adding NND absolute
+        # and ramp to a CV run computes no further distance cells. NND signed
+        # searches only the adirectional column, a problem of its own.
+        ds = labelled_mixed(1)
+        folds = make_folds(40, 5, seed=0)
+        nnd = [NndConfig(v, k=8) for v in DistanceVariant]
+        alp = [AlpConfig(v) for v in (DistanceVariant.ABSOLUTE, DistanceVariant.RAMP)]
+        all_results, all_cells = counted_cells(monkeypatch, ds, nnd + alp, folds)
+        _, without_cells = counted_cells(monkeypatch, ds, nnd[2:] + alp, folds)
+        assert all_cells == without_cells
+        for config, shared in zip(nnd + alp, all_results):
+            assert isinstance(shared, ExperimentResult)
+            (alone,) = run_cv(ds, [config], folds)
+            assert alone == shared
+
+    def test_failing_search_leaves_each_model_its_own_error(self):
+        ds = labelled_mixed(2)
+        train = evaluation.orient(ds.take(np.flatnonzero(~ds.labels)))
+        models = [NndConfig(DistanceVariant.ABSOLUTE, k=3).fit(train),
+                  AlpConfig(DistanceVariant.ABSOLUTE, k=3, l=4).fit(train)]
+        bad_queries = np.zeros((2, 3))
+        assert _neighbour_plans(models, bad_queries) == {}
+        for model in models:
+            with pytest.raises(ValueError, match="the model expects 4"):
+                model.anomaly_scores(bad_queries)
 
 
 class TestSyntheticAuroc:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dirad import nnd
 from dirad.dataset import AttributeSpec, Dataset, Direction
@@ -206,6 +208,18 @@ class TestContract:
     def test_matches_scalar_on_arrays(self):
         raws = np.array([-3.0, -0.5, 0.0, 0.5, 3.0])
         assert np.array_equal(contract(raws), [contract(float(r)) for r in raws])
+
+    def test_infinities_map_to_the_limits(self):
+        assert contract(np.inf) == 1.0 and contract(-np.inf) == 0.0
+        out = contract(np.array([-np.inf, -1e308, 0.0, 1e308, np.inf, np.nan]))
+        assert np.array_equal(out[:5], [0.0, 0.0, 0.5, 1.0, 1.0])
+        assert np.isnan(out[5])
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=20))
+    def test_finite_scores_keep_their_bits(self, raws):
+        raw = np.array(raws, dtype=np.float64)
+        want = 0.5 * (raw / (np.abs(raw) + 1.0)) + 0.5
+        assert np.array_equal(contract(raw), want)
 
 
 def test_anomaly_score_is_contracted_raw():
