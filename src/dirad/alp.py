@@ -23,9 +23,9 @@ import numpy as np
 
 from .dataset import Dataset, stored_array
 from .distance import DistanceSpec, DistanceVariant
-from .neighbours import knn_batch, self_knn_batch
+from .neighbours import _block_rows, knn_batch, self_knn_batch
 from .nnd import (
-    _as_queries, _assign, _checked_knn, _require_oriented, _train_and_mask, linear_weights,
+    _as_queries, _assign, _knn_prefix, _require_oriented, _train_and_mask, linear_weights,
 )
 
 
@@ -70,9 +70,9 @@ class AlpModel:
     """Fitted state: row t of train_nn_dists holds the ascending distances of
     training record t to its k nearest other training records.
 
-    The constructor checks the stored fields and derives the weights and the
-    spec. ``train_nn_dists`` of None runs the self-kNN that computes it; it is
-    stored because that costs O(n^2 m).
+    The constructor checks the stored fields and derives the weights and
+    ``neighbour_problem`` (every column, max(k, l) wide). ``train_nn_dists`` of
+    None runs the self-kNN that computes it; it is stored, as that costs O(n^2 m).
     """
 
     variant: DistanceVariant
@@ -83,7 +83,7 @@ class AlpModel:
     train_nn_dists: np.ndarray | None = None
     weights_k: np.ndarray = field(init=False)
     weights_l: np.ndarray = field(init=False)
-    spec: DistanceSpec = field(init=False)
+    neighbour_problem: tuple = field(init=False)
 
     detector = "alp"
 
@@ -105,17 +105,11 @@ class AlpModel:
         _assign(
             self, train=train, directional_mask=mask, train_nn_dists=nn_dists,
             weights_k=linear_weights(self.k), weights_l=linear_weights(self.l),
-            spec=spec,
+            neighbour_problem=(tuple(range(mask.size)), spec, max(self.k, self.l)),
         )
 
     def anomaly_scores(self, queries: np.ndarray, knn=None) -> np.ndarray:
         return anomaly_scores(self, queries, knn)
-
-    @property
-    def neighbour_problem(self) -> tuple:
-        """``(columns, spec, k)`` of the kNN that scoring runs, as for
-        ``NndModel``: every column, at max(k, l) neighbours."""
-        return tuple(range(self.train.shape[1])), self.spec, max(self.k, self.l)
 
     def query_knn(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return query_knn(self, queries)
@@ -156,28 +150,38 @@ def fit(train: Dataset, cfg: AlpConfig) -> AlpModel:
 
 
 def query_knn(model: AlpModel, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (q, max(k, l)) ``knn_batch`` result that scoring ``queries`` runs on."""
+    """The ``knn_batch`` search ``model.neighbour_problem`` of ``queries``."""
+    columns, spec, width = model.neighbour_problem
     q = _as_queries(queries, model.train.shape[1])
-    return knn_batch(model.train, q, max(model.k, model.l), model.spec)
+    return knn_batch(model.train[:, columns], q[:, columns], width, spec)
 
 
 def _lp_batch(model: AlpModel, queries: np.ndarray, knn=None) -> np.ndarray:
     """(q, k) localised proximities; entry (r, i-1) is lp_i of query r.
 
-    ``knn``, if given, stands in for ``query_knn(model, queries)``.
+    ``knn``, if given, stands in for ``query_knn(model, queries)``, as in
+    ``nnd.raw_scores``.
     """
     q = _as_queries(queries, model.train.shape[1])
-    if knn is None:
-        knn = query_knn(model, q)
-    dists, idx = _checked_knn(knn, q.shape[0], max(model.k, model.l))
-    d = dists[:, : model.k]
-    # D[r, i] = sum_j w'_j * (i-th self-NN distance of the j-th neighbour of r)
-    local = model.train_nn_dists[idx[:, : model.l], :]
-    big_d = (model.weights_l[None, :, None] * local).sum(axis=1)
+    dists, idx = _knn_prefix(model, q, knn)
+    k, l = model.k, model.l
+    d = dists[:, :k]
+    # D[r, i] = sum_j w'_j * (i-th self-NN distance of the j-th neighbour of r).
+    # The (rows, l, k) gather runs a block of rows at a time, so its memory is
+    # bounded by bytes; the sum over axis 1 is per row, so blocks cannot move it.
+    big_d = np.empty((q.shape[0], k))
+    step = _block_rows(8 * l * k)
+    for start in range(0, q.shape[0], step):
+        local = model.train_nn_dists[idx[start : start + step, :l], :]
+        big_d[start : start + step] = (model.weights_l[None, :, None] * local).sum(axis=1)
     denom = big_d + d
-    # 0/0 means the query sits in a zero-spread neighbourhood: maximal normality.
-    safe = np.where(denom == 0.0, 1.0, denom)
-    return np.where(denom == 0.0, 1.0, big_d / safe)
+    with np.errstate(invalid="ignore"):  # 0/0 and inf/inf, settled below
+        lp = big_d / denom
+    # 0/0 means the query sits in a zero-spread neighbourhood: maximal
+    # normality. D = inf against a finite d takes the limit 1; d = inf against
+    # a finite D is already 0; both infinite stay NaN, which scoring rejects.
+    lp[(denom == 0.0) | (np.isinf(big_d) & np.isfinite(d))] = 1.0
+    return lp
 
 
 def normality_scores(model: AlpModel, queries: np.ndarray, knn=None) -> np.ndarray:

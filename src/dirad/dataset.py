@@ -337,11 +337,17 @@ def fit_scaler(train: Dataset) -> ScalingParams:
 
 
 def apply_scaler(ds: Dataset, params: ScalingParams) -> Dataset:
-    """Map every value v in attribute j to (v - midhinge[j]) / semi_iqr[j]."""
+    """Map every value v in attribute j to (v - midhinge[j]) / semi_iqr[j];
+    a value that overflows is a ValueError naming its attribute."""
     if ds.n_attributes != params.midhinge.shape[0]:
         raise ValueError(
             f"dataset has {ds.n_attributes} attributes but the scaler was "
             f"fitted on {params.midhinge.shape[0]}"
         )
-    scaled = (ds.records - params.midhinge) / params.semi_iqr
+    with np.errstate(over="ignore"):  # reported below, by attribute
+        scaled = (ds.records - params.midhinge) / params.semi_iqr
+    overflowed = np.isinf(scaled).any(axis=0)
+    if overflowed.any():
+        name = ds.schema[overflowed.argmax()].name
+        raise ValueError(f"scaling overflowed on attribute {name}")
     return Dataset(ds.schema, scaled, ds.labels)

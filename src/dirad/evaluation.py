@@ -6,12 +6,12 @@ test set made of the held-out fifth plus all anomalous records. A CV fold and
 a generated sweep problem are both one problem for ``_problem_aurocs``: it is
 oriented and scaled once, then every detector config is fitted and scored on
 it, so all configs see the same folds, keeping the per-dataset AUROCs paired
-as the signed-rank comparisons assume. Each neighbour problem (training
-columns searched, distance spec) is searched once per fold or sweep problem,
-at the largest k its models need; each model scores on its k-prefix, which
-the total (distance, row index) order makes equal to its own search.
-``fit_detector`` and ``score_queries`` are the same orient-and-scale path for
-one config, as ``dirad score`` uses, and each model runs its own search.
+as the signed-rank comparisons assume. Each model's ``neighbour_problem``
+field names its search; each problem is searched once per fold or sweep
+problem, at the largest width its models need, and each model cuts its own
+prefix of that search. ``fit_detector`` and ``score_queries`` are the same
+orient-and-scale path for one config, as ``dirad score`` uses. ``_scores``
+rejects a NaN score, naming its query row.
 
 AUROC and the signed-rank test rank with ``_average_ranks``, a NumPy
 average-rank helper equal bit for bit to ``scipy.stats.rankdata``. SciPy is
@@ -124,23 +124,34 @@ def fit_detector(config, train: Dataset):
     return scaler, config.fit(train)
 
 
+def _scores(model, queries: np.ndarray, knn=None) -> np.ndarray:
+    """``model.anomaly_scores(queries, knn)``; a NaN score, from distances
+    that overflow to infinities with no limit, is a ValueError naming its row."""
+    scores = model.anomaly_scores(queries, knn)
+    nan = np.isnan(scores)
+    if nan.any():
+        row = int(np.argmax(nan)) + 1
+        raise ValueError(f"query row {row} has an undefined score: its distances overflow")
+    return scores
+
+
 def score_queries(scaler, model, queries: Dataset) -> np.ndarray:
     """Anomaly scores of raw query records under ``fit_detector``'s result."""
-    return model.anomaly_scores(_prepare_queries(scaler, queries).records)
+    return _scores(model, _prepare_queries(scaler, queries).records)
 
 
 def _neighbour_plans(models: Sequence, queries: np.ndarray) -> dict:
-    """One query kNN per neighbour problem, at the largest k any model needs.
+    """One query kNN per neighbour problem, keyed by ``neighbour_problem[:2]``.
 
     Models that search the same training columns under the same spec share a
-    problem; the (distance, row index) order is total, so a smaller k's
-    neighbours are exactly the prefix of the largest k's. The search runs as
-    the largest-k model's own ``query_knn``. One that raises is left out, so
-    each of its models runs its own search and raises its own exception.
+    problem; the (distance, row index) order is total, so a narrower search is
+    exactly the prefix of the widest one, which runs as its model's own
+    ``query_knn``. One that raises is left out, so each of its models runs its
+    own search and raises its own exception.
     """
     owners: dict = {}
     for model in models:
-        problem = getattr(model, "neighbour_problem", None)
+        problem = model.neighbour_problem
         if problem is not None and problem[2] > owners.get(problem[:2], (0, None))[0]:
             owners[problem[:2]] = (problem[2], model)
     plans = {}
@@ -152,22 +163,12 @@ def _neighbour_plans(models: Sequence, queries: np.ndarray) -> dict:
     return plans
 
 
-def _plan_prefix(model, plans: dict):
-    """``model``'s cut of its problem's plan: contiguous (q, k) copies of the
-    columns its k needs, or None when it has no plan."""
-    problem = getattr(model, "neighbour_problem", None)
-    plan = None if problem is None else plans.get(problem[:2])
-    if plan is None:
-        return None
-    return tuple(np.ascontiguousarray(a[:, : problem[2]]) for a in plan)
-
-
 def _problem_aurocs(train: Dataset, test: Dataset, configs: Sequence, scale: bool):
     """Fit every config on raw normals ``train``; AUROC on labelled raw ``test``.
 
     The problem is oriented and scaled once (``scale=False`` skips the
     rescaling), and each neighbour problem is searched once for every model
-    (``_neighbour_plans``); each model scores on its ``_plan_prefix``.
+    (``_neighbour_plans``); each model scores on its problem's search.
     Returns one entry per config: its AUROC, or the exception its fit or
     scoring raised, so one failing config costs the others nothing. If
     preparing the problem fails, every config gets that exception.
@@ -183,16 +184,15 @@ def _problem_aurocs(train: Dataset, test: Dataset, configs: Sequence, scale: boo
             models.append(config.fit(train))
         except Exception as exc:
             models.append(exc)
-    plans = _neighbour_plans(models, queries)
+    plans = _neighbour_plans([m for m in models if not isinstance(m, Exception)], queries)
     outcomes: list = []
     for model in models:
         if isinstance(model, Exception):
             outcomes.append(model)
             continue
-        knn = _plan_prefix(model, plans)
+        problem = model.neighbour_problem
         try:
-            scores = (model.anomaly_scores(queries) if knn is None
-                      else model.anomaly_scores(queries, knn))
+            scores = _scores(model, queries, plans.get(problem[:2]) if problem else None)
             outcomes.append(auroc(scores, test.labels))
         except Exception as exc:
             outcomes.append(exc)

@@ -24,23 +24,23 @@ import numpy as np
 
 from .distance import DistanceSpec, distance_matrix
 
-# Distance bytes per kernel call: a block holds max(1, _BLOCK_BYTES // (8 * n))
-# query rows, so memory per block is bounded by bytes whatever n is, and the
-# (rows, n) matrix plus the kernel's same-sized scratch buffer fit in a per-core
-# L2 cache. 512 KiB was the fastest of 32 KiB-2 MiB on a Xeon with 2 MiB of L2.
+# Bytes per block of rows: a kernel call takes max(1, _BLOCK_BYTES // (8 * n)) query
+# rows, and ALP's (rows, l, k) gather as many as fit, so memory per block is bounded
+# by bytes whatever n is. The (rows, n) matrix plus the kernel's scratch buffer fit a
+# per-core L2 cache: 512 KiB was the fastest of 32 KiB-2 MiB on a Xeon with 2 MiB of L2.
 _BLOCK_BYTES = 512 * 1024
 
 
 def _as_matrix(train) -> np.ndarray:
-    t = np.ascontiguousarray(train, dtype=np.float64)
+    t = np.asarray(train, dtype=np.float64)
     if t.ndim != 2:
         raise ValueError("training data must be a 2-d matrix")
     return t
 
 
-def _block_rows(n: int) -> int:
-    """Query rows per kernel call against n training rows."""
-    return max(1, _BLOCK_BYTES // (8 * n))
+def _block_rows(row_bytes: int) -> int:
+    """Query rows per block when each row takes ``row_bytes``: at least one."""
+    return max(1, _BLOCK_BYTES // row_bytes)
 
 
 def _smallest_k(block: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -85,14 +85,16 @@ def _knn(
     """Each row of ``q``'s k nearest rows of ``t``, one block at a time.
 
     ``self_query`` means ``q`` is ``t``: each block's own rows are masked.
+    The kernel gets ``t`` Fortran-ordered: one transpose per search, not per block.
     """
     rows = q.shape[0]
     dists = np.empty((rows, k), dtype=np.float64)
     idx = np.empty((rows, k), dtype=np.int64)
-    step = _block_rows(t.shape[0])
+    columns = np.asfortranarray(t)
+    step = _block_rows(8 * t.shape[0])
     for start in range(0, rows, step):
         stop = min(start + step, rows)
-        block = distance_matrix(q[start:stop], t, spec)
+        block = distance_matrix(q[start:stop], columns, spec)
         if self_query:
             block[np.arange(stop - start), np.arange(start, stop)] = np.inf
         dists[start:stop], idx[start:stop] = _smallest_k(block, k)

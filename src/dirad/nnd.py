@@ -59,12 +59,12 @@ class NndConfig:
 class NndModel:
     """Fitted detector state; immutable, scoring is read-only.
 
-    The constructor checks the stored fields and derives the rest. ``spec``
-    is the distance used for neighbour queries: the full-width spec for
-    absolute/ramp, the absolute spec over the adirectional columns for signed
-    (None when every attribute is directional). ``sorted_sums`` holds the
-    descending directional attribute sums of the training rows and exists
-    only for the signed variant.
+    The constructor checks the stored fields and derives the rest.
+    ``neighbour_problem`` is the kNN that scoring runs: ``(columns, spec,
+    width)``, or None for none. Signed searches the adirectional columns,
+    under absolute distance; the others search every column. ``sorted_sums``
+    holds the descending directional attribute sums of the training rows and
+    exists only for the signed variant.
     """
 
     variant: DistanceVariant
@@ -72,7 +72,7 @@ class NndModel:
     k: int
     directional_mask: np.ndarray
     weights: np.ndarray = field(init=False)
-    spec: DistanceSpec | None = field(init=False)
+    neighbour_problem: tuple | None = field(init=False)
     sorted_sums: np.ndarray | None = field(init=False)
 
     detector = "nnd"
@@ -84,32 +84,18 @@ class NndModel:
             raise ValueError(f"k={self.k} exceeds the training size n={n}")
         weights = linear_weights(self.k)  # rejects k < 1
         signed = self.variant is DistanceVariant.SIGNED
-        if not signed:
-            spec = DistanceSpec.for_mask(mask, self.variant)
-        elif mask.all():
-            spec = None
-        else:
-            spec = DistanceSpec.uniform(DistanceVariant.ABSOLUTE, int((~mask).sum()))
+        columns = np.flatnonzero(~mask) if signed else np.arange(mask.size)
+        problem = None if columns.size == 0 else (
+            tuple(columns.tolist()), DistanceSpec.for_mask(mask[columns], self.variant), self.k
+        )
         sums = np.sort(train[:, mask].sum(axis=1))[::-1].copy() if signed else None
         _assign(
-            self, train=train, directional_mask=mask, weights=weights, spec=spec,
-            sorted_sums=sums,
+            self, train=train, directional_mask=mask, weights=weights,
+            neighbour_problem=problem, sorted_sums=sums,
         )
 
     def anomaly_scores(self, queries: np.ndarray, knn=None) -> np.ndarray:
         return anomaly_scores(self, queries, knn)
-
-    @property
-    def neighbour_problem(self) -> tuple | None:
-        """``(columns, spec, k)`` of the kNN that scoring runs: the training
-        columns searched, their distance spec and the neighbours taken. None
-        when scoring runs no kNN (signed, every attribute directional)."""
-        if self.spec is None:
-            return None
-        mask = self.directional_mask
-        signed = self.variant is DistanceVariant.SIGNED
-        columns = np.flatnonzero(~mask if signed else np.ones_like(mask))
-        return tuple(columns.tolist()), self.spec, self.k
 
     def query_knn(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return query_knn(self, queries)
@@ -181,13 +167,15 @@ def _as_queries(queries, m: int) -> np.ndarray:
     return q
 
 
-def _checked_knn(knn, rows: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """A caller's ``(dists, idx)`` for ``rows`` queries at ``k`` neighbours,
-    or a ValueError."""
-    dists, idx = knn
-    if dists.shape != (rows, k) or idx.shape != (rows, k):
-        raise ValueError(f"knn must hold ({rows}, {k}) distances and indices")
-    return dists, idx
+def _knn_prefix(model, queries: np.ndarray, knn) -> tuple[np.ndarray, np.ndarray]:
+    """``model``'s own ``query_knn``, or contiguous copies of the first
+    ``width`` columns of ``knn``, a search of its problem at least that wide:
+    the total (distance, row index) order makes the two equal."""
+    rows, width = len(queries), model.neighbour_problem[2]
+    dists, idx = model.query_knn(queries) if knn is None else knn
+    if dists.shape[:1] != (rows,) or idx.shape != dists.shape or dists.shape[1:] < (width,):
+        raise ValueError(f"knn must hold ({rows}, >= {width}) distances and indices")
+    return np.ascontiguousarray(dists[:, :width]), np.ascontiguousarray(idx[:, :width])
 
 
 def signed_risks(model: NndModel, queries: np.ndarray) -> np.ndarray:
@@ -202,31 +190,29 @@ def signed_risks(model: NndModel, queries: np.ndarray) -> np.ndarray:
 
 
 def query_knn(model: NndModel, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (q, k) ``knn_batch`` result that scoring ``queries`` runs on."""
-    if model.spec is None:
-        raise ValueError("this model scores without a kNN")
+    """The ``knn_batch`` search ``model.neighbour_problem`` of ``queries``."""
+    columns, spec, width = model.neighbour_problem
     q = _as_queries(queries, model.train.shape[1])
-    if model.variant is not DistanceVariant.SIGNED:
-        return knn_batch(model.train, q, model.k, model.spec)
-    adir = ~model.directional_mask
-    return knn_batch(model.train[:, adir], q[:, adir], model.k, model.spec)
+    return knn_batch(model.train[:, columns], q[:, columns], width, spec)
 
 
 def raw_scores(model: NndModel, queries: np.ndarray, knn=None) -> np.ndarray:
     """Raw detector scores for a (q, m) query matrix (may be negative).
 
-    ``knn``, if given, stands in for ``query_knn(model, queries)``; any equal
-    ``(dists, idx)`` pair, such as a prefix of a larger k's, scores the same.
+    ``knn``, if given, stands in for ``query_knn(model, queries)``: any
+    search of ``neighbour_problem`` at least ``k`` wide (``_knn_prefix``).
     """
     q = _as_queries(queries, model.train.shape[1])
-    if model.spec is None:
+    if model.neighbour_problem is None:
         return signed_risks(model, q)
-    dists, _ = _checked_knn(query_knn(model, q) if knn is None else knn, q.shape[0], model.k)
+    dists, _ = _knn_prefix(model, q, knn)
     if model.variant is not DistanceVariant.SIGNED:
         return dists @ model.weights
     # Without directional attributes the risk is +0.0, which leaves the
-    # (non-negative) adirectional part unchanged bit for bit.
-    return signed_risks(model, q) + dists @ model.weights
+    # (non-negative) adirectional part unchanged bit for bit. A -inf risk
+    # plus an infinite distance is NaN, which scoring rejects.
+    with np.errstate(invalid="ignore"):
+        return signed_risks(model, q) + dists @ model.weights
 
 
 def anomaly_scores(model: NndModel, queries: np.ndarray, knn=None) -> np.ndarray:

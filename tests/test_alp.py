@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from dirad import alp
+from dirad import alp, neighbours
 from dirad.alp import AlpConfig, default_k, default_l
 from dirad.dataset import AttributeSpec, Dataset, Direction
 from dirad.distance import DistanceVariant
@@ -177,3 +180,31 @@ class TestScoreProperties:
             alp.anomaly_scores(model, queries),
             1.0 - alp.normality_scores(model, queries),
         )
+
+
+class TestBlockedGather:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_blocks_match_the_whole_array_formula_bitwise(self, data):
+        # Small integers give tied distances and duplicated rows; blocks run
+        # from one row up to every query, k = 1 included.
+        n = data.draw(st.integers(2, 25))
+        m = data.draw(st.integers(1, 3))
+        values = st.integers(-2, 2).map(float)
+        records = data.draw(hnp.arrays(np.float64, (n, m), elements=values))
+        rows = data.draw(st.integers(1, 30))
+        queries = data.draw(hnp.arrays(np.float64, (rows, m), elements=values))
+        k, l = data.draw(st.integers(1, n - 1)), data.draw(st.integers(1, n))
+        variant = data.draw(st.sampled_from([ABS, RAMP]))
+        model = alp.fit(dataset(records), AlpConfig(variant, k=k, l=l))
+        budget = data.draw(st.integers(1, 8 * l * k * rows))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(neighbours, "_BLOCK_BYTES", budget)
+            got = alp._lp_batch(model, queries)
+        # The whole (q, l, k) gather in one piece, as before blocking.
+        dists, idx = model.query_knn(queries)
+        local = model.train_nn_dists[idx[:, :l], :]
+        big_d = (model.weights_l[None, :, None] * local).sum(axis=1)
+        denom = big_d + dists[:, :k]
+        expected = np.where(denom == 0.0, 1.0, big_d / np.where(denom == 0.0, 1.0, denom))
+        assert got.tobytes() == expected.tobytes()

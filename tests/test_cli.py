@@ -234,6 +234,44 @@ class TestBench:
                 aurocs.append(evaluation.auroc(scores, test.labels))
             assert row["mean_auroc"] == repr(float(np.mean(aurocs)))
 
+    def test_undefined_score_fails_only_its_cell(self, tmp_path, capsys):
+        # The last anomaly scales to finite values (semi-IQRs 0.40-0.81), but its
+        # signed risk overflows to -inf and its adirectional distance to +inf:
+        # only nnd:signed fails, naming the row of the fold's test set (20
+        # held-out normals, then 11 anomalies).
+        assert run(["synth", "--family", "gaussian", "--shift", "1", "--m", "6",
+                    "--n-test-normal", "100", "--n-test-anomalous", "10",
+                    "--out", tmp_path]) == 0
+        schema = tmp_path / "schema.txt"
+        schema.write_text("".join(f"x{j},{'high' if j % 2 else 'none'}\n" for j in range(1, 7))
+                          + "label,label,anomalous,normal\n")
+        data = tmp_path / "data.csv"
+        data.write_text((tmp_path / "test.csv").read_text()
+                        + "-6e307,6e307,-6e307,6e307,-6e307,6e307,anomalous\n")
+        capsys.readouterr()
+        out = tmp_path / "out"
+        code = run(["bench", "--data", data, "--schema", schema, "--detectors", "nnd",
+                    "--nnd-variants", "ramp,signed", "--k", "3", "--out-dir", out])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "cell failed: dataset=data detector=nnd:signed: fold 1/5 of data failed: "
+            "query row 31 has an undefined score: its distances overflow"
+        ]
+        assert [r["variant"] for r in read_rows(out / "summary.csv")] == ["ramp"]
+
+    def test_scaling_overflow_fails_each_fold_cell(self, synth_dir, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        # 1.7e308 overflows for any semi-IQR below 0.94; every fold's is.
+        data.write_text((synth_dir / "test.csv").read_text() + "1.7e308,0,0,anomalous\n")
+        code = run(["bench", "--data", data, "--schema", synth_dir / "schema.txt",
+                    "--detectors", "nnd", "--nnd-variants", "ramp", "--k", "3",
+                    "--out-dir", tmp_path / "out"])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "cell failed: dataset=data detector=nnd:ramp: fold 1/5 of data failed: "
+            "scaling overflowed on attribute x1"
+        ]
+
     def test_bench_rerun_byte_identical(self, synth_dir, tmp_path):
         args = ["bench", "--data", synth_dir / "test.csv",
                 "--schema", synth_dir / "schema.txt", "--detectors", "nnd",
@@ -274,6 +312,69 @@ class TestScore:
         assert [str(w.message) for w in seen] == []
         assert capsys.readouterr().err == ""
         assert out.read_text() == "row,score\n1,1.0\n"
+
+    def test_scaling_overflow_names_its_attribute(self, synth_dir, tmp_path, capsys):
+        # x1's semi-IQR is below 1, so 1e308 scales past the float range.
+        queries = tmp_path / "huge.csv"
+        queries.write_text("x1,x2,x3\n" + ",".join(["1e308"] * 3) + "\n")
+        out = tmp_path / "scores.csv"
+        code = run(["score", "--train", synth_dir / "train.csv",
+                    "--schema", synth_dir / "schema.txt",
+                    "--queries", queries, "--out", out])
+        assert code == 1
+        assert capsys.readouterr().err == "error: scaling overflowed on attribute x1\n"
+        assert not out.exists()
+
+    def test_undefined_score_is_one_error_naming_its_row(self, tmp_path, capsys):
+        # Row 2's signed risk overflows to -inf and its adirectional distance
+        # to +inf; their sum has no limit, so no scores file is written.
+        assert run(["synth", "--family", "gaussian", "--shift", "1", "--m", "4",
+                    "--n-train", "200", "--out", tmp_path]) == 0
+        capsys.readouterr()
+        (tmp_path / "schema.txt").write_text("x1,high\nx2,none\nx3,high\nx4,none\n")
+        queries = tmp_path / "q.csv"
+        queries.write_text("x1,x2,x3,x4\n0,0,0,0\n-1e308,1e308,-1e308,1e308\n")
+        out = tmp_path / "scores.csv"
+        code = run(["score", "--train", tmp_path / "train.csv",
+                    "--schema", tmp_path / "schema.txt", "--detector", "nnd",
+                    "--variant", "signed", "--queries", queries, "--out", out])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: query row 2 has an undefined score: its distances overflow\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("train, variant, query, expected", [
+        # The huge training row's self-NN distances overflow, and under ramp
+        # it lies at distance 0 from every query: D = inf, d finite, lp = 1.
+        ("huge", "ramp", "0.1,0.2,-0.3", "row,score\n1,0.0\n"),
+        # A huge query: d = inf against a finite D, lp = 0.
+        ("train", "absolute", "1e308,1e308,1e308", "row,score\n1,1.0\n"),
+        ("train", "ramp", "1e308,1e308,1e308", "row,score\n1,1.0\n"),
+        # The huge query on the huge row: d_1 = 0 beside D_1 = inf, but
+        # d_i = D_i = inf further out, which has no limit.
+        ("huge", "absolute", "1e308,1e308,1e308", None),
+    ])
+    def test_alp_infinite_distances_take_their_limits(self, train, variant, query,
+                                                      expected, tmp_path, capsys):
+        assert run(["synth", "--family", "gaussian", "--shift", "1", "--m", "3",
+                    "--n-train", "200", "--out", tmp_path]) == 0
+        capsys.readouterr()
+        plain = (tmp_path / "train.csv").read_text()
+        (tmp_path / "huge.csv").write_text(plain + "1e308,1e308,1e308\n")
+        queries = tmp_path / "q.csv"
+        queries.write_text(f"x1,x2,x3\n{query}\n")
+        out = tmp_path / "scores.csv"
+        code = run(["score", "--train", tmp_path / f"{train}.csv",
+                    "--schema", tmp_path / "schema.txt", "--detector", "alp",
+                    "--variant", variant, "--queries", queries, "--out", out])
+        err = capsys.readouterr().err
+        if expected is None:
+            assert code == 1 and not out.exists()
+            assert err == "error: query row 1 has an undefined score: its distances overflow\n"
+        else:
+            assert code == 0 and err == ""
+            assert out.read_text() == expected
 
     @pytest.mark.parametrize("data", ["synth", "low"])
     @pytest.mark.parametrize("variant", ["absolute", "ramp"])

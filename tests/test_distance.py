@@ -167,6 +167,16 @@ class TestDistanceMatrix:
         )
         assert dm.tobytes() == expected.tobytes()
 
+    def test_fortran_ordered_train_gives_identical_bytes(self):
+        # The kNN loop hands the kernel a Fortran-ordered training matrix.
+        rng = np.random.default_rng(19)
+        spec = DistanceSpec((ABS, RAMP, SIGNED, ABS))
+        values = rng.choice([0.0, -0.0, 1e308, -1e308, 1.5, -2.25], size=(60, 4))
+        queries, train = values[:9], values[9:]
+        c_order = distance_matrix(queries, np.ascontiguousarray(train), spec)
+        f_order = distance_matrix(queries, np.asfortranarray(train), spec)
+        assert c_order.tobytes() == f_order.tobytes()
+
     def test_ufunc_buffer_size_restored(self):
         spec = DistanceSpec((ABS, RAMP))
         rng = np.random.default_rng(3)

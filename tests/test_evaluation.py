@@ -12,7 +12,6 @@ from dirad.evaluation import (
     ExperimentResult,
     _average_ranks,
     _neighbour_plans,
-    _plan_prefix,
     _prepare_train,
     auroc,
     directionality_diagnostic,
@@ -26,7 +25,7 @@ from dirad.evaluation import (
     synthetic_auroc,
     wilcoxon_one_sided,
 )
-from dirad.nnd import NndConfig
+from dirad.nnd import NndConfig, _knn_prefix
 from dirad.synthgen import SynthSpec, replicate_seed
 
 
@@ -79,10 +78,11 @@ def reference_wilcoxon(x, y, method):
 
 class FakeConfig:
     """The smallest detector config run_cv accepts: ``fit`` returns a model
-    whose ``anomaly_scores`` is ``score(queries)``."""
+    that runs no kNN and whose ``anomaly_scores`` is ``score(queries)``."""
 
     detector = "fake"
     variant = DistanceVariant.ABSOLUTE
+    neighbour_problem = None
 
     def __init__(self, score):
         self.score = score
@@ -90,7 +90,7 @@ class FakeConfig:
     def fit(self, train):
         return self
 
-    def anomaly_scores(self, queries):
+    def anomaly_scores(self, queries, knn=None):
         return self.score(queries)
 
 
@@ -394,13 +394,13 @@ class TestNeighbourPlans:
                     if model.neighbour_problem is not None}
         assert set(plans) == problems
         for model in models:
-            knn = _plan_prefix(model, plans)
             own = model.anomaly_scores(queries)
             if model.neighbour_problem is None:
-                assert knn is None
                 continue
-            assert knn[0].flags.c_contiguous and knn[1].flags.c_contiguous
-            assert model.anomaly_scores(queries, knn).tobytes() == own.tobytes()
+            plan = plans[model.neighbour_problem[:2]]
+            cut = _knn_prefix(model, queries, plan)
+            assert cut[0].flags.c_contiguous and cut[1].flags.c_contiguous
+            assert model.anomaly_scores(queries, plan).tobytes() == own.tobytes()
 
     def test_plan_runs_at_the_largest_k_of_its_problem(self):
         ds = labelled_mixed(0)
@@ -408,9 +408,11 @@ class TestNeighbourPlans:
         models = [NndConfig(DistanceVariant.RAMP, k=8).fit(train),
                   AlpConfig(DistanceVariant.RAMP, k=5, l=12).fit(train),
                   NndConfig(DistanceVariant.SIGNED, k=8).fit(train)]
-        plans = _neighbour_plans(models, train.records[:7])
+        queries = train.records[:7]
+        plans = _neighbour_plans(models, queries)
         assert sorted(d.shape for d, _ in plans.values()) == [(7, 8), (7, 12)]
-        assert [_plan_prefix(m, plans)[0].shape for m in models] == [(7, 8), (7, 12), (7, 8)]
+        cuts = [_knn_prefix(m, queries, plans[m.neighbour_problem[:2]]) for m in models]
+        assert [dists.shape for dists, _ in cuts] == [(7, 8), (7, 12), (7, 8)]
 
     def test_nnd_absolute_and_ramp_add_no_cells(self, monkeypatch):
         # ALP searches each of its specs at max(k, l) >= 8, so NND's top-8

@@ -135,13 +135,13 @@ def assert_same_neighbours(got, expected):
 def test_batch_blocks_do_not_change_results():
     # Sized from the byte budget so both calls span at least two blocks.
     n = math.isqrt(_BLOCK_BYTES // 8) + 1
-    assert _block_rows(n) < n
+    assert _block_rows(8 * n) < n
     rng = np.random.default_rng(67)
     train = rng.standard_normal((n, 2))
     spec = DistanceSpec((ABS, ABS))
     got = self_knn_batch(train, 3, spec)
     assert_same_neighbours(got, oracle_knn(train, train, 3, spec, exclude_self=True))
-    queries = rng.standard_normal((2 * _block_rows(n) + 1, 2))
+    queries = rng.standard_normal((2 * _block_rows(8 * n) + 1, 2))
     got = knn_batch(train, queries, 3, spec)
     assert_same_neighbours(got, oracle_knn(train, queries, 3, spec))
 
@@ -198,7 +198,7 @@ def problems(draw, self_query):
         return sample_rows(rng, kind, n, m), None, k, spec
     n = draw(st.integers(1, 60))
     k = draw(st.integers(1, n))
-    rows = _block_rows(n)
+    rows = _block_rows(8 * n)
     q = rows * draw(st.integers(0, 2)) + draw(st.integers(1, rows))
     return sample_rows(rng, kind, n, m), sample_rows(rng, kind, q, m), k, spec
 

@@ -50,7 +50,7 @@ def test_roundtrip_is_bit_exact(tmp_path, model):
     save_model(path, model)
     loaded = load_model(path).model
     assert type(loaded) is type(model)
-    assert loaded.spec == model.spec
+    assert loaded.neighbour_problem == model.neighbour_problem
     saved, restored = model.to_arrays(), loaded.to_arrays()
     assert saved.keys() == restored.keys()
     for key in saved:
