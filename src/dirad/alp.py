@@ -100,8 +100,11 @@ class AlpModel:
         nn_dists = self.train_nn_dists
         if nn_dists is None:
             nn_dists, _ = self_knn_batch(train, self.k, spec)
-        elif nn_dists.shape != (n, self.k):
-            raise ValueError(f"train_nn_dists must have shape ({n}, {self.k})")
+        else:
+            # float64, as ``_lp_batch`` gathers it into a float64 buffer
+            nn_dists = np.asarray(nn_dists, dtype=np.float64)
+            if nn_dists.shape != (n, self.k):
+                raise ValueError(f"train_nn_dists must have shape ({n}, {self.k})")
         _assign(
             self, train=train, directional_mask=mask, train_nn_dists=nn_dists,
             weights_k=linear_weights(self.k), weights_l=linear_weights(self.l),
@@ -166,14 +169,24 @@ def _lp_batch(model: AlpModel, queries: np.ndarray, knn=None) -> np.ndarray:
     dists, idx = _knn_prefix(model, q, knn)
     k, l = model.k, model.l
     d = dists[:, :k]
+    near, n = idx[:, :l], model.train_nn_dists.shape[0]
+    if near.size and not (near.min() >= 0 and near.max() < n):
+        raise ValueError(f"knn indices must be in [0, {n - 1}]")
     # D[r, i] = sum_j w'_j * (i-th self-NN distance of the j-th neighbour of r).
-    # The (rows, l, k) gather runs a block of rows at a time, so its memory is
-    # bounded by bytes; the sum over axis 1 is per row, so blocks cannot move it.
-    big_d = np.empty((q.shape[0], k))
+    # The (rows, l, k) gather runs a block of rows at a time into one buffer, so
+    # its memory is bounded by bytes; the sum over axis 1 is per row, so blocks
+    # cannot move it. The indices are checked above: "clip" lets ``take`` write
+    # straight into the buffer, where "raise" stages it in a temporary.
+    rows = q.shape[0]
+    big_d = np.empty((rows, k))
     step = _block_rows(8 * l * k)
-    for start in range(0, q.shape[0], step):
-        local = model.train_nn_dists[idx[start : start + step, :l], :]
-        big_d[start : start + step] = (model.weights_l[None, :, None] * local).sum(axis=1)
+    gather = np.empty((min(rows, step), l, k))
+    for start in range(0, rows, step):
+        stop = min(start + step, rows)
+        local = gather[: stop - start]
+        np.take(model.train_nn_dists, near[start:stop], axis=0, out=local, mode="clip")
+        np.multiply(model.weights_l[None, :, None], local, out=local)
+        local.sum(axis=1, out=big_d[start:stop])
     denom = big_d + d
     with np.errstate(invalid="ignore"):  # 0/0 and inf/inf, settled below
         lp = big_d / denom

@@ -319,20 +319,28 @@ def fit_scaler(train: Dataset) -> ScalingParams:
 
     Quartiles use linear interpolation between order statistics (the common
     "type 7" rule). A zero semi-IQR falls back to half the full range, and to
-    1 if the attribute is constant.
+    1 if the attribute is constant. A statistic that overflows is a
+    ValueError naming its attribute.
     """
     if train.n_records == 0:
         raise ValueError("cannot fit a scaler on an empty training set")
-    q1, q3 = np.quantile(train.records, [0.25, 0.75], axis=0)
-    midhinge = (q1 + q3) / 2.0
-    semi_iqr = (q3 - q1) / 2.0
-    degenerate = semi_iqr == 0
-    if np.any(degenerate):
-        half_range = (
-            np.max(train.records, axis=0) - np.min(train.records, axis=0)
-        ) / 2.0
-        semi_iqr = np.where(degenerate, half_range, semi_iqr)
-        semi_iqr = np.where(semi_iqr == 0, 1.0, semi_iqr)
+    # Interpolating across a gap wider than the float range gives inf or
+    # inf * 0 = NaN; any non-finite statistic is reported below, by attribute.
+    with np.errstate(over="ignore", invalid="ignore"):
+        q1, q3 = np.quantile(train.records, [0.25, 0.75], axis=0)
+        midhinge = (q1 + q3) / 2.0
+        semi_iqr = (q3 - q1) / 2.0
+        degenerate = semi_iqr == 0
+        if np.any(degenerate):
+            half_range = (
+                np.max(train.records, axis=0) - np.min(train.records, axis=0)
+            ) / 2.0
+            semi_iqr = np.where(degenerate, half_range, semi_iqr)
+            semi_iqr = np.where(semi_iqr == 0, 1.0, semi_iqr)
+    overflowed = ~(np.isfinite(midhinge) & np.isfinite(semi_iqr))
+    if overflowed.any():
+        name = train.schema[overflowed.argmax()].name
+        raise ValueError(f"scaling overflowed on attribute {name}")
     return ScalingParams(midhinge, semi_iqr)
 
 

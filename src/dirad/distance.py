@@ -12,14 +12,15 @@ distance exists only at p = 1.
 
 ``distance_matrix`` is the batch kernel, bit-identical to the scalar
 reference ``record_distance``: every cell accumulates attribute by attribute
-in index order from a ``+0.0`` start. Each call allocates a scratch buffer,
-then a result of the same shape: freed on return, the scratch lies below the
-result, so the next call reuses it (allocated after the result, it sat at the
-top of glibc's heap, which was trimmed and regrown every block: 44,000 minor
-page faults per benchmark cv cycle against 11,100). Per attribute, ``out=``
-ufuncs write the column difference into the scratch buffer and add it into
-the result; training columns are read from a contiguous transposed copy of
-``train``, which is free for a Fortran-ordered ``train``.
+in index order from a ``+0.0`` start. Per attribute, ``out=`` ufuncs write
+the column difference into a scratch buffer and add it into the result;
+training columns are read from a contiguous transposed copy of ``train``,
+which is free for a Fortran-ordered ``train``. A caller that runs the kernel
+block after block passes both buffers (``out`` and ``scratch``) and reuses
+them for every block: allocated and freed per block, they sat at the top of
+glibc's heap, which was trimmed and faulted back in every block (on a
+2-vCPU Xeon, over 200,000 minor page faults per benchmark sweep cycle,
+against under 20). Without them the kernel allocates its own.
 
 The loop runs with NumPy's ufunc buffer set to 512 elements. At the default
 8,192, a broadcast ufunc whose rows are shorter than the buffer copies its
@@ -113,11 +114,17 @@ def record_distance(
 
 
 def distance_matrix(
-    queries: np.ndarray, train: np.ndarray, spec: DistanceSpec
+    queries: np.ndarray,
+    train: np.ndarray,
+    spec: DistanceSpec,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
 ) -> np.ndarray:
     """(q, n) matrix with entry (i, j) = record_distance(queries[i], train[j]).
 
-    Output is bit-identical to the scalar operation.
+    Output is bit-identical to the scalar operation. ``out`` and ``scratch``,
+    if given, are distinct float64 (q, n) buffers: the result is written into
+    ``out``, which is returned, and ``scratch`` is overwritten.
     """
     q = np.ascontiguousarray(queries, dtype=np.float64)
     t = np.asarray(train, dtype=np.float64)
@@ -129,14 +136,20 @@ def distance_matrix(
             f"{t.shape[1]}, spec has {spec.m}"
         )
     columns = np.ascontiguousarray(t.T)
-    buf = np.empty((q.shape[0], columns.shape[1]), dtype=np.float64)
-    out = np.zeros_like(buf)
+    shape = (q.shape[0], columns.shape[1])
+    buf = np.empty(shape) if scratch is None else scratch
+    out = np.empty(shape) if out is None else out
+    for given in (out, buf):
+        if given.shape != shape or given.dtype != np.float64:
+            raise ValueError(f"out and scratch must be float64 arrays of shape {shape}")
+    out.fill(0.0)
     # Saved and restored by hand, as NumPy 1.x has no context manager for it;
     # on NumPy 2 the size is a context variable, so other threads keep theirs.
     old = np.setbufsize(512)
     try:
-        # Huge finite inputs overflow to inf, as in ``record_distance``, silently.
-        with np.errstate(over="ignore"):
+        # Huge finite inputs overflow to inf, and a signed inf + -inf is NaN,
+        # as in ``record_distance``, silently.
+        with np.errstate(over="ignore", invalid="ignore"):
             for j, variant in enumerate(spec.variants):
                 np.subtract(q[:, j, None], columns[j], out=buf)
                 if variant is DistanceVariant.ABSOLUTE:

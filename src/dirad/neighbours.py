@@ -10,12 +10,13 @@ whose distance matrix stays within ``_BLOCK_BYTES``; a self-query is the same
 loop with the training rows as queries and each block's own rows masked to
 +inf, so a row is never its own neighbour.
 
-Each block's k nearest are selected without a full sort: ``np.partition``
-finds every row's k-th smallest distance, the row keeps all entries below it
-plus the lowest-index entries equal to it, and only those k candidates are
-stably sorted. The result is exactly the stable ``argsort`` order by
-(distance, training row index); rows with fewer than k non-NaN distances take
-the full stable argsort, which puts NaN last.
+Each block's k nearest are selected without a full sort: a partition of a
+copy in the kernel's scratch buffer finds every row's k-th smallest
+distance, the row keeps all entries below it plus the lowest-index entries
+equal to it, and only those k candidates are stably sorted. The result is
+exactly the stable ``argsort`` order by (distance, training row index); rows
+with fewer than k non-NaN distances take the full stable argsort, which puts
+NaN last.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ from .distance import DistanceSpec, distance_matrix
 
 # Bytes per block of rows: a kernel call takes max(1, _BLOCK_BYTES // (8 * n)) query
 # rows, and ALP's (rows, l, k) gather as many as fit, so memory per block is bounded
-# by bytes whatever n is. The (rows, n) matrix plus the kernel's scratch buffer fit a
-# per-core L2 cache: 512 KiB was the fastest of 32 KiB-2 MiB on a Xeon with 2 MiB of L2.
+# by bytes whatever n is. Each search allocates one block's result and the kernel's
+# scratch buffer once and reuses them for every block; together they fit a per-core
+# L2 cache: 512 KiB was the fastest of 32 KiB-2 MiB on a Xeon with 2 MiB of L2.
 _BLOCK_BYTES = 512 * 1024
 
 
@@ -43,14 +45,19 @@ def _block_rows(row_bytes: int) -> int:
     return max(1, _BLOCK_BYTES // row_bytes)
 
 
-def _smallest_k(block: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _smallest_k(
+    block: np.ndarray, k: int, scratch: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Values and columns of each row's k smallest entries, ascending.
 
     Bit-identical to ``np.argsort(block, axis=1, kind="stable")[:, :k]`` and
     the values it selects: ties keep ascending column order and NaN sorts last.
+    ``scratch``, an array of ``block``'s shape, is overwritten.
     """
     rows, n = block.shape
-    kth = np.partition(block, k - 1, axis=1)[:, k - 1, None]
+    np.copyto(scratch, block)
+    scratch.partition(k - 1, axis=1)
+    kth = scratch[:, k - 1, None]
     keep = block <= kth
     count = np.count_nonzero(keep, axis=1)
     tied = np.flatnonzero(count > k)
@@ -85,19 +92,23 @@ def _knn(
     """Each row of ``q``'s k nearest rows of ``t``, one block at a time.
 
     ``self_query`` means ``q`` is ``t``: each block's own rows are masked.
-    The kernel gets ``t`` Fortran-ordered: one transpose per search, not per block.
+    The kernel gets ``t`` Fortran-ordered: one transpose per search, not per
+    block. Every block reuses one work array: its result in the first half,
+    the kernel's scratch in the second, which ``_smallest_k`` then reuses.
     """
-    rows = q.shape[0]
+    rows, n = q.shape[0], t.shape[0]
     dists = np.empty((rows, k), dtype=np.float64)
     idx = np.empty((rows, k), dtype=np.int64)
     columns = np.asfortranarray(t)
-    step = _block_rows(8 * t.shape[0])
+    step = _block_rows(8 * n)
+    work = np.empty((2, min(rows, step) * n))
     for start in range(0, rows, step):
         stop = min(start + step, rows)
-        block = distance_matrix(q[start:stop], columns, spec)
+        out, scratch = (half[: (stop - start) * n].reshape(-1, n) for half in work)
+        block = distance_matrix(q[start:stop], columns, spec, out=out, scratch=scratch)
         if self_query:
             block[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        dists[start:stop], idx[start:stop] = _smallest_k(block, k)
+        dists[start:stop], idx[start:stop] = _smallest_k(block, k, scratch)
     return dists, idx
 
 

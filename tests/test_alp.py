@@ -208,3 +208,50 @@ class TestBlockedGather:
         denom = big_d + dists[:, :k]
         expected = np.where(denom == 0.0, 1.0, big_d / np.where(denom == 0.0, 1.0, denom))
         assert got.tobytes() == expected.tobytes()
+
+    def test_every_block_gathers_into_one_buffer(self, monkeypatch):
+        # A two-row block budget splits 7 queries into 4 gathers.
+        rng = np.random.default_rng(4)
+        model = alp.fit(dataset(rng.standard_normal((30, 2))), AlpConfig(ABS, k=4, l=5))
+        queries = rng.standard_normal((7, 2))
+        knn = model.query_knn(queries)
+        expected = alp._lp_batch(model, queries, knn)
+        buffers = []
+        take = np.take
+
+        def spy(*args, out=None, **kwargs):
+            buffers.append(out)
+            return take(*args, out=out, **kwargs)
+
+        monkeypatch.setattr(neighbours, "_BLOCK_BYTES", 2 * 8 * 5 * 4)
+        monkeypatch.setattr(np, "take", spy)
+        got = alp._lp_batch(model, queries, knn)
+        monkeypatch.undo()
+        assert got.tobytes() == expected.tobytes()
+        assert len(buffers) == 4
+        assert all(np.shares_memory(out, buffers[0]) for out in buffers)
+
+    @pytest.mark.parametrize("bad", [-1, 30])
+    def test_knn_index_out_of_range_rejected(self, bad):
+        rng = np.random.default_rng(5)
+        model = alp.fit(dataset(rng.standard_normal((30, 2))), AlpConfig(RAMP, k=4, l=5))
+        queries = rng.standard_normal((3, 2))
+        dists, idx = model.query_knn(queries)
+        idx = idx.copy()
+        idx[1, model.l - 1] = bad
+        with pytest.raises(ValueError, match=r"knn indices must be in \[0, 29\]"):
+            model.anomaly_scores(queries, (dists, idx))
+
+    def test_single_precision_train_nn_dists_score_as_double(self):
+        # The gather buffer is float64; the exact widening keeps every score.
+        rng = np.random.default_rng(6)
+        model = alp.fit(dataset(np.round(rng.standard_normal((20, 2)), 2)),
+                        AlpConfig(ABS, k=3, l=4))
+        single = model.train_nn_dists.astype(np.float32)
+        queries = rng.standard_normal((5, 2))
+        scores = [
+            alp.AlpModel(ABS, model.train, 3, 4, model.directional_mask, nn)
+            .anomaly_scores(queries).tobytes()
+            for nn in (single, single.astype(np.float64))
+        ]
+        assert scores[0] == scores[1]

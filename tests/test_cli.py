@@ -46,6 +46,20 @@ def low_dir(tmp_path):
     return out
 
 
+def write_wide_training_column(root, labelled):
+    """Training rows whose x1 is twenty 0s plus 1e308 and -1e308: its
+    semi-IQR is 0 and half its range overflows. Returns (data, schema)."""
+    x2 = np.round(np.random.default_rng(1).standard_normal(22), 3)
+    rows = [f"{a!r},{float(b)!r}" for a, b in zip([0.0] * 20 + [1e308, -1e308], x2)]
+    header, schema = "x1,x2", "x1,high\nx2,high\n"
+    if labelled:
+        rows = [r + ",normal" for r in rows] + ["1.0,5.0,anomalous", "3.0,3.0,anomalous"]
+        header, schema = header + ",label", schema + "label,label,anomalous,normal\n"
+    (root / "data.csv").write_text("\n".join([header] + rows) + "\n")
+    (root / "schema.txt").write_text(schema)
+    return root / "data.csv", root / "schema.txt"
+
+
 class TestSynth:
     def test_writes_three_files(self, synth_dir):
         for name in ("train.csv", "test.csv", "schema.txt"):
@@ -272,6 +286,21 @@ class TestBench:
             "scaling overflowed on attribute x1"
         ]
 
+    def test_training_scale_overflow_fails_each_fold_cell(self, tmp_path, capsys):
+        data, schema = write_wide_training_column(tmp_path, labelled=True)
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            code = run(["bench", "--data", data, "--schema", schema, "--detectors", "nnd",
+                        "--nnd-variants", "ramp", "--k", "3", "--out-dir", out])
+        assert code == 1
+        assert [str(w.message) for w in seen] == []
+        assert capsys.readouterr().err.splitlines() == [
+            "cell failed: dataset=data detector=nnd:ramp: fold 1/5 of data failed: "
+            "scaling overflowed on attribute x1"
+        ]
+        assert read_rows(out / "summary.csv") == []
+
     def test_bench_rerun_byte_identical(self, synth_dir, tmp_path):
         args = ["bench", "--data", synth_dir / "test.csv",
                 "--schema", synth_dir / "schema.txt", "--detectors", "nnd",
@@ -322,6 +351,20 @@ class TestScore:
                     "--schema", synth_dir / "schema.txt",
                     "--queries", queries, "--out", out])
         assert code == 1
+        assert capsys.readouterr().err == "error: scaling overflowed on attribute x1\n"
+        assert not out.exists()
+
+    def test_training_scale_overflow_names_its_attribute(self, tmp_path, capsys):
+        train, schema = write_wide_training_column(tmp_path, labelled=False)
+        queries = tmp_path / "queries.csv"
+        queries.write_text("x1,x2\n0.5,0.5\n")
+        out = tmp_path / "scores.csv"
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            code = run(["score", "--train", train, "--schema", schema, "--detector", "nnd",
+                        "--variant", "ramp", "--k", "3", "--queries", queries, "--out", out])
+        assert code == 1
+        assert [str(w.message) for w in seen] == []
         assert capsys.readouterr().err == "error: scaling overflowed on attribute x1\n"
         assert not out.exists()
 

@@ -155,6 +155,17 @@ class TestScaler:
         params = fit_scaler(ds)
         assert params.semi_iqr[0] == 1.5
 
+    @pytest.mark.parametrize("column", [
+        [0.0] * 20 + [1e308, -1e308],  # half the range overflows
+        [-1e308, -1e308, 1e308, 1e308, 1e308],  # q1 interpolates inf * 0 = NaN
+        [1e308, 1.5e308, 1.7e308, 1.7e308],  # the midhinge sum overflows
+    ], ids=["half-range", "quartile", "midhinge"])
+    def test_overflowing_statistic_names_its_attribute(self, column):
+        ds = Dataset(spec(("a", "none"), ("b", "high")),
+                     [[float(i), v] for i, v in enumerate(column)])
+        with pytest.raises(ValueError, match="^scaling overflowed on attribute b$"):
+            fit_scaler(ds)
+
     def test_empty_training_set(self):
         ds = Dataset(spec(("a", "none")), np.empty((0, 1)))
         with pytest.raises(ValueError, match="empty"):

@@ -120,10 +120,6 @@ class TestDistanceMatrix:
         assert dm[0, 0] == 0.0 and not np.signbit(dm[0, 0])
         assert not np.signbit(record_distance([-0.0], [0.0], DistanceSpec((SIGNED,))))
 
-    @pytest.mark.filterwarnings(
-        "ignore:overflow encountered:RuntimeWarning",
-        "ignore:invalid value encountered:RuntimeWarning",
-    )
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_every_cell_equals_record_distance_bitwise(self, data):
@@ -142,10 +138,36 @@ class TestDistanceMatrix:
                 assert dm[i, j].tobytes() == expected.tobytes()
 
 
-    @pytest.mark.filterwarnings(
-        "ignore:overflow encountered:RuntimeWarning",
-        "ignore:invalid value encountered:RuntimeWarning",
-    )
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_given_buffers_return_the_default_bytes(self, data):
+        # Whatever the buffers held before (NaN, +-inf), the result is the
+        # default call's, bit for bit: ties, +-0.0 and +-1e308 included.
+        m = data.draw(st.integers(1, 4))
+        variants = data.draw(st.lists(st.sampled_from([ABS, RAMP, SIGNED]),
+                                      min_size=m, max_size=m))
+        spec = DistanceSpec(tuple(variants))
+        values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e308, -1e308])
+        queries = data.draw(hnp.arrays(np.float64, (data.draw(st.integers(1, 5)), m),
+                                       elements=values))
+        train = data.draw(hnp.arrays(np.float64, (data.draw(st.integers(1, 5)), m),
+                                     elements=values))
+        stale = st.sampled_from([np.nan, np.inf, -np.inf])
+        shape = (len(queries), len(train))
+        out = data.draw(hnp.arrays(np.float64, shape, elements=stale))
+        scratch = data.draw(hnp.arrays(np.float64, shape, elements=stale))
+        got = distance_matrix(queries, train, spec, out=out, scratch=scratch)
+        assert got is out
+        assert got.tobytes() == distance_matrix(queries, train, spec).tobytes()
+
+    @pytest.mark.parametrize("buffer", ["out", "scratch"])
+    @pytest.mark.parametrize("shape, dtype", [((2, 4), np.float64), ((3, 3), np.float64),
+                                              ((2, 3), np.float32)])
+    def test_wrong_buffer_rejected(self, buffer, shape, dtype):
+        with pytest.raises(ValueError, match=r"float64 arrays of shape \(2, 3\)"):
+            distance_matrix(np.zeros((2, 1)), np.zeros((3, 1)), DistanceSpec((ABS,)),
+                            **{buffer: np.zeros(shape, dtype)})
+
     @pytest.mark.parametrize("n", [3, 511, 512, 513, 2000])
     def test_rows_either_side_of_the_ufunc_buffer_match_bitwise(self, n):
         # The kernel runs with a 512-element ufunc buffer: training sets of

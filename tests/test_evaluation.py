@@ -372,8 +372,8 @@ def counted_cells(monkeypatch, dataset, configs, folds):
     """run_cv's results and the distance cells its kNN kernels computed."""
     cells = []
 
-    def spy(queries, train, spec):
-        block = distance_matrix(queries, train, spec)
+    def spy(queries, train, spec, **buffers):
+        block = distance_matrix(queries, train, spec, **buffers)
         cells.append(block.size)
         return block
 

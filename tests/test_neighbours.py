@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dirad import neighbours
 from dirad.distance import DistanceSpec, DistanceVariant, distance_matrix
 from dirad.neighbours import _BLOCK_BYTES, _block_rows, knn_batch, self_knn_batch
 
@@ -146,13 +147,37 @@ def test_batch_blocks_do_not_change_results():
     assert_same_neighbours(got, oracle_knn(train, queries, 3, spec))
 
 
-OVERFLOW_WARNINGS = (
-    "ignore:overflow encountered:RuntimeWarning",
-    "ignore:invalid value encountered:RuntimeWarning",
-)
+@pytest.mark.parametrize("self_query", [False, True], ids=["knn", "self-knn"])
+def test_every_block_reuses_the_first_blocks_buffers(self_query, monkeypatch):
+    # A 5-row block budget splits 13 queries (or 13 training rows) into 3 blocks.
+    n = 13
+    rng = np.random.default_rng(8)
+    train = np.round(rng.standard_normal((n, 2)), 1)
+    spec = DistanceSpec((ABS, RAMP))
+    queries = train if self_query else np.round(rng.standard_normal((n, 2)), 1)
+    expected = oracle_knn(train, queries, 4, spec, exclude_self=self_query)
+    buffers = []
+
+    def spy(queries, train, spec, **given):
+        block = distance_matrix(queries, train, spec, **given)
+        buffers.append((block, given["scratch"]))
+        return block
+
+    monkeypatch.setattr(neighbours, "_BLOCK_BYTES", 5 * 8 * n)
+    monkeypatch.setattr(neighbours, "distance_matrix", spy)
+    if self_query:
+        got = self_knn_batch(train, 4, spec)
+    else:
+        got = knn_batch(train, queries, 4, spec)
+    assert_same_neighbours(got, expected)
+    assert len(buffers) == 3
+    first_block, first_scratch = buffers[0]
+    for block, scratch in buffers:
+        assert np.shares_memory(block, first_block)
+        assert np.shares_memory(scratch, first_scratch)
+        assert not np.shares_memory(block, scratch)
 
 
-@pytest.mark.filterwarnings(*OVERFLOW_WARNINGS)
 def test_rows_with_nan_distances_match_full_sort():
     # inf + -inf under a signed spec gives NaN cells, which sort last.
     signed = DistanceSpec((SIGNED,) * 2)
@@ -203,7 +228,6 @@ def problems(draw, self_query):
     return sample_rows(rng, kind, n, m), sample_rows(rng, kind, q, m), k, spec
 
 
-@pytest.mark.filterwarnings(*OVERFLOW_WARNINGS)
 @settings(max_examples=60, deadline=None)
 @given(problems(self_query=False))
 def test_knn_batch_matches_full_sort_property(problem):
@@ -212,7 +236,6 @@ def test_knn_batch_matches_full_sort_property(problem):
     assert_same_neighbours(got, oracle_knn(train, queries, k, spec))
 
 
-@pytest.mark.filterwarnings(*OVERFLOW_WARNINGS)
 @settings(max_examples=60, deadline=None)
 @given(problems(self_query=True))
 def test_self_knn_batch_matches_full_sort_property(problem):
