@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset, stored_array
+from .dataset import Dataset
 from .distance import DistanceSpec, DistanceVariant
 from .neighbours import _block_rows, knn_batch, self_knn_batch
 from .nnd import (
@@ -116,29 +116,6 @@ class AlpModel:
 
     def query_knn(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return query_knn(self, queries)
-
-    def to_arrays(self) -> dict:
-        """The model bundle arrays: the constructor's arguments."""
-        return {
-            "variant": np.str_(self.variant.value),
-            "train": self.train,
-            "k": np.int64(self.k),
-            "l": np.int64(self.l),
-            "directional_mask": self.directional_mask,
-            "train_nn_dists": self.train_nn_dists,
-        }
-
-    @classmethod
-    def from_arrays(cls, arrays) -> AlpModel:
-        """Inverse of ``to_arrays``; the constructor validates."""
-        return cls(
-            DistanceVariant(str(stored_array(arrays, "variant", str, 0))),
-            stored_array(arrays, "train", np.float64, 2),
-            int(stored_array(arrays, "k", np.int64, 0)),
-            int(stored_array(arrays, "l", np.int64, 0)),
-            stored_array(arrays, "directional_mask", np.bool_, 1),
-            stored_array(arrays, "train_nn_dists", np.float64, 2),
-        )
 
 
 def fit(train: Dataset, cfg: AlpConfig) -> AlpModel:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -56,7 +57,7 @@ from .evaluation import (
     wilcoxon_one_sided,
 )
 from .nnd import NndConfig
-from .persist import load_model, save_model
+from .persist import load_model, save_model, write_atomic
 
 DEFAULT_SEED = 0
 
@@ -65,13 +66,7 @@ ALP_VARIANTS = ("absolute", "ramp")
 
 
 def _write_atomic(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    write_atomic(path, lambda handle: handle.write(text.encode("utf-8")))
 
 
 def _thread_count() -> int:
@@ -101,13 +96,14 @@ def _merge_config(argv: list[str]) -> list[str]:
     else:
         raise ValueError("--config expects a file path")
     prefix: list[str] = []
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    text = _parsed(path, str).removeprefix("\ufeff")
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
+        key, equals, value = line.partition("=")
+        if not (equals and key.strip()):
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
         flag = "--" + key.strip().replace("_", "-")
         if flag in keys:
             continue
@@ -133,20 +129,19 @@ def _auto_int(text: str):
     return None if text.strip().lower() == "auto" else int(text)
 
 
-def _parsed(path, parse, text: str, *args):
-    """``parse(text, *args)`` for the text read from ``path``; an error it
-    raises names the file, e.g. ``big.csv: field larger than field limit``."""
+def _parsed(path, parse, *args):
+    """``parse(text, *args)`` for the UTF-8 text of the file at ``path``
+    (``parse=str`` gives the text itself); a decode or parse error names the
+    file, e.g. ``big.csv: field larger than field limit``."""
     try:
-        return parse(text, *args)
+        return parse(Path(path).read_text(encoding="utf-8"), *args)
     except (ValueError, csv.Error) as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
 def _load_dataset(data_path: str, schema_path: str) -> tuple[Dataset, LabelRule | None]:
-    schema_text = Path(schema_path).read_text(encoding="utf-8")
-    schema, rule = _parsed(schema_path, parse_schema, schema_text)
-    text = Path(data_path).read_text(encoding="utf-8")
-    return _parsed(data_path, parse_csv, text, schema, rule), rule
+    schema, rule = _parsed(schema_path, parse_schema)
+    return _parsed(data_path, parse_csv, schema, rule), rule
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +364,15 @@ def _fit_from_args(args, parser):
     return model, scaler, ds.schema, rule
 
 
+def _parse_queries(text: str, schema, rule) -> Dataset | None:
+    """The query records, or None for a blank file."""
+    return parse_csv(text, schema, rule) if text.strip() else None
+
+
 def cmd_score(args, parser) -> int:
     if args.model:
+        if args.train or args.save_model:
+            parser.error("--train and --save-model cannot be used with --model")
         bundle = load_model(args.model)
         if bundle.scaler is None or bundle.schema is None:
             raise ValueError(
@@ -385,15 +387,13 @@ def cmd_score(args, parser) -> int:
             save_model(args.save_model, model, scaler, schema, rule)
             print(f"saved model to {args.save_model}")
 
-    text = Path(args.queries).read_text(encoding="utf-8")
-    if not text.strip():
+    if args.model and args.schema_path:
+        _, rule = _parsed(args.schema_path, parse_schema)
+    queries = _parsed(args.queries, _parse_queries, schema, rule)
+    if queries is None:
         _write_atomic(Path(args.out), "row,score\n")
         print(f"wrote 0 scores to {args.out}")
         return 0
-    if args.model and args.schema_path:
-        schema_text = Path(args.schema_path).read_text(encoding="utf-8")
-        _, rule = _parsed(args.schema_path, parse_schema, schema_text)
-    queries = _parsed(args.queries, parse_csv, text, schema, rule)
     scores = score_queries(scaler, model, queries)
     lines = ["row,score"] + [
         f"{i},{float(s)!r}" for i, s in enumerate(scores, start=1)
@@ -415,34 +415,34 @@ def _read_summary(paths) -> dict:
     table: dict = {}
     read_at: dict = {}  # (detector, variant, dataset) -> "path: line N"
     for path in paths:
-        with open(path, newline="", encoding="utf-8") as handle:
-            reader = csv.DictReader(handle)
-            header = reader.fieldnames or ()
-            missing = [c for c in _SUMMARY_COLUMNS if c not in header]
-            if missing:
-                raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
-            for row in reader:
-                where = f"{path}: line {reader.line_num}"
-                values = [row[c] for c in _SUMMARY_COLUMNS]
-                if None in values:
-                    raise ValueError(f"{where} is too short")
-                detector, variant, dataset, auroc = values
-                try:
-                    mean = float(auroc)
-                except ValueError:
-                    mean = float("nan")
-                if not np.isfinite(mean):
-                    raise ValueError(
-                        f"{where}: mean_auroc must be a finite number, got {auroc!r}"
-                    )
-                key = (detector, variant, dataset)
-                if key in read_at:
-                    raise ValueError(
-                        f"{where}: detector={detector} variant={variant} "
-                        f"dataset={dataset} repeats {read_at[key]}"
-                    )
-                read_at[key] = where
-                table.setdefault((detector, variant), {})[dataset] = mean
+        # The whole file is decoded first, so a decode error names it too.
+        reader = csv.DictReader(io.StringIO(_parsed(path, str)))
+        header = reader.fieldnames or ()
+        missing = [c for c in _SUMMARY_COLUMNS if c not in header]
+        if missing:
+            raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
+        for row in reader:
+            where = f"{path}: line {reader.line_num}"
+            values = [row[c] for c in _SUMMARY_COLUMNS]
+            if None in values:
+                raise ValueError(f"{where} is too short")
+            detector, variant, dataset, auroc = values
+            try:
+                mean = float(auroc)
+            except ValueError:
+                mean = float("nan")
+            if not np.isfinite(mean):
+                raise ValueError(
+                    f"{where}: mean_auroc must be a finite number, got {auroc!r}"
+                )
+            key = (detector, variant, dataset)
+            if key in read_at:
+                raise ValueError(
+                    f"{where}: detector={detector} variant={variant} "
+                    f"dataset={dataset} repeats {read_at[key]}"
+                )
+            read_at[key] = where
+            table.setdefault((detector, variant), {})[dataset] = mean
     return table
 
 

@@ -5,7 +5,8 @@ anomality (a risk factor), ``low`` the opposite, ``none`` adirectional.
 ``orient`` flips ``low`` attributes so that detectors only ever see ``high``
 and ``none``. Scaling subtracts the midhinge and divides by the
 semi-interquartile range fitted on normal training data, mapping the training
-interquartile range onto [-1, 1].
+interquartile range onto [-1, 1]. The CSV and schema text formats are read and
+written here; the model bundle format belongs to ``persist`` alone.
 """
 
 from __future__ import annotations
@@ -295,23 +296,6 @@ class ScalingParams:
         semi.setflags(write=False)
         object.__setattr__(self, "midhinge", mid)
         object.__setattr__(self, "semi_iqr", semi)
-
-
-def stored_array(arrays, key: str, dtype, ndim: int) -> np.ndarray:
-    """``arrays[key]`` of a model bundle, checked for presence, dtype (any
-    unicode width for ``str``), ndim and, for floats, finiteness."""
-    if key not in arrays:
-        raise ValueError(f"missing array {key!r}")
-    arr = np.asarray(arrays[key])
-    dtype_ok = arr.dtype.kind == "U" if dtype is str else arr.dtype == dtype
-    if not dtype_ok or arr.ndim != ndim:
-        raise ValueError(
-            f"array {key!r} must be {ndim}-d {np.dtype(dtype).name}, got "
-            f"{arr.ndim}-d {arr.dtype}"
-        )
-    if arr.dtype.kind == "f" and not np.all(np.isfinite(arr)):
-        raise ValueError(f"array {key!r} holds non-finite values")
-    return arr
 
 
 def fit_scaler(train: Dataset) -> ScalingParams:

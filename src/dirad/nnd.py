@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset, Direction, stored_array
+from .dataset import Dataset, Direction
 from .distance import DistanceSpec, DistanceVariant
 from .neighbours import knn_batch
 
@@ -99,30 +99,6 @@ class NndModel:
 
     def query_knn(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return query_knn(self, queries)
-
-    def to_arrays(self) -> dict:
-        """The model bundle arrays: the constructor's arguments."""
-        return {
-            "variant": np.str_(self.variant.value),
-            "train": self.train,
-            "k": np.int64(self.k),
-            "directional_mask": self.directional_mask,
-        }
-
-    @classmethod
-    def from_arrays(cls, arrays) -> NndModel:
-        """Inverse of ``to_arrays``; the constructor validates. Older bundles
-        also store ``exponent_p``, which must be 1, the only exponent there is."""
-        if "exponent_p" in arrays:
-            p = float(stored_array(arrays, "exponent_p", np.float64, 0))
-            if p != 1.0:
-                raise ValueError(f"only exponent_p=1 is supported, got {p}")
-        return cls(
-            DistanceVariant(str(stored_array(arrays, "variant", str, 0))),
-            stored_array(arrays, "train", np.float64, 2),
-            int(stored_array(arrays, "k", np.int64, 0)),
-            stored_array(arrays, "directional_mask", np.bool_, 1),
-        )
 
 
 def _require_oriented(ds: Dataset) -> None:

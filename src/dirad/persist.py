@@ -1,14 +1,17 @@
 """Model bundle persistence: a versioned .npz with a bit-exact round trip.
 
-A bundle always stores the fitted model (its ``kind`` plus its ``to_arrays``)
-and may carry the scaler, schema and label rule it was trained behind, so a
-saved model can score raw CSV queries without the original training data. A
-SHA-256 ``digest`` over every other array catches edits that leave the bundle
-well formed, such as cut training rows.
+Only this module knows the format. A bundle stores the fitted model's ``kind``
+and one array per constructor field, named after it and read back through the
+constructor, and may carry the scaler, schema and label rule it was trained
+behind, so a saved model can score raw CSV queries without the original
+training data. A SHA-256 ``digest`` over every other array catches edits that
+leave the bundle well formed, such as cut training rows.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import enum
 import hashlib
 import os
 import zipfile
@@ -25,14 +28,36 @@ from .dataset import (
     ScalingParams,
     format_schema,
     parse_schema,
-    stored_array,
 )
+from .distance import DistanceVariant
 from .nnd import NndModel
 
 # Version 1 bundles could store a schema's ``low`` attributes as ``high``.
 FORMAT_VERSION = 2
 
 _MODELS = {"nnd": NndModel, "alp": AlpModel}
+
+# (dtype, ndim, type a 0-d array is read as) of every array a bundle may hold;
+# str means unicode of any width. Enum fields are stored by value.
+_ARRAYS = {
+    "format_version": (np.int64, 0, int),
+    "kind": (str, 0, str),
+    "digest": (str, 0, str),
+    "exponent_p": (np.float64, 0, float),  # older NND bundles only
+    # the model's constructor fields
+    "variant": (str, 0, DistanceVariant),
+    "train": (np.float64, 2, None),
+    "k": (np.int64, 0, int),
+    "l": (np.int64, 0, int),
+    "directional_mask": (np.bool_, 1, None),
+    "train_nn_dists": (np.float64, 2, None),
+    # what the model was trained behind
+    "scaler_midhinge": (np.float64, 1, None),
+    "scaler_semi_iqr": (np.float64, 1, None),
+    "schema_names": (str, 1, None),
+    "schema_directions": (str, 1, None),
+    "schema_label": (str, 0, str),
+}
 
 
 @dataclass(frozen=True)
@@ -43,6 +68,30 @@ class ModelBundle:
     label_rule: LabelRule | None = None
 
 
+def write_atomic(path, write) -> None:
+    """Call ``write`` on a binary handle to a temporary file beside ``path``,
+    then rename that over ``path``, creating missing parent directories. On
+    failure ``path`` keeps its old content and no temporary file is left."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as handle:
+            write(handle)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _model_arrays(model: NndModel | AlpModel) -> dict:
+    """One bundle array per constructor field of ``model``, in field order."""
+    values = {f.name: getattr(model, f.name) for f in dataclasses.fields(model) if f.init}
+    return {
+        name: np.asarray(v.value if isinstance(v, enum.Enum) else v, _ARRAYS[name][0])
+        for name, v in values.items()
+    }
+
+
 def save_model(
     path,
     model: NndModel | AlpModel,
@@ -50,11 +99,11 @@ def save_model(
     schema: tuple[AttributeSpec, ...] | None = None,
     label_rule: LabelRule | None = None,
 ) -> None:
-    """Write the bundle to a temporary file, then rename it over ``path``."""
+    """Write the bundle through ``write_atomic``."""
     arrays: dict = {
         "format_version": np.int64(FORMAT_VERSION),
         "kind": np.str_(model.detector),
-        **model.to_arrays(),
+        **_model_arrays(model),
     }
     if scaler is not None:
         arrays["scaler_midhinge"] = scaler.midhinge
@@ -65,15 +114,8 @@ def save_model(
     if label_rule is not None:
         arrays["schema_label"] = np.str_(format_schema((), label_rule).strip())
     arrays["digest"] = np.str_(_digest(arrays))
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        # Write through a handle so np.savez cannot append ".npz" to the path.
-        with open(tmp, "wb") as handle:
-            np.savez(handle, **arrays)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    # Write through a handle so np.savez cannot append ".npz" to the path.
+    write_atomic(path, lambda handle: np.savez(handle, **arrays))
 
 
 def _digest(arrays: dict) -> str:
@@ -96,8 +138,26 @@ def _read_arrays(path) -> dict:
             return {key: data[key] for key in data.files}
 
 
+def _stored(arrays: dict, key: str):
+    """``arrays[key]`` checked against ``_ARRAYS`` for presence, dtype, ndim
+    and, for floats, finiteness; a 0-d array is returned as its read type."""
+    dtype, ndim, read = _ARRAYS[key]
+    if key not in arrays:
+        raise ValueError(f"missing array {key!r}")
+    arr = np.asarray(arrays[key])
+    dtype_ok = arr.dtype.kind == "U" if dtype is str else arr.dtype == dtype
+    if not dtype_ok or arr.ndim != ndim:
+        raise ValueError(
+            f"array {key!r} must be {ndim}-d {np.dtype(dtype).name}, got "
+            f"{arr.ndim}-d {arr.dtype}"
+        )
+    if arr.dtype.kind == "f" and not np.all(np.isfinite(arr)):
+        raise ValueError(f"array {key!r} holds non-finite values")
+    return arr if read is None else read(arr.item())
+
+
 def _bundle(arrays: dict) -> ModelBundle:
-    version = int(stored_array(arrays, "format_version", np.int64, 0))
+    version = _stored(arrays, "format_version")
     if version < FORMAT_VERSION:
         raise ValueError(
             f"model format version {version} is no longer read; re-save the "
@@ -108,24 +168,30 @@ def _bundle(arrays: dict) -> ModelBundle:
             f"unsupported model format version {version}; this build "
             f"reads version {FORMAT_VERSION}"
         )
-    kind = str(stored_array(arrays, "kind", str, 0))
+    kind = _stored(arrays, "kind")
     if kind not in _MODELS:
         raise ValueError(f"unknown model kind {kind!r}")
-    model = _MODELS[kind].from_arrays(arrays)
+    # Older NND bundles also store the distance exponent; 1 is the only one.
+    if kind == "nnd" and "exponent_p" in arrays:
+        p = _stored(arrays, "exponent_p")
+        if p != 1.0:
+            raise ValueError(f"only exponent_p=1 is supported, got {p}")
+    model_class = _MODELS[kind]
+    fields = [f.name for f in dataclasses.fields(model_class) if f.init]
+    model = model_class(**{name: _stored(arrays, name) for name in fields})
     m = model.train.shape[1]
     scaler = None
     # Either array of a pair present means both must be.
     if "scaler_midhinge" in arrays or "scaler_semi_iqr" in arrays:
         scaler = ScalingParams(
-            stored_array(arrays, "scaler_midhinge", np.float64, 1),
-            stored_array(arrays, "scaler_semi_iqr", np.float64, 1),
+            _stored(arrays, "scaler_midhinge"), _stored(arrays, "scaler_semi_iqr")
         )
         if scaler.midhinge.shape != (m,):
             raise ValueError(f"the scaler must have {m} attributes")
     schema = None
     if "schema_names" in arrays or "schema_directions" in arrays:
-        names = stored_array(arrays, "schema_names", str, 1)
-        directions = stored_array(arrays, "schema_directions", str, 1)
+        names = _stored(arrays, "schema_names")
+        directions = _stored(arrays, "schema_directions")
         if names.shape != (m,) or directions.shape != (m,):
             raise ValueError(f"the schema arrays must have {m} entries")
         schema = tuple(
@@ -134,12 +200,11 @@ def _bundle(arrays: dict) -> ModelBundle:
         )
     label_rule = None
     if "schema_label" in arrays:
-        line = stored_array(arrays, "schema_label", str, 0)
-        attrs, label_rule = parse_schema(str(line))
+        attrs, label_rule = parse_schema(_stored(arrays, "schema_label"))
         if attrs or label_rule is None:
             raise ValueError("schema_label must hold a single label line")
     # Last, so that each structural defect above keeps its own message.
-    if str(stored_array(arrays, "digest", str, 0)) != _digest(arrays):
+    if _stored(arrays, "digest") != _digest(arrays):
         raise ValueError("the arrays do not match the stored digest")
     return ModelBundle(model, scaler, schema, label_rule)
 

@@ -499,6 +499,30 @@ class TestScore:
         assert out.is_dir() and not any(out.iterdir())
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "outdir"]
 
+    @pytest.mark.parametrize("extra, config", [
+        (["--train", "data/train.csv"], None),
+        (["--save-model", "other.npz"], None),
+        (["--config", "save.cfg"], "save_model=other.npz\n"),
+    ], ids=["train", "save-model", "config-save-model"])
+    def test_model_rejects_fit_flags(self, synth_dir, tmp_path, monkeypatch,
+                                     capsys, extra, config):
+        monkeypatch.chdir(tmp_path)
+        assert run(["score", "--train", "data/train.csv", "--schema", "data/schema.txt",
+                    "--save-model", "model.npz", "--queries", "data/test.csv",
+                    "--out", "s1.csv"]) == 0
+        if config is not None:
+            (tmp_path / "save.cfg").write_text(config)
+        before = sorted(p.name for p in tmp_path.iterdir())
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as err:
+            run(["score", "--model", "model.npz", *extra,
+                 "--queries", "data/test.csv", "--out", "s2.csv"])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            "error: --train and --save-model cannot be used with --model"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
     def test_failed_rename_keeps_existing_output(self, synth_dir, tmp_path,
                                                  monkeypatch, capsys):
         out = tmp_path / "scores.csv"
@@ -774,6 +798,25 @@ class TestConfigFile:
         ]
         assert not (tmp_path / "x").exists()
 
+    def test_empty_key_is_named(self, tmp_path, capsys):
+        cfg = tmp_path / "e.cfg"
+        cfg.write_text("seed=3\n=5\n")
+        assert run(["synth", "--config", cfg, "--family", "gaussian", "--a", "0.5",
+                    "--out", tmp_path / "z"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {cfg}:2: expected key=value, got '=5'"
+        ]
+        assert not (tmp_path / "z").exists()
+
+    def test_leading_bom_is_ignored(self, tmp_path):
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_text("\ufeffseed=5\nn_train=30\n", encoding="utf-8")
+        synth = ["synth", "--family", "gaussian", "--a", "0.4"]
+        outs = [tmp_path / "by_config", tmp_path / "by_flags"]
+        assert run([*synth, "--config", cfg, "--out", outs[0]]) == 0
+        assert run([*synth, "--seed", "5", "--n-train", "30", "--out", outs[1]]) == 0
+        assert (outs[0] / "train.csv").read_bytes() == (outs[1] / "train.csv").read_bytes()
+
     def test_trailing_config_without_path(self, tmp_path, capsys):
         assert run(["synth", "--out", tmp_path / "x", "--config"]) == 1
         assert capsys.readouterr().err.splitlines() == [
@@ -806,6 +849,39 @@ def test_bad_data_file_is_named(bad, message, tmp_path, monkeypatch, capsys):
                 "--schema", "schema.txt", "--out-dir", "x"]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {bad}: {message}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "--data", "good.csv", "--data", "bad.csv", "--schema", "schema.txt",
+     "--out-dir", "x"],
+    ["bench", "--data", "good.csv", "--schema", "bad.txt", "--out-dir", "x"],
+    ["score", "--train", "bad.csv", "--schema", "schema.txt",
+     "--queries", "good.csv", "--out", "x"],
+    ["score", "--train", "train.csv", "--schema", "schema.txt", "--k", "1",
+     "--queries", "bad.csv", "--out", "x"],
+    ["diagnose", "--data", "bad.csv", "--schema", "schema.txt"],
+    ["synth", "--config", "bad.cfg", "--out", "x"],
+    ["stats", "--results", "summary.csv", "--results", "bad.csv",
+     "--compare", "ramp:absolute", "--out", "x"],
+], ids=["data", "schema", "train", "queries", "diagnose-data", "config", "results"])
+def test_undecodable_file_is_named(argv, tmp_path, monkeypatch, capsys):
+    # Each bad file is valid but for one byte that is not UTF-8.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "schema.txt").write_text("x,high\nlabel,label,anomalous,normal\n")
+    (tmp_path / "train.csv").write_text("x\n1\n2\n")
+    (tmp_path / "good.csv").write_text("x,label\n1,normal\n2,anomalous\n")
+    (tmp_path / "summary.csv").write_text(
+        "detector,variant,dataset,mean_auroc\nnnd,ramp,d,0.9\nnnd,absolute,d,0.8\n"
+    )
+    (tmp_path / "bad.csv").write_bytes(b"x,label\n1,normal\n2,anomalous\xff\n")
+    (tmp_path / "bad.txt").write_bytes(b"x,high\nlabel,label,anomalous\xff,normal\n")
+    (tmp_path / "bad.cfg").write_bytes(b"family=gaussian\nshift=0.5\xff\n")
+    bad = next(arg for arg in argv if arg.startswith("bad."))
+    assert run(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff")
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("second", ["b/x.csv", "a/x.csv"])

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,7 +52,7 @@ def test_roundtrip_is_bit_exact(tmp_path, model):
     loaded = load_model(path).model
     assert type(loaded) is type(model)
     assert loaded.neighbour_problem == model.neighbour_problem
-    saved, restored = model.to_arrays(), loaded.to_arrays()
+    saved, restored = persist._model_arrays(model), persist._model_arrays(loaded)
     assert saved.keys() == restored.keys()
     for key in saved:
         assert_arrays_equal(np.asarray(restored[key]), np.asarray(saved[key]))
@@ -117,6 +118,51 @@ def test_failed_save_keeps_the_old_bundle(tmp_path, monkeypatch):
         save_model(path, model)
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["model.npz"]
+
+
+def test_save_creates_missing_directories(tmp_path):
+    path = tmp_path / "models" / "nnd" / "model.npz"
+    save_model(path, MODELS[0])
+    assert sorted(p.name for p in path.parent.iterdir()) == ["model.npz"]
+    assert load_model(path).model.train.tobytes() == MODELS[0].train.tobytes()
+
+
+DATA = Path(__file__).parent / "data"
+
+# Bundles saved by `dirad score --train --save-model` before the model arrays
+# were written from the constructor fields, and the flags that fitted each on
+# DATA's train.csv and schema.txt (a low, a high and an adirectional attribute).
+COMMITTED_BUNDLES = {
+    "nnd-ramp.npz": ["--detector", "nnd", "--variant", "ramp", "--k", "4"],
+    "nnd-signed.npz": ["--detector", "nnd", "--variant", "signed", "--k", "3"],
+    "alp-absolute.npz": ["--detector", "alp", "--variant", "absolute",
+                         "--alp-k", "3", "--alp-l", "5"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMITTED_BUNDLES))
+def test_committed_bundle_scores_like_a_fresh_fit(tmp_path, name):
+    # Both runs share this process and its BLAS, so the bytes must agree.
+    queries = ["--queries", str(DATA / "queries.csv")]
+    fitted, loaded = tmp_path / "fit.csv", tmp_path / "load.csv"
+    assert main(["score", "--train", str(DATA / "train.csv"),
+                 "--schema", str(DATA / "schema.txt"), *COMMITTED_BUNDLES[name],
+                 *queries, "--out", str(fitted)]) == 0
+    assert main(["score", "--model", str(DATA / name), *queries,
+                 "--out", str(loaded)]) == 0
+    assert loaded.read_bytes() == fitted.read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(COMMITTED_BUNDLES))
+def test_committed_bundle_saves_back_to_the_same_arrays(tmp_path, name):
+    bundle = load_model(DATA / name)
+    save_model(tmp_path / name, bundle.model, bundle.scaler, bundle.schema,
+               bundle.label_rule)
+    stored = persist._read_arrays(DATA / name)
+    resaved = persist._read_arrays(tmp_path / name)
+    assert list(resaved) == list(stored)
+    for key in stored:
+        assert_arrays_equal(resaved[key], stored[key])
 
 
 # Each fitted model saved the way `dirad score --save-model` saves it: with a
