@@ -72,7 +72,9 @@ class AlpModel:
 
     The constructor checks the stored fields and derives the weights and
     ``neighbour_problem`` (every column, max(k, l) wide). ``train_nn_dists`` of
-    None runs the self-kNN that computes it; it is stored, as that costs O(n^2 m).
+    None runs the self-kNN that computes it, distances only; it is stored, as
+    that costs O(n^2 m). Scoring gathers ``train_nn_dists`` by the indices of
+    each query's l nearest rows, so ``reads_indices`` is true.
     """
 
     variant: DistanceVariant
@@ -86,6 +88,7 @@ class AlpModel:
     neighbour_problem: tuple = field(init=False)
 
     detector = "alp"
+    reads_indices = True
 
     def __post_init__(self) -> None:
         if self.variant is DistanceVariant.SIGNED:
@@ -99,7 +102,7 @@ class AlpModel:
         spec = DistanceSpec.for_mask(mask, self.variant)
         nn_dists = self.train_nn_dists
         if nn_dists is None:
-            nn_dists, _ = self_knn_batch(train, self.k, spec)
+            nn_dists, _ = self_knn_batch(train, self.k, spec, indices=False)
         else:
             # float64, as ``_lp_batch`` gathers it into a float64 buffer
             nn_dists = np.asarray(nn_dists, dtype=np.float64)
@@ -114,8 +117,8 @@ class AlpModel:
     def anomaly_scores(self, queries: np.ndarray, knn=None) -> np.ndarray:
         return anomaly_scores(self, queries, knn)
 
-    def query_knn(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return query_knn(self, queries)
+    def query_knn(self, queries: np.ndarray, *, indices: bool = True) -> tuple:
+        return query_knn(self, queries, indices=indices)
 
 
 def fit(train: Dataset, cfg: AlpConfig) -> AlpModel:
@@ -129,11 +132,15 @@ def fit(train: Dataset, cfg: AlpConfig) -> AlpModel:
     return AlpModel(cfg.variant, train.records, k, l, train.directional_mask)
 
 
-def query_knn(model: AlpModel, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ``knn_batch`` search ``model.neighbour_problem`` of ``queries``."""
+def query_knn(model: AlpModel, queries: np.ndarray, *, indices: bool = True) -> tuple:
+    """The ``knn_batch`` search ``model.neighbour_problem`` of ``queries``.
+
+    It carries the neighbours' indices, by which scoring gathers; ``indices``
+    false leaves them out (None) for a search that no model reads them from.
+    """
     columns, spec, width = model.neighbour_problem
     q = _as_queries(queries, model.train.shape[1])
-    return knn_batch(model.train[:, columns], q[:, columns], width, spec)
+    return knn_batch(model.train[:, columns], q[:, columns], width, spec, indices=indices)
 
 
 def _lp_batch(model: AlpModel, queries: np.ndarray, knn=None) -> np.ndarray:

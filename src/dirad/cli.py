@@ -268,13 +268,14 @@ def _bench_cv(args, cells) -> int:
             raise ValueError(f"{data_path}: schema declares no label column")
         datasets.append((ds_id, ds))
 
-    if args.folds < 2:  # a bad flag fails the run; a small dataset, its cells
-        raise ValueError(f"folds must be >= 2, got {args.folds}")
+    n_folds = 5 if args.folds is None else args.folds
+    if n_folds < 2:  # a bad flag fails the run; a small dataset, its cells
+        raise ValueError(f"folds must be >= 2, got {n_folds}")
 
     # One job per dataset: every config is fitted and scored on each fold.
     def worker(job):
         ds_id, ds = job
-        folds = make_folds(int((~ds.labels).sum()), args.folds, args.seed)
+        folds = make_folds(int((~ds.labels).sum()), n_folds, args.seed)
         return run_cv(ds, cells, folds, ds_id)
 
     outcomes = _run_cells(datasets, worker, len(cells))
@@ -306,7 +307,8 @@ def _bench_sweep(args, cells) -> int:
         if args.shifts
         else synthgen.default_shifts(args.sweep)
     )
-    specs = synthgen.grid(args.sweep, shifts, args.replicates, base_seed=args.seed)
+    reps = 10 if args.replicates is None else args.replicates
+    specs = synthgen.grid(args.sweep, shifts, reps, base_seed=args.seed)
 
     # One job per (shift, replicate) problem: it is generated, oriented and
     # scaled once, then every config is fitted and scored on it.
@@ -314,7 +316,6 @@ def _bench_sweep(args, cells) -> int:
         specs, lambda spec: synthetic_auroc(spec, cells, scale=not args.no_scale),
         len(cells),
     )
-    reps = args.replicates
     cells_out, cell_failures = [], []
     for c, config in enumerate(cells):
         k = "auto" if config.k is None else config.k
@@ -340,9 +341,20 @@ def _bench_sweep(args, cells) -> int:
     return 1 if cell_failures else 0
 
 
+# Each bench mode's own flags and their unset values; the other mode rejects them.
+_CV_FLAGS = {"data": [], "schema": [], "folds": None}
+_SWEEP_FLAGS = {"shifts": None, "replicates": None, "no_scale": False}
+
+
 def cmd_bench(args, parser) -> int:
+    sweep = args.sweep is not None
+    for name, unset in (_CV_FLAGS if sweep else _SWEEP_FLAGS).items():
+        if getattr(args, name) != unset:
+            flag = "--" + name.replace("_", "-")
+            parser.error(f"{flag} cannot be used with --sweep" if sweep
+                         else f"{flag} applies only to --sweep, not to --data")
     cells = _detector_configs(args, parser)
-    if args.sweep is not None:
+    if sweep:
         return _bench_sweep(args, cells)
     if not args.data:
         parser.error("either --sweep or at least one --data/--schema pair is required")
@@ -353,13 +365,19 @@ def cmd_bench(args, parser) -> int:
 # score
 
 
+# score's fit-only flags and their defaults. They parse with no default, so
+# --model can reject each one that was given, even ``--alp-k auto``.
+_FIT_DEFAULTS = {"detector": "nnd", "variant": "ramp", "k": 8, "alp_k": None, "alp_l": None}
+
+
 def _fit_from_args(args, parser):
     if not (args.train and args.schema_path):
         parser.error("--train and --schema are required when --model is not given")
     ds, rule = _load_dataset(args.train, args.schema_path)
     if ds.labels is not None:
         ds = ds.take(np.flatnonzero(~ds.labels))  # fit on normal records only
-    config = _detector_config(args.detector, args.variant, args)
+    fit = argparse.Namespace(**{**_FIT_DEFAULTS, **vars(args)})
+    config = _detector_config(fit.detector, fit.variant, fit)
     scaler, model = fit_detector(config, ds)
     return model, scaler, ds.schema, rule
 
@@ -373,6 +391,10 @@ def cmd_score(args, parser) -> int:
     if args.model:
         if args.train or args.save_model:
             parser.error("--train and --save-model cannot be used with --model")
+        for name in _FIT_DEFAULTS:
+            if name in args:
+                parser.error(f"--{name.replace('_', '-')} cannot be used with --model: "
+                             f"the bundle fixes the detector")
         bundle = load_model(args.model)
         if bundle.scaler is None or bundle.schema is None:
             raise ValueError(
@@ -528,14 +550,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_config(p):
+    def add_command(name, help):
+        """A subparser that reports its own usage errors."""
+        p = sub.add_parser(name, help=help)
         p.add_argument(
             "--config",
             help="key=value file supplying defaults; command-line flags win",
         )
+        p.set_defaults(command_parser=p)
+        return p
 
-    p_synth = sub.add_parser("synth", help="generate a synthetic benchmark dataset")
-    add_config(p_synth)
+    p_synth = add_command("synth", "generate a synthetic benchmark dataset")
     p_synth.add_argument("--family", choices=synthgen.FAMILIES, required=True)
     p_synth.add_argument(
         "--shift", "--a", "--b", dest="shift", type=float, required=True,
@@ -548,10 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_synth.add_argument("--out", required=True, help="output directory")
 
-    p_bench = sub.add_parser(
-        "bench", help="cross-validation benchmark or synthetic sweep"
-    )
-    add_config(p_bench)
+    p_bench = add_command("bench", "cross-validation benchmark or synthetic sweep")
     p_bench.add_argument("--data", action="append", default=[],
                          help="labelled dataset CSV (repeatable)")
     p_bench.add_argument("--schema", action="append", default=[],
@@ -559,8 +581,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--sweep", choices=synthgen.FAMILIES,
                          help="sweep the synthetic shift grid instead of CV data")
     p_bench.add_argument("--shifts", help="comma-separated shift values (sweep)")
-    p_bench.add_argument("--replicates", type=int, default=10,
-                         help="datasets per shift value (sweep)")
+    p_bench.add_argument("--replicates", type=int,
+                         help="datasets per shift value (sweep; default 10)")
     p_bench.add_argument("--no-scale", action="store_true",
                          help="skip midhinge/semi-IQR rescaling (sweep only)")
     p_bench.add_argument("--detectors", default="nnd",
@@ -574,26 +596,25 @@ def build_parser() -> argparse.ArgumentParser:
                          help="ALP k ('auto' for the log default)")
     p_bench.add_argument("--alp-l", type=_auto_int, default=None,
                          help="ALP l ('auto' for the log default)")
-    p_bench.add_argument("--folds", type=int, default=5)
+    p_bench.add_argument("--folds", type=int, help="CV folds (--data; default 5)")
     p_bench.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_bench.add_argument("--out-dir", required=True)
 
-    p_score = sub.add_parser("score", help="score query records")
-    add_config(p_score)
+    p_score = add_command("score", "score query records")
     p_score.add_argument("--model", help="saved model bundle (.npz)")
     p_score.add_argument("--train", help="training CSV (fit path)")
     p_score.add_argument("--schema", dest="schema_path", help="schema file")
-    p_score.add_argument("--detector", choices=("nnd", "alp"), default="nnd")
-    p_score.add_argument("--variant", choices=NND_VARIANTS, default="ramp")
-    p_score.add_argument("--k", type=int, default=8)
-    p_score.add_argument("--alp-k", type=_auto_int, default=None)
-    p_score.add_argument("--alp-l", type=_auto_int, default=None)
+    unset = argparse.SUPPRESS  # see _FIT_DEFAULTS
+    p_score.add_argument("--detector", choices=("nnd", "alp"), default=unset)
+    p_score.add_argument("--variant", choices=NND_VARIANTS, default=unset)
+    p_score.add_argument("--k", type=int, default=unset)
+    p_score.add_argument("--alp-k", type=_auto_int, default=unset)
+    p_score.add_argument("--alp-l", type=_auto_int, default=unset)
     p_score.add_argument("--save-model", help="persist the fitted bundle here")
     p_score.add_argument("--queries", required=True, help="query CSV")
     p_score.add_argument("--out", required=True, help="scores CSV")
 
-    p_stats = sub.add_parser("stats", help="signed-rank comparisons over results")
-    add_config(p_stats)
+    p_stats = add_command("stats", "signed-rank comparisons over results")
     p_stats.add_argument("--results", action="append", required=True,
                          help="summary CSV from bench (repeatable)")
     p_stats.add_argument("--detector", default="nnd")
@@ -604,8 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="Holm-Bonferroni over the requested comparisons")
     p_stats.add_argument("--out", help="write the report CSV here")
 
-    p_diag = sub.add_parser("diagnose", help="per-attribute directionality report")
-    add_config(p_diag)
+    p_diag = add_command("diagnose", "per-attribute directionality report")
     p_diag.add_argument("--data", required=True)
     p_diag.add_argument("--schema", dest="schema_path", required=True)
     p_diag.add_argument("--tau", type=float, default=0.0,
@@ -623,7 +643,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(_merge_config(argv))
-        return _COMMANDS[args.command](args, parser)
+        return _COMMANDS[args.command](args, args.command_parser)
     except (ValueError, OSError, RuntimeError, csv.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -146,18 +146,22 @@ def _neighbour_plans(models: Sequence, queries: np.ndarray) -> dict:
     Models that search the same training columns under the same spec share a
     problem; the (distance, row index) order is total, so a narrower search is
     exactly the prefix of the widest one, which runs as its model's own
-    ``query_knn``. One that raises is left out, so each of its models runs its
-    own search and raises its own exception.
+    ``query_knn``. It carries the neighbours' indices exactly when some model
+    of the problem ``reads_indices`` (ALP); a problem of NND models alone is
+    searched for distances only. One that raises is left out, so each of its
+    models runs its own search and raises its own exception.
     """
-    owners: dict = {}
+    groups: dict = {}
     for model in models:
-        problem = model.neighbour_problem
-        if problem is not None and problem[2] > owners.get(problem[:2], (0, None))[0]:
-            owners[problem[:2]] = (problem[2], model)
+        if model.neighbour_problem is not None:
+            groups.setdefault(model.neighbour_problem[:2], []).append(model)
     plans = {}
-    for key, (_, owner) in owners.items():
+    for key, group in groups.items():
+        owner = max(group, key=lambda model: model.neighbour_problem[2])
         try:
-            plans[key] = owner.query_knn(queries)
+            plans[key] = owner.query_knn(
+                queries, indices=any(model.reads_indices for model in group)
+            )
         except Exception:
             pass
     return plans

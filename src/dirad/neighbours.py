@@ -10,13 +10,29 @@ whose distance matrix stays within ``_BLOCK_BYTES``; a self-query is the same
 loop with the training rows as queries and each block's own rows masked to
 +inf, so a row is never its own neighbour.
 
-Each block's k nearest are selected without a full sort: a partition of a
-copy in the kernel's scratch buffer finds every row's k-th smallest
-distance, the row keeps all entries below it plus the lowest-index entries
-equal to it, and only those k candidates are stably sorted. The result is
-exactly the stable ``argsort`` order by (distance, training row index); rows
-with fewer than k non-NaN distances take the full stable argsort, which puts
-NaN last.
+Each block's k nearest are selected without a full sort, in one of two ways.
+A caller that reads the neighbours' row indices (``indices=True``, the
+default) gets ``_smallest_k``: a partition of a copy in the kernel's scratch
+buffer finds every row's k-th smallest distance, the row keeps all entries
+below it plus the lowest-index entries equal to it, and only those k
+candidates are stably sorted. The result is exactly the stable ``argsort``
+order by (distance, training row index); rows with fewer than k non-NaN
+distances take the full stable argsort, which puts NaN last.
+
+A caller that reads only distances (``indices=False``; NND's searches and
+ALP's self-kNN) gets the values alone: the block is partitioned in place at
+k - 1 and its first k columns are sorted. No copy, compare, take or argsort
+runs, and the distances are bit for bit those of the stable argsort:
+
+* a row's k smallest values form one multiset, and both selections order it
+  ascending with NaN last;
+* a kernel cell is never -0.0, since every sum starts at +0.0 and
+  round-to-nearest gives -0.0 only for (-0.0) + (-0.0), so equal cells are
+  equal bits;
+* for finite inputs, the only NaN cell is the one default NaN of
+  inf + (-inf). NumPy's SIMD quicksort writes back a NaN of its own (on
+  x86, +NaN for the kernel's -NaN), so a row with NaN among its k nearest is
+  sorted again, stably, which moves its values without rewriting them.
 """
 
 from __future__ import annotations
@@ -87,18 +103,20 @@ def _smallest_k(
 
 
 def _knn(
-    t: np.ndarray, q: np.ndarray, k: int, spec: DistanceSpec, self_query: bool
-) -> tuple[np.ndarray, np.ndarray]:
+    t: np.ndarray, q: np.ndarray, k: int, spec: DistanceSpec, self_query: bool,
+    indices: bool,
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Each row of ``q``'s k nearest rows of ``t``, one block at a time.
 
     ``self_query`` means ``q`` is ``t``: each block's own rows are masked.
+    ``indices`` false returns None for the indices and selects values only.
     The kernel gets ``t`` Fortran-ordered: one transpose per search, not per
     block. Every block reuses one work array: its result in the first half,
     the kernel's scratch in the second, which ``_smallest_k`` then reuses.
     """
     rows, n = q.shape[0], t.shape[0]
     dists = np.empty((rows, k), dtype=np.float64)
-    idx = np.empty((rows, k), dtype=np.int64)
+    idx = np.empty((rows, k), dtype=np.int64) if indices else None
     columns = np.asfortranarray(t)
     step = _block_rows(8 * n)
     work = np.empty((2, min(rows, step) * n))
@@ -108,14 +126,25 @@ def _knn(
         block = distance_matrix(q[start:stop], columns, spec, out=out, scratch=scratch)
         if self_query:
             block[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        dists[start:stop], idx[start:stop] = _smallest_k(block, k, scratch)
+        if indices:
+            dists[start:stop], idx[start:stop] = _smallest_k(block, k, scratch)
+        else:
+            block.partition(k - 1, axis=1)
+            nearest = dists[start:stop]
+            nearest[...] = block[:, :k]
+            nearest.sort(axis=1)
+            nan = np.flatnonzero(np.isnan(nearest[:, -1]))
+            if nan.size:  # the quicksort rewrote their NaN bits
+                nearest[nan] = np.sort(block[nan, :k], axis=1, kind="stable")
     return dists, idx
 
 
 def knn_batch(
-    train: np.ndarray, queries: np.ndarray, k: int, spec: DistanceSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    """k nearest training rows per query: (q, k) distances and indices.
+    train: np.ndarray, queries: np.ndarray, k: int, spec: DistanceSpec,
+    *, indices: bool = True,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """k nearest training rows per query: (q, k) distances and indices, or
+    None for the indices when ``indices`` is false.
 
     Distances ascend along each row; equidistant neighbours keep ascending
     training index order (stable sort).
@@ -127,15 +156,16 @@ def knn_batch(
     n = t.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    return _knn(t, q, k, spec, self_query=False)
+    return _knn(t, q, k, spec, self_query=False, indices=indices)
 
 
 def self_knn_batch(
-    train: np.ndarray, k: int, spec: DistanceSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    """For every training row, its k nearest other rows (self excluded)."""
+    train: np.ndarray, k: int, spec: DistanceSpec, *, indices: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """For every training row, its k nearest other rows (self excluded);
+    ``indices`` as in ``knn_batch``."""
     t = _as_matrix(train)
     n = t.shape[0]
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must be in [1, {n - 1}] for self-queries, got {k}")
-    return _knn(t, t, k, spec, self_query=True)
+    return _knn(t, t, k, spec, self_query=True, indices=indices)

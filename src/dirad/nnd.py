@@ -64,7 +64,8 @@ class NndModel:
     width)``, or None for none. Signed searches the adirectional columns,
     under absolute distance; the others search every column. ``sorted_sums``
     holds the descending directional attribute sums of the training rows and
-    exists only for the signed variant.
+    exists only for the signed variant. Scoring reads only the neighbours'
+    distances, so ``reads_indices`` is false.
     """
 
     variant: DistanceVariant
@@ -76,6 +77,7 @@ class NndModel:
     sorted_sums: np.ndarray | None = field(init=False)
 
     detector = "nnd"
+    reads_indices = False
 
     def __post_init__(self) -> None:
         train, mask = _train_and_mask(self.train, self.directional_mask)
@@ -97,8 +99,8 @@ class NndModel:
     def anomaly_scores(self, queries: np.ndarray, knn=None) -> np.ndarray:
         return anomaly_scores(self, queries, knn)
 
-    def query_knn(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return query_knn(self, queries)
+    def query_knn(self, queries: np.ndarray, *, indices: bool = False) -> tuple:
+        return query_knn(self, queries, indices=indices)
 
 
 def _require_oriented(ds: Dataset) -> None:
@@ -143,15 +145,21 @@ def _as_queries(queries, m: int) -> np.ndarray:
     return q
 
 
-def _knn_prefix(model, queries: np.ndarray, knn) -> tuple[np.ndarray, np.ndarray]:
+def _knn_prefix(model, queries: np.ndarray, knn) -> tuple:
     """``model``'s own ``query_knn``, or contiguous copies of the first
     ``width`` columns of ``knn``, a search of its problem at least that wide:
-    the total (distance, row index) order makes the two equal."""
+    the total (distance, row index) order makes the two equal. Indices of
+    None, from a distances-only search, pass through unless the model
+    ``reads_indices``."""
     rows, width = len(queries), model.neighbour_problem[2]
     dists, idx = model.query_knn(queries) if knn is None else knn
-    if dists.shape[:1] != (rows,) or idx.shape != dists.shape or dists.shape[1:] < (width,):
+    if (
+        dists.shape[:1] != (rows,) or dists.shape[1:] < (width,)
+        or (idx.shape != dists.shape if idx is not None else model.reads_indices)
+    ):
         raise ValueError(f"knn must hold ({rows}, >= {width}) distances and indices")
-    return np.ascontiguousarray(dists[:, :width]), np.ascontiguousarray(idx[:, :width])
+    cut = np.ascontiguousarray(dists[:, :width])
+    return cut, None if idx is None else np.ascontiguousarray(idx[:, :width])
 
 
 def signed_risks(model: NndModel, queries: np.ndarray) -> np.ndarray:
@@ -165,11 +173,16 @@ def signed_risks(model: NndModel, queries: np.ndarray) -> np.ndarray:
     return sums - top
 
 
-def query_knn(model: NndModel, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ``knn_batch`` search ``model.neighbour_problem`` of ``queries``."""
+def query_knn(model: NndModel, queries: np.ndarray, *, indices: bool = False) -> tuple:
+    """The ``knn_batch`` search ``model.neighbour_problem`` of ``queries``.
+
+    Scoring reads only distances, so the indices are None unless
+    ``indices`` asks for them, for a search shared with a model that reads
+    them (``evaluation._neighbour_plans``).
+    """
     columns, spec, width = model.neighbour_problem
     q = _as_queries(queries, model.train.shape[1])
-    return knn_batch(model.train[:, columns], q[:, columns], width, spec)
+    return knn_batch(model.train[:, columns], q[:, columns], width, spec, indices=indices)
 
 
 def raw_scores(model: NndModel, queries: np.ndarray, knn=None) -> np.ndarray:

@@ -242,6 +242,17 @@ class TestBlockedGather:
         with pytest.raises(ValueError, match=r"knn indices must be in \[0, 29\]"):
             model.anomaly_scores(queries, (dists, idx))
 
+    def test_knn_without_indices_rejected(self):
+        # ALP gathers by the indices, so a distances-only search cannot stand in.
+        rng = np.random.default_rng(5)
+        model = alp.fit(dataset(rng.standard_normal((30, 2))), AlpConfig(RAMP, k=4, l=5))
+        queries = rng.standard_normal((3, 2))
+        knn = model.query_knn(queries, indices=False)
+        assert knn[1] is None
+        assert knn[0].tobytes() == model.query_knn(queries)[0].tobytes()
+        with pytest.raises(ValueError, match="distances and indices"):
+            model.anomaly_scores(queries, knn)
+
     def test_single_precision_train_nn_dists_score_as_double(self):
         # The gather buffer is float64; the exact widening keeps every score.
         rng = np.random.default_rng(6)

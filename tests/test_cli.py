@@ -316,6 +316,43 @@ class TestBench:
             run(["bench", "--out-dir", tmp_path / "x"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("extra", [
+        ["--data", "test.csv"], ["--schema", "schema.txt"], ["--folds", "3"],
+    ], ids=["data", "schema", "folds"])
+    def test_sweep_rejects_cv_flags(self, extra, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            run(["bench", "--sweep", "gaussian", "--replicates", "2", "--shifts", "0.5",
+                 *extra, "--out-dir", tmp_path / "never"])
+        assert err.value.code == 2
+        lines = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert lines == [f"dirad bench: error: {extra[0]} cannot be used with --sweep"]
+        assert not (tmp_path / "never").exists()
+
+    @pytest.mark.parametrize("extra", [
+        ["--shifts", "0.5"], ["--replicates", "7"], ["--replicates", "0"], ["--no-scale"],
+    ], ids=["shifts", "replicates", "replicates-0", "no-scale"])
+    def test_cv_rejects_sweep_flags(self, extra, synth_dir, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            run(["bench", "--data", synth_dir / "test.csv", "--schema",
+                 synth_dir / "schema.txt", *extra, "--out-dir", tmp_path / "never"])
+        assert err.value.code == 2
+        lines = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert lines == [
+            f"dirad bench: error: {extra[0]} applies only to --sweep, not to --data"]
+        assert not (tmp_path / "never").exists()
+
+    def test_unset_folds_and_replicates_default_to_5_and_10(self, synth_dir, tmp_path):
+        cv = ["bench", "--data", synth_dir / "test.csv", "--schema", synth_dir / "schema.txt",
+              "--detectors", "nnd", "--variants", "ramp", "--k", "3"]
+        assert run(cv + ["--out-dir", tmp_path / "a"]) == 0
+        assert run(cv + ["--folds", "5", "--out-dir", tmp_path / "b"]) == 0
+        assert (tmp_path / "a" / "folds.csv").read_bytes() == (
+            tmp_path / "b" / "folds.csv").read_bytes()
+        sweep = ["bench", "--sweep", "gaussian", "--shifts", "0.5", "--detectors", "nnd",
+                 "--variants", "ramp", "--k", "3"]
+        assert run(sweep + ["--out-dir", tmp_path / "c"]) == 0
+        assert read_rows(tmp_path / "c" / "sweep.csv")[0]["replicates"] == "10"
+
 
 class TestScore:
     @pytest.mark.parametrize("schema", ["x1,high\nx2,high\nx3,high\n",
@@ -522,6 +559,44 @@ class TestScore:
             "error: --train and --save-model cannot be used with --model"
         )
         assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("extra, config", [
+        (["--detector", "alp"], None),
+        (["--variant", "signed"], None),
+        (["--k", "3"], None),
+        (["--alp-k", "auto"], None),
+        (["--alp-l", "5"], None),
+        (["--config", "fit.cfg"], "detector=alp\n"),
+    ], ids=["detector", "variant", "k", "alp-k", "alp-l", "config-detector"])
+    def test_model_rejects_detector_flags(self, synth_dir, tmp_path, monkeypatch,
+                                          capsys, extra, config):
+        monkeypatch.chdir(tmp_path)
+        assert run(["score", "--train", "data/train.csv", "--schema", "data/schema.txt",
+                    "--save-model", "model.npz", "--queries", "data/test.csv",
+                    "--out", "s1.csv"]) == 0
+        if config is not None:
+            (tmp_path / "fit.cfg").write_text(config)
+        before = sorted(p.name for p in tmp_path.iterdir())
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as err:
+            run(["score", "--model", "model.npz", *extra,
+                 "--queries", "data/test.csv", "--out", "s2.csv"])
+        assert err.value.code == 2
+        flag = extra[0] if config is None else "--detector"
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"dirad score: error: {flag} cannot be used with --model: "
+            f"the bundle fixes the detector")
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+    def test_usage_error_prints_the_commands_usage(self, synth_dir, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            run(["score", "--queries", synth_dir / "test.csv", "--out", tmp_path / "s.csv"])
+        assert err.value.code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0].startswith("usage: dirad score [-h]")
+        assert lines[-1] == ("dirad score: error: --train and --schema are required "
+                             "when --model is not given")
+        assert not (tmp_path / "s.csv").exists()
 
     def test_failed_rename_keeps_existing_output(self, synth_dir, tmp_path,
                                                  monkeypatch, capsys):

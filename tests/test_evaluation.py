@@ -397,9 +397,16 @@ class TestNeighbourPlans:
             own = model.anomaly_scores(queries)
             if model.neighbour_problem is None:
                 continue
-            plan = plans[model.neighbour_problem[:2]]
+            key = model.neighbour_problem[:2]
+            plan = plans[key]
             cut = _knn_prefix(model, queries, plan)
-            assert cut[0].flags.c_contiguous and cut[1].flags.c_contiguous
+            assert cut[0].flags.c_contiguous
+            # A plan carries indices exactly when a model of its problem reads them.
+            if any(m.reads_indices for m in models
+                   if m.neighbour_problem is not None and m.neighbour_problem[:2] == key):
+                assert cut[1].flags.c_contiguous
+            else:
+                assert plan[1] is None and cut[1] is None
             assert model.anomaly_scores(queries, plan).tobytes() == own.tobytes()
 
     def test_plan_runs_at_the_largest_k_of_its_problem(self):
@@ -430,6 +437,62 @@ class TestNeighbourPlans:
             assert isinstance(shared, ExperimentResult)
             (alone,) = run_cv(ds, [config], folds)
             assert alone == shared
+
+    def test_wider_nnd_search_carries_indices_for_alp(self, monkeypatch):
+        # NND k=12 owns the ramp problem, ALP (k=3, l=5) reads its indices:
+        # the problem's one search runs 12 wide, with indices.
+        ds = labelled_mixed(4)
+        train = evaluation.orient(ds.take(np.flatnonzero(~ds.labels)))
+        models = [NndConfig(DistanceVariant.RAMP, k=12).fit(train),
+                  AlpConfig(DistanceVariant.RAMP, k=3, l=5).fit(train)]
+        queries = train.records[:7]
+        own = [model.anomaly_scores(queries) for model in models]
+        cells = []
+
+        def spy(queries, train, spec, **buffers):
+            block = distance_matrix(queries, train, spec, **buffers)
+            cells.append(block.size)
+            return block
+
+        monkeypatch.setattr(neighbours, "distance_matrix", spy)
+        plans = _neighbour_plans(models, queries)
+        assert sum(cells) == 7 * 40  # one search of 7 queries against 40 rows
+        ((dists, idx),) = plans.values()
+        assert dists.shape == idx.shape == (7, 12)
+        for model, alone in zip(models, own):
+            plan = plans[model.neighbour_problem[:2]]
+            assert model.anomaly_scores(queries, plan).tobytes() == alone.tobytes()
+        folds = make_folds(40, 5, seed=0)
+        shared, shared_cells = counted_cells(monkeypatch, ds, [NndConfig(
+            DistanceVariant.RAMP, k=12), AlpConfig(DistanceVariant.RAMP, k=3, l=5)], folds)
+        _, alp_cells = counted_cells(
+            monkeypatch, ds, [AlpConfig(DistanceVariant.RAMP, k=3, l=5)], folds)
+        assert shared_cells == alp_cells  # NND's search adds no cells
+        assert [r.fold_aurocs for r in shared] == [
+            run_cv(ds, [config], folds)[0].fold_aurocs
+            for config in (NndConfig(DistanceVariant.RAMP, k=12),
+                           AlpConfig(DistanceVariant.RAMP, k=3, l=5))]
+
+    def test_distance_only_searches_skip_index_selection(self, monkeypatch):
+        # NND reads no indices and ALP's fit only its self-NN distances, so
+        # neither runs _smallest_k; ALP's query search does.
+        calls = []
+
+        def spy(block, k, scratch):
+            calls.append(k)
+            return smallest_k(block, k, scratch)
+
+        smallest_k = neighbours._smallest_k
+        monkeypatch.setattr(neighbours, "_smallest_k", spy)
+        ds = labelled_mixed(5)
+        results = run_cv(ds, [NndConfig(v, k=8) for v in DistanceVariant],
+                         make_folds(40, 5, seed=0))
+        assert all(isinstance(r, ExperimentResult) for r in results)
+        train = evaluation.orient(ds.take(np.flatnonzero(~ds.labels)))
+        model = AlpConfig(DistanceVariant.ABSOLUTE, k=4, l=6).fit(train)
+        assert calls == []
+        model.anomaly_scores(train.records[:3])
+        assert calls == [6]
 
     def test_failing_search_leaves_each_model_its_own_error(self):
         ds = labelled_mixed(2)

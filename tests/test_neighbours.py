@@ -242,3 +242,25 @@ def test_self_knn_batch_matches_full_sort_property(problem):
     train, _, k, spec = problem
     got = self_knn_batch(train, k, spec)
     assert_same_neighbours(got, oracle_knn(train, train, k, spec, exclude_self=True))
+
+
+def assert_same_distances(got, expected):
+    # A distances-only search returns no indices and the oracle's bytes.
+    assert got[1] is None
+    assert got[0].tobytes() == expected[0].tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(problems(self_query=False))
+def test_knn_batch_distances_only_match_full_sort_property(problem):
+    train, queries, k, spec = problem
+    got = knn_batch(train, queries, k, spec, indices=False)
+    assert_same_distances(got, oracle_knn(train, queries, k, spec))
+
+
+@settings(max_examples=60, deadline=None)
+@given(problems(self_query=True))
+def test_self_knn_batch_distances_only_match_full_sort_property(problem):
+    train, _, k, spec = problem
+    got = self_knn_batch(train, k, spec, indices=False)
+    assert_same_distances(got, oracle_knn(train, train, k, spec, exclude_self=True))
