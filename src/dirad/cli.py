@@ -387,6 +387,24 @@ def _parse_queries(text: str, schema, rule) -> Dataset | None:
     return parse_csv(text, schema, rule) if text.strip() else None
 
 
+def _check_bundle_schema(path, given, schema) -> None:
+    """A ``--schema`` next to ``--model`` must declare the bundle's
+    (name, direction) pairs, in any order; the first that differs is named."""
+    directions = {a.name: a.direction for a in schema}
+    for attr in given:
+        if attr.name not in directions:
+            raise ValueError(f"{path}: attribute {attr.name!r} is not in the model bundle")
+        if attr.direction is not directions[attr.name]:
+            raise ValueError(
+                f"{path}: attribute {attr.name!r} is {attr.direction.value} here "
+                f"but {directions[attr.name].value} in the model bundle"
+            )
+    declared = {a.name for a in given}
+    for attr in schema:
+        if attr.name not in declared:
+            raise ValueError(f"{path}: attribute {attr.name!r} of the model bundle is missing")
+
+
 def cmd_score(args, parser) -> int:
     if args.model:
         if args.train or args.save_model:
@@ -410,7 +428,8 @@ def cmd_score(args, parser) -> int:
             print(f"saved model to {args.save_model}")
 
     if args.model and args.schema_path:
-        _, rule = _parsed(args.schema_path, parse_schema)
+        given, rule = _parsed(args.schema_path, parse_schema)
+        _check_bundle_schema(args.schema_path, given, schema)
     queries = _parsed(args.queries, _parse_queries, schema, rule)
     if queries is None:
         _write_atomic(Path(args.out), "row,score\n")

@@ -298,6 +298,37 @@ class ScalingParams:
         object.__setattr__(self, "semi_iqr", semi)
 
 
+def _quartiles(records: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column type-7 quartiles, bit-identical to ``np.quantile``'s."""
+    n = records.shape[0]
+    ordered = records.T.copy()
+    ordered.sort(axis=1)
+    quartiles, reads_zero = [], False
+    for p in (0.25, 0.75):
+        # np.quantile's order statistics and weight at the virtual index
+        # (n - 1) * p: its floor and the next one, or, where it reaches the
+        # last (n = 1), the last one twice at index -1.
+        v = (n - 1) * p
+        lo, hi = (int(v), int(v) + 1) if v < n - 1 else (-1, -1)
+        a, b, t = ordered[:, lo], ordered[:, hi], v - lo
+        # np.quantile's lerp, form for form: the t >= 0.5 form rounds differently.
+        quartiles.append(a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t))
+        reads_zero = reads_zero | (a == 0) | (b == 0)
+    # Tied values have equal bits, except -0.0 and +0.0: in a column holding
+    # both, sorting and np.quantile's partition may place them differently (or
+    # a SIMD sort may rewrite one as the other). Where such a column reads a
+    # zero, np.quantile decides.
+    suspect = np.flatnonzero(reads_zero)
+    if suspect.size:
+        zero, negative = records[:, suspect] == 0, np.signbit(records[:, suspect])
+        mixed = suspect[(zero & negative).any(axis=0) & (zero & ~negative).any(axis=0)]
+        if mixed.size:
+            quartiles[0][mixed], quartiles[1][mixed] = np.quantile(
+                records[:, mixed], [0.25, 0.75], axis=0
+            )
+    return quartiles[0], quartiles[1]
+
+
 def fit_scaler(train: Dataset) -> ScalingParams:
     """Fit midhinge/semi-IQR per attribute on (normal) training records.
 
@@ -305,13 +336,23 @@ def fit_scaler(train: Dataset) -> ScalingParams:
     "type 7" rule). A zero semi-IQR falls back to half the full range, and to
     1 if the attribute is constant. A statistic that overflows is a
     ValueError naming its attribute.
+
+    Each column is sorted once and its quartiles interpolated by NumPy's
+    ``_lerp`` formula at the virtual index (n - 1) * p, written out here: on a
+    1,000 x 10 problem ``np.quantile`` spent about 0.30 of its 0.38 ms in a
+    multi-kth partition, and its ``np.unique`` imported ``numpy.ma``
+    (+0.9 MB resident); the sort stays faster up to 50,000 rows. Sorted and
+    partitioned columns hold the same values at each position, and equal
+    values have equal bits except -0.0 and +0.0. So only a column holding
+    both zeros, with a zero among the order statistics read, takes its
+    quartiles from ``np.quantile`` itself.
     """
     if train.n_records == 0:
         raise ValueError("cannot fit a scaler on an empty training set")
     # Interpolating across a gap wider than the float range gives inf or
     # inf * 0 = NaN; any non-finite statistic is reported below, by attribute.
     with np.errstate(over="ignore", invalid="ignore"):
-        q1, q3 = np.quantile(train.records, [0.25, 0.75], axis=0)
+        q1, q3 = _quartiles(train.records)
         midhinge = (q1 + q3) / 2.0
         semi_iqr = (q3 - q1) / 2.0
         degenerate = semi_iqr == 0

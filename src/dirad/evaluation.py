@@ -343,6 +343,8 @@ def directionality_diagnostic(
     """
     if dataset.labels is None:
         raise ValueError("the diagnostic needs a labelled dataset")
+    if not np.isfinite(tau):  # NaN would flag nothing, and inf everything
+        raise ValueError(f"tau must be a finite number, got {tau!r}")
     dataset = orient(dataset)
     lab = dataset.labels
     if not lab.any() or lab.all():

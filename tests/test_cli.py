@@ -1,5 +1,6 @@
 import csv
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from dirad.cli import main
 from dirad.distance import DistanceVariant
 from dirad.nnd import NndConfig
 
+DATA = Path(__file__).parent / "data"
 
 def run(argv):
     return main([str(a) for a in argv])
@@ -523,6 +525,34 @@ class TestScore:
         assert low1.read_bytes() == low2.read_bytes()
         assert all(float(r["score"]) == 0.5 for r in read_rows(low2))
 
+    # The committed bundle's schema is risk,high / safety,low / size,none.
+    @pytest.mark.parametrize("attributes, message", [
+        ("risk,low\nsafety,low\nsize,none\n",
+         "attribute 'risk' is low here but high in the model bundle"),
+        ("risk,high\nsafety,low\nmass,none\n",
+         "attribute 'mass' is not in the model bundle"),
+        ("safety,low\nrisk,high\n",
+         "attribute 'size' of the model bundle is missing"),
+    ], ids=["direction", "name", "count"])
+    def test_schema_contradicting_the_bundle_is_rejected(self, attributes, message,
+                                                         tmp_path, capsys):
+        schema = tmp_path / "s.txt"
+        schema.write_text(attributes + "label,status,anomalous\n")
+        out = tmp_path / "b.csv"
+        assert run(["score", "--model", DATA / "nnd-ramp.npz", "--schema", schema,
+                    "--queries", DATA / "queries.csv", "--out", out]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {schema}: {message}"]
+        assert not out.exists()
+
+    def test_schema_matching_the_bundle_in_another_order(self, tmp_path):
+        schema = tmp_path / "s.txt"
+        schema.write_text("size,none\nrisk,high\nsafety,low\nlabel,status,anomalous\n")
+        out1, out2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
+        for out, extra in ((out1, ["--schema", schema]), (out2, [])):
+            assert run(["score", "--model", DATA / "nnd-ramp.npz", *extra,
+                        "--queries", DATA / "queries.csv", "--out", out]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+
     def test_directory_as_out_is_one_error_and_leaves_no_tmp(self, synth_dir,
                                                              tmp_path, capsys):
         out = tmp_path / "outdir"
@@ -803,6 +833,20 @@ class TestDiagnose:
         assert run(["diagnose", "--data", data, "--schema", schema]) == 1
         assert capsys.readouterr().err.splitlines() == [
             f"error: {schema}: line 2: attribute 'u' is declared twice"
+        ]
+
+
+    @pytest.mark.parametrize("tau", ["nan", "inf", "-inf"])
+    def test_non_finite_tau_is_one_error(self, tau, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("u,y\n0.1,normal\n0.9,anomalous\n")
+        schema = tmp_path / "s.txt"
+        schema.write_text("u,high\nlabel,y,anomalous,normal\n")
+        assert run(["diagnose", "--data", data, "--schema", schema, f"--tau={tau}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: tau must be a finite number, got {float(tau)!r}"
         ]
 
 

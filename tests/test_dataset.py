@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dirad.dataset import (
     AttributeSpec,
     Dataset,
     Direction,
     LabelRule,
+    ScalingParams,
     apply_scaler,
     fit_scaler,
     format_csv,
@@ -130,7 +134,106 @@ class TestOrient:
         assert np.array_equal(-flipped, values)
 
 
+def quantile_scaler(train):
+    """``fit_scaler`` as written on ``np.quantile``: the reference for its own
+    sort-and-interpolate quartiles."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        q1, q3 = np.quantile(train.records, [0.25, 0.75], axis=0)
+        midhinge = (q1 + q3) / 2.0
+        semi_iqr = (q3 - q1) / 2.0
+        degenerate = semi_iqr == 0
+        if np.any(degenerate):
+            half_range = (
+                np.max(train.records, axis=0) - np.min(train.records, axis=0)
+            ) / 2.0
+            semi_iqr = np.where(degenerate, half_range, semi_iqr)
+            semi_iqr = np.where(semi_iqr == 0, 1.0, semi_iqr)
+    overflowed = ~(np.isfinite(midhinge) & np.isfinite(semi_iqr))
+    if overflowed.any():
+        name = train.schema[overflowed.argmax()].name
+        raise ValueError(f"scaling overflowed on attribute {name}")
+    return ScalingParams(midhinge, semi_iqr)
+
+
+def scaler_outcome(fit, records):
+    """The fitted statistics' bytes, or the error message."""
+    ds = Dataset(tuple(AttributeSpec(f"a{j}") for j in range(records.shape[1])),
+                 records)
+    try:
+        params = fit(ds)
+    except ValueError as exc:
+        return str(exc)
+    return params.midhinge.tobytes(), params.semi_iqr.tobytes()
+
+
+# Signed zeros (a column holding both that reads a zero quartile takes
+# np.quantile itself), ties and values whose differences or sums overflow.
+SPECIAL = [0.0, -0.0, 1.0, -1.0, 2.5, 1e308, -1e308, 1.5e308, -1.7e308]
+
+
 class TestScaler:
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_quartiles_match_np_quantile_bitwise(self, data):
+        n = data.draw(st.integers(1, 60))
+        m = data.draw(st.integers(1, 3))
+        # A small palette gives ties and constant columns.
+        palette = data.draw(st.lists(
+            st.one_of(st.sampled_from(SPECIAL),
+                      st.floats(-1e3, 1e3, allow_subnormal=False)),
+            min_size=1, max_size=6,
+        ))
+        records = data.draw(hnp.arrays(np.float64, (n, m),
+                                       elements=st.sampled_from(palette)))
+        assert (scaler_outcome(fit_scaler, records)
+                == scaler_outcome(quantile_scaler, records))
+
+    # Columns whose sorted and partitioned order statistics differ in the
+    # sign of a zero; n = 1 reads its one value as both quartiles.
+    @pytest.mark.parametrize("column", [
+        [-0.0],
+        [0.0, 0.0, -0.0, -0.0, -0.0, 0.0, -2.0, -0.0, -0.0, -2.0, -2.0, -0.0,
+         -0.0, -0.0, -0.0, 1.0, 1.0, 1.0, -2.0],
+        [1.0, -2.0, -0.0, 0.0, -2.0, 0.0, -0.0, -0.0, -0.0, 1.0, -0.0, -0.0,
+         -0.0, 1.0, -0.0],
+    ], ids=["one-row", "ties-19", "ties-15"])
+    def test_zero_quartiles_match_np_quantile_bitwise(self, column):
+        records = np.array(column)[:, None]
+        assert (scaler_outcome(fit_scaler, records)
+                == scaler_outcome(quantile_scaler, records))
+
+    @pytest.mark.parametrize("n", [999, 1000, 1001, 4003])
+    def test_large_inputs_match_np_quantile_bitwise(self, n):
+        rng = np.random.default_rng(n)
+        normal = rng.standard_normal((n, 3))
+        for records in (normal, np.round(normal * 2) / 2,
+                        rng.choice(SPECIAL, size=(n, 3)),
+                        rng.choice(SPECIAL[:4], size=(n, 3))):
+            assert (scaler_outcome(fit_scaler, records)
+                    == scaler_outcome(quantile_scaler, records))
+
+    def test_only_columns_with_both_zeros_call_np_quantile(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        mixed = np.where(rng.random(101) < 0.5, 0.0, -0.0)
+        mixed[:20] = rng.standard_normal(20)
+        records = np.column_stack([
+            rng.standard_normal(101),
+            rng.integers(0, 2, 101).astype(float),  # binary: +0.0 quartiles
+            -rng.integers(0, 3, 101).astype(float),  # a "low" count: -0.0
+            mixed,
+        ])
+        expected = scaler_outcome(quantile_scaler, records)
+        calls = []
+
+        def spy(a, q, axis):
+            calls.append(np.array(a))
+            return quantile(a, q, axis=axis)
+
+        quantile = np.quantile
+        monkeypatch.setattr(np, "quantile", spy)
+        assert scaler_outcome(fit_scaler, records) == expected
+        assert len(calls) == 1 and np.array_equal(calls[0], records[:, 3:])
+
     def test_hand_computed_quartiles(self):
         ds = Dataset(spec(("a", "none")), [[0.0], [2.0], [4.0], [6.0], [8.0]])
         params = fit_scaler(ds)

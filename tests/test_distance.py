@@ -120,6 +120,13 @@ class TestDistanceMatrix:
         assert dm[0, 0] == 0.0 and not np.signbit(dm[0, 0])
         assert not np.signbit(record_distance([-0.0], [0.0], DistanceSpec((SIGNED,))))
 
+    def test_ramp_zero_difference_gives_positive_zero(self):
+        # np.maximum(-0.0, 0.0) may keep the -0.0 of a ramp term; the cell,
+        # accumulated from +0.0, must still be +0.0.
+        dm = distance_matrix([[-0.0]], [[0.0]], DistanceSpec((RAMP,)))
+        assert dm[0, 0] == 0.0 and not np.signbit(dm[0, 0])
+        assert not np.signbit(record_distance([-0.0], [0.0], DistanceSpec((RAMP,))))
+
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_every_cell_equals_record_distance_bitwise(self, data):

@@ -661,6 +661,14 @@ class TestDiagnostic:
         assert not directionality_diagnostic(ds)[0].flagged
         assert directionality_diagnostic(ds, tau=0.1)[0].flagged
 
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tau_rejected(self, tau):
+        # Every comparison with NaN is false, so NaN would flag nothing.
+        ds = Dataset((AttributeSpec("a", Direction.HIGH),), [[0.0], [0.05]],
+                     [False, True])
+        with pytest.raises(ValueError, match="^tau must be a finite number"):
+            directionality_diagnostic(ds, tau=tau)
+
     def test_single_class_rejected(self):
         ds = Dataset((AttributeSpec("a"),), [[1.0]], [True])
         with pytest.raises(ValueError, match="both classes"):
