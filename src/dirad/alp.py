@@ -171,13 +171,19 @@ def _lp_batch(model: AlpModel, queries: np.ndarray, knn=None) -> np.ndarray:
         np.take(model.train_nn_dists, near[start:stop], axis=0, out=local, mode="clip")
         np.multiply(model.weights_l[None, :, None], local, out=local)
         local.sum(axis=1, out=big_d[start:stop])
-    denom = big_d + d
-    with np.errstate(invalid="ignore"):  # 0/0 and inf/inf, settled below
+    with np.errstate(over="ignore", invalid="ignore"):  # settled below
+        denom = big_d + d
         lp = big_d / denom
     # 0/0 means the query sits in a zero-spread neighbourhood: maximal
     # normality. D = inf against a finite d takes the limit 1; d = inf against
     # a finite D is already 0; both infinite stay NaN, which scoring rejects.
     lp[(denom == 0.0) | (np.isinf(big_d) & np.isfinite(d))] = 1.0
+    # Finite D and d whose sum passes the float range: the same ratio of their
+    # halves, which are exact at that size.
+    over = np.isinf(denom) & np.isfinite(big_d) & np.isfinite(d)
+    if over.any():
+        half = big_d[over] / 2
+        lp[over] = half / (half + d[over] / 2)
     return lp
 
 

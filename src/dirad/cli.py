@@ -34,6 +34,7 @@ from .dataset import (  # noqa: F401
     Dataset,
     LabelRule,
     apply_scaler,
+    csv_text,
     fit_scaler,
     format_csv,
     format_schema,
@@ -83,8 +84,8 @@ def _thread_count() -> int:
 
 
 def _merge_config(argv: list[str]) -> list[str]:
-    """Prepend key=value pairs from --config (or --config=) as flags; real
-    flags win, given as ``--flag value`` or ``--flag=value``."""
+    """Prepend key=value pairs from --config (or --config=) as ``--key=value``
+    flags; real flags win, given as ``--flag value`` or ``--flag=value``."""
     keys = [arg.split("=", 1)[0] for arg in argv]
     if "--config" not in keys:
         return argv
@@ -96,7 +97,7 @@ def _merge_config(argv: list[str]) -> list[str]:
     else:
         raise ValueError("--config expects a file path")
     prefix: list[str] = []
-    text = _parsed(path, str).removeprefix("\ufeff")
+    text = _parsed(path, str)
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -113,12 +114,35 @@ def _merge_config(argv: list[str]) -> list[str]:
         elif value.lower() in ("false", "no", "0") and flag in _BOOL_FLAGS:
             pass
         else:
-            prefix.extend([flag, value])
+            prefix.append(f"{flag}={value}")
     # Insert after the subcommand token so argparse routes them correctly.
     return argv[:1] + prefix + argv[1:]
 
 
 _BOOL_FLAGS = {"--holm", "--no-scale"}
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_numbers(argv: list[str]) -> list[str]:
+    """``--flag -1e-3`` as ``--flag=-1e-3``. argparse takes a token that starts
+    with '-' for an option unless it reads like ``-0.001``, so ``-1e-3`` and
+    ``-inf`` would leave their flag without a value; no dirad command takes
+    a positional argument that such a token could be instead."""
+    joined: list[str] = []
+    for arg in argv:
+        if (joined and joined[-1].startswith("--") and "=" not in joined[-1]
+                and arg.startswith("-") and _is_number(arg)):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
 
 
 def _csv_list(text: str) -> list[str]:
@@ -130,11 +154,12 @@ def _auto_int(text: str):
 
 
 def _parsed(path, parse, *args):
-    """``parse(text, *args)`` for the UTF-8 text of the file at ``path``
-    (``parse=str`` gives the text itself); a decode or parse error names the
-    file, e.g. ``big.csv: field larger than field limit``."""
+    """``parse(text, *args)`` for the UTF-8 text of the file at ``path``,
+    less a leading byte-order mark (``parse=str`` gives the text itself); a
+    decode or parse error names the file, e.g. ``big.csv: field larger than
+    field limit``. Every input file of every command is read here."""
     try:
-        return parse(Path(path).read_text(encoding="utf-8"), *args)
+        return parse(Path(path).read_text(encoding="utf-8-sig"), *args)
     except (ValueError, csv.Error) as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -431,15 +456,9 @@ def cmd_score(args, parser) -> int:
         given, rule = _parsed(args.schema_path, parse_schema)
         _check_bundle_schema(args.schema_path, given, schema)
     queries = _parsed(args.queries, _parse_queries, schema, rule)
-    if queries is None:
-        _write_atomic(Path(args.out), "row,score\n")
-        print(f"wrote 0 scores to {args.out}")
-        return 0
-    scores = score_queries(scaler, model, queries)
-    lines = ["row,score"] + [
-        f"{i},{float(s)!r}" for i, s in enumerate(scores, start=1)
-    ]
-    _write_atomic(Path(args.out), "\n".join(lines) + "\n")
+    scores = [] if queries is None else score_queries(scaler, model, queries)
+    rows = ((i, float(s)) for i, s in enumerate(scores, start=1))
+    _write_atomic(Path(args.out), csv_text(("row", "score"), rows))
     print(f"wrote {len(scores)} scores to {args.out}")
     return 0
 
@@ -509,19 +528,17 @@ def cmd_stats(args, parser) -> int:
     adjusted = (
         holm_bonferroni([c[3] for c in comparisons]) if args.holm else None
     )
-    lines = ["detector,greater,lesser,n,p,holm_p"]
+    rows = []
     for i, (greater, lesser, n, p) in enumerate(comparisons):
-        holm_p = adjusted[i] if adjusted is not None else ""
+        holm_p = "" if adjusted is None else float(adjusted[i])
         print(
             f"p({args.detector} {greater} > {lesser}) = {p:.6g}  (n={n})"
-            + (f"  holm={adjusted[i]:.6g}" if adjusted is not None else "")
+            + (f"  holm={holm_p:.6g}" if adjusted is not None else "")
         )
-        lines.append(
-            f"{args.detector},{greater},{lesser},{n},{p!r},"
-            + (f"{float(holm_p)!r}" if adjusted is not None else "")
-        )
+        rows.append((args.detector, greater, lesser, n, float(p), holm_p))
     if args.out:
-        _write_atomic(Path(args.out), "\n".join(lines) + "\n")
+        header = ("detector", "greater", "lesser", "n", "p", "holm_p")
+        _write_atomic(Path(args.out), csv_text(header, rows))
         print(f"wrote report to {args.out}")
     return 0
 
@@ -661,7 +678,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(_merge_config(argv))
+        args = parser.parse_args(_merge_config(_attach_numbers(argv)))
         return _COMMANDS[args.command](args, args.command_parser)
     except (ValueError, OSError, RuntimeError, csv.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)

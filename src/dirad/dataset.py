@@ -7,6 +7,10 @@ and ``none``. Scaling subtracts the midhinge and divides by the
 semi-interquartile range fitted on normal training data, mapping the training
 interquartile range onto [-1, 1]. The CSV and schema text formats are read and
 written here; the model bundle format belongs to ``persist`` alone.
+``csv_text`` is the one CSV writer: ``format_csv`` (synth's data files),
+``evaluation``'s ``fold_results_csv``, ``summary_csv`` and ``sweep_csv``, and
+the scores of ``dirad score`` and the report of ``dirad stats`` all go
+through it, so it alone decides quoting and line ends.
 """
 
 from __future__ import annotations
@@ -173,6 +177,20 @@ def parse_csv(
     )
 
 
+def csv_text(header: Sequence, rows: Iterable[Sequence]) -> str:
+    """The CSV text of a header and its rows, one ``\\n`` after each row.
+
+    A field is written as its ``str`` (a Python float's is its shortest
+    round-trip repr); one that holds a comma, a double quote or a ``\\n`` is
+    quoted as RFC 4180 says, so ``csv`` reads it back.
+    """
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
 def format_csv(ds: Dataset, label_rule: LabelRule | None = None) -> str:
     """Serialize a Dataset back to CSV text; a round-trip is a fixed point.
 
@@ -181,22 +199,14 @@ def format_csv(ds: Dataset, label_rule: LabelRule | None = None) -> str:
     """
     if label_rule is not None and ds.labels is None:
         raise ValueError("label rule given but the dataset has no labels")
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
     header = [a.name for a in ds.schema]
+    rows = ds.records.tolist()
     if label_rule is not None:
         header.append(label_rule.column)
-    writer.writerow(header)
-    normal = label_rule.normal_value if label_rule is not None else None
-    for i in range(ds.n_records):
-        row = [repr(float(v)) for v in ds.records[i]]
-        if label_rule is not None:
-            if ds.labels[i]:
-                row.append(label_rule.anomalous_value)
-            else:
-                row.append(normal if normal is not None else "")
-        writer.writerow(row)
-    return out.getvalue()
+        normal = label_rule.normal_value or ""
+        for row, anomalous in zip(rows, ds.labels):
+            row.append(label_rule.anomalous_value if anomalous else normal)
+    return csv_text(header, rows)
 
 
 def _label_is_attribute(lineno: int, column: str) -> ValueError:

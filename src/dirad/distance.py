@@ -148,14 +148,17 @@ def distance_matrix(
     old = np.setbufsize(512)
     try:
         # Huge finite inputs overflow to inf, and a signed inf + -inf is NaN,
-        # as in ``record_distance``, silently.
+        # as in ``record_distance``, silently. inf - inf is NaN too, which
+        # ramp clamps to 0.0 as the scalar ``diff if diff > 0.0 else 0.0``
+        # does: ``fmax`` returns the non-NaN operand, where ``maximum`` would
+        # propagate the NaN.
         with np.errstate(over="ignore", invalid="ignore"):
             for j, variant in enumerate(spec.variants):
                 np.subtract(q[:, j, None], columns[j], out=buf)
                 if variant is DistanceVariant.ABSOLUTE:
                     np.abs(buf, out=buf)
                 elif variant is DistanceVariant.RAMP:
-                    np.maximum(buf, 0.0, out=buf)
+                    np.fmax(buf, 0.0, out=buf)
                 np.add(out, buf, out=out)
     finally:
         np.setbufsize(old)

@@ -22,12 +22,12 @@ load it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
-from .dataset import Dataset, ScalingParams, apply_scaler, fit_scaler, orient
+from .dataset import Dataset, ScalingParams, apply_scaler, csv_text, fit_scaler, orient
 from .synthgen import SynthSpec, generate
 
 
@@ -368,19 +368,19 @@ def directionality_diagnostic(
 
 def fold_results_csv(results: Sequence[ExperimentResult]) -> str:
     """One row per (dataset, detector, variant, fold), plus mean rows."""
-    lines = ["dataset,detector,variant,fold,auroc"]
+    rows = []
     for r in results:
-        for f, value in enumerate(r.fold_aurocs, start=1):
-            lines.append(f"{r.dataset_id},{r.detector},{r.variant},{f},{value!r}")
-        lines.append(f"{r.dataset_id},{r.detector},{r.variant},mean,{r.mean_auroc!r}")
-    return "\n".join(lines) + "\n"
+        key = (r.dataset_id, r.detector, r.variant)
+        rows += [(*key, f, v) for f, v in enumerate(r.fold_aurocs, start=1)]
+        rows.append((*key, "mean", r.mean_auroc))
+    return csv_text(("dataset", "detector", "variant", "fold", "auroc"), rows)
 
 
 def summary_csv(results: Sequence[ExperimentResult]) -> str:
-    lines = ["dataset,detector,variant,mean_auroc"]
-    for r in results:
-        lines.append(f"{r.dataset_id},{r.detector},{r.variant},{r.mean_auroc!r}")
-    return "\n".join(lines) + "\n"
+    return csv_text(
+        ("dataset", "detector", "variant", "mean_auroc"),
+        ((r.dataset_id, r.detector, r.variant, r.mean_auroc) for r in results),
+    )
 
 
 @dataclass(frozen=True)
@@ -397,10 +397,5 @@ class SweepCell:
 
 
 def sweep_csv(cells: Sequence[SweepCell]) -> str:
-    lines = ["family,shift,detector,k,variant,replicates,mean_auroc"]
-    for c in cells:
-        lines.append(
-            f"{c.family},{c.shift!r},{c.detector},{c.k},{c.variant},"
-            f"{c.replicates},{c.mean_auroc!r}"
-        )
-    return "\n".join(lines) + "\n"
+    """One row per cell, its fields in declaration order."""
+    return csv_text([f.name for f in fields(SweepCell)], map(astuple, cells))

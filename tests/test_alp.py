@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 from dirad import alp, neighbours
 from dirad.alp import AlpConfig, default_k, default_l
 from dirad.dataset import AttributeSpec, Dataset, Direction
-from dirad.distance import DistanceVariant
+from dirad.distance import DistanceSpec, DistanceVariant, record_distance
 
 ABS = DistanceVariant.ABSOLUTE
 RAMP = DistanceVariant.RAMP
@@ -266,3 +268,91 @@ class TestBlockedGather:
             for nn in (single, single.astype(np.float64))
         ]
         assert scores[0] == scores[1]
+
+
+def alp_oracle(train, mask, variant, k, l, queries):
+    """ALP from the scalar distance, the full stable argsort and the lp formula
+    as loops: (train_nn_dists, each query's max(k, l) nearest rows and their
+    distances, anomaly scores)."""
+    spec = DistanceSpec.for_mask(mask, variant)
+
+    def nearest(y, rows):
+        dists = [record_distance(y, train[s], spec) for s in rows]
+        order = np.argsort(dists, kind="stable")
+        return [rows[o] for o in order], [dists[o] for o in order]
+
+    def weights(count):
+        return [2.0 * (count + 1.0 - i) / (count * (count + 1.0))
+                for i in range(1, count + 1)]
+
+    n = len(train)
+    self_nn = [nearest(train[t], [s for s in range(n) if s != t])[1][:k]
+               for t in range(n)]
+    w_k, w_l = weights(k), weights(l)
+    neighbours, scores = [], []
+    for y in queries:
+        idx, d = nearest(y, list(range(n)))
+        neighbours.append((idx[: max(k, l)], d[: max(k, l)]))
+        lp = []
+        for i in range(k):
+            big_d = 0.0
+            for j in range(l):
+                big_d += w_l[j] * self_nn[idx[j]][i]
+            # lp = D / (D + d) = 1 / (1 + d / D), which cannot overflow.
+            if math.isinf(big_d) and math.isinf(d[i]):
+                lp.append(math.nan)
+            elif big_d == d[i] == 0.0 or math.isinf(big_d):
+                lp.append(1.0)  # a zero-spread neighbourhood; the limit of D -> inf
+            elif big_d == 0.0:
+                lp.append(0.0)
+            else:
+                lp.append(1.0 / (1.0 + d[i] / big_d))  # 0.0 for d = inf
+        if any(math.isnan(v) for v in lp):
+            scores.append(math.nan)
+            continue
+        normality = 0.0
+        for w, v in zip(w_k, sorted(lp, reverse=True)):
+            normality += w * v
+        scores.append(1.0 - min(max(normality, 0.0), 1.0))
+    return np.array(self_nn), neighbours, np.array(scores)
+
+
+class TestScalarOracle:
+    def test_finite_distances_whose_sum_overflows(self):
+        # Both rows' self-NN distance is 1e308, so D = 1e308 against d = 1e308:
+        # D + d passes the float range, but lp = D / (D + d) is a half, not
+        # D / inf = 0 with an overflow warning.
+        model = alp.fit(dataset([[1e308], [-2.0]]), AlpConfig(ABS, k=1, l=2))
+        assert alp._lp_batch(model, [[-1e308]])[0, 0] == pytest.approx(0.5)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_anomaly_scores_match_the_scalar_oracle(self, data):
+        # Small integers give tied distances and duplicate rows; +-1e308 rows
+        # give distances that overflow to inf.
+        n = data.draw(st.integers(2, 12))
+        m = data.draw(st.integers(1, 3))
+        values = st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0, 1e308, -1e308])
+        records = data.draw(hnp.arrays(np.float64, (n, m), elements=values))
+        queries = data.draw(hnp.arrays(np.float64, (data.draw(st.integers(1, 6)), m),
+                                       elements=values))
+        k = data.draw(st.one_of(st.just(1), st.integers(1, n - 1)))
+        l = data.draw(st.one_of(st.just(n), st.integers(1, n)))
+        variant = data.draw(st.sampled_from([ABS, RAMP]))
+        ds = dataset(records, data.draw(st.integers(0, m)))
+        model = alp.fit(ds, AlpConfig(variant, k=k, l=l))
+        nn, neighbours, expected = alp_oracle(
+            records, ds.directional_mask, variant, k, l, queries)
+        assert model.train_nn_dists.tobytes() == nn.tobytes()
+        dists, idx = model.query_knn(queries)
+        assert idx.tolist() == [near for near, _ in neighbours]
+        assert dists.tobytes() == np.array([d for _, d in neighbours]).tobytes()
+        got = model.anomaly_scores(queries)
+        # The gather sums over l in NumPy's order, lp is formed another way
+        # here, and the weighting over k is a BLAS matvec: each side is off
+        # the exact value by at most about (l / 2 + k + 3) rounding errors of
+        # a [0, 1] quantity, so the two differ by at most (k + l + 4) ulps of 1.0.
+        assert np.array_equal(np.isnan(got), np.isnan(expected))
+        numbers = ~np.isnan(expected)
+        bound = (k + l + 4) * np.spacing(1.0)
+        assert np.all(np.abs(got[numbers] - expected[numbers]) <= bound)

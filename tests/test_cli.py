@@ -1,9 +1,12 @@
 import csv
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirad import cli, evaluation, synthgen
 from dirad.cli import main
@@ -80,6 +83,14 @@ class TestSynth:
                     "--out", tmp_path / "x"])
         assert code == 1
         assert "shift" in capsys.readouterr().err
+
+    def test_negative_exponent_value_reaches_the_range_check(self, tmp_path, capsys):
+        # argparse alone would read -1e-1 as an option and exit 2.
+        assert run(["synth", "--family", "gaussian", "--a", "-1e-1",
+                    "--out", tmp_path / "x"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: shift for gaussian must lie in [0.0, 1.0], got -0.1"
+        ]
 
     def test_b_alias_for_bernoulli(self, tmp_path):
         out = tmp_path / "bern"
@@ -486,6 +497,17 @@ class TestScore:
         assert code == 0
         assert out.read_text() == "row,score\n"
 
+    def test_blank_query_file_writes_the_header_only(self, synth_dir, tmp_path, capsys):
+        # A byte-order mark and blank lines hold no records either.
+        blank = tmp_path / "blank.csv"
+        blank.write_text("\ufeff\n  \n", encoding="utf-8")
+        out = tmp_path / "scores.csv"
+        assert run(["score", "--train", synth_dir / "train.csv",
+                    "--schema", synth_dir / "schema.txt",
+                    "--queries", blank, "--out", out]) == 0
+        assert out.read_bytes() == b"row,score\n"
+        assert capsys.readouterr().out.endswith(f"wrote 0 scores to {out}\n")
+
     def test_schema_mismatch_fails(self, synth_dir, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("wrong,cols\n1,2\n")
@@ -774,6 +796,53 @@ class TestStats:
             f"number, got {value!r}"
         ]
 
+    @settings(max_examples=60, deadline=None)
+    @given(table=st.dictionaries(
+        st.tuples(*[st.text(st.characters(blacklist_categories=("Cs", "Cc"))
+                            | st.sampled_from(',"'), max_size=6)] * 3),
+        st.floats(allow_nan=False, allow_infinity=False), max_size=6,
+    ))
+    def test_summary_round_trips_through_the_stats_reader(self, table):
+        # Ids and variant names with commas, quotes, spaces and non-ASCII
+        # text come back as the same keys; each float as the same repr.
+        results = [evaluation.ExperimentResult(ds, det, var, (auc,), auc)
+                   for (ds, det, var), auc in table.items()]
+        expected: dict = {}
+        for (ds, det, var), auc in table.items():
+            expected.setdefault((det, var), {})[ds] = repr(auc)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "summary.csv"
+            path.write_text(evaluation.summary_csv(results), encoding="utf-8")
+            got = cli._read_summary([path])
+        assert {key: {ds: repr(v) for ds, v in column.items()}
+                for key, column in got.items()} == expected
+
+    def test_bench_ids_with_commas_and_quotes_reach_stats(self, tmp_path, monkeypatch):
+        # A dataset id is its file stem, written as a quoted field where needed.
+        monkeypatch.chdir(tmp_path)
+        stems = ["a,b", 'say "hi"', "naïve set", "plain", "e, f"]
+        for seed, stem in enumerate(stems):
+            assert run(["synth", "--family", "gaussian", "--a", "0.3", "--seed", seed,
+                        "--n-train", "30", "--n-test-normal", "15",
+                        "--n-test-anomalous", "15", "--m", "3", "--out", "gen"]) == 0
+            Path("gen/test.csv").rename(f"{stem}.csv")
+        data = [arg for stem in stems for arg in ("--data", f"{stem}.csv")]
+        assert run(["bench", *data, "--schema", "gen/schema.txt",
+                    "--variants", "ramp,absolute", "--out-dir", "out"]) == 0
+        assert {r["dataset"] for r in read_rows("out/summary.csv")} == set(stems)
+        assert {r["dataset"] for r in read_rows("out/folds.csv")} == set(stems)
+        assert run(["stats", "--results", "out/summary.csv",
+                    "--compare", "ramp:absolute", "--out", "report.csv"]) == 0
+        assert read_rows("report.csv")[0]["n"] == "5"
+
+    def test_leading_bom_is_ignored(self, table3_summary, tmp_path):
+        bom = tmp_path / "bom.csv"
+        bom.write_text("\ufeff" + table3_summary.read_text(), encoding="utf-8")
+        reports = [tmp_path / "plain.csv", tmp_path / "bom_report.csv"]
+        for results, report in zip((table3_summary, bom), reports):
+            assert run(["stats", "--results", results, "--compare", "ramp:absolute",
+                        "--holm", "--out", report]) == 0
+        assert reports[0].read_bytes() == reports[1].read_bytes()
 
     @pytest.mark.parametrize("split", [False, True], ids=["one-file", "two-files"])
     def test_repeated_row_is_rejected(self, split, tmp_path, capsys):
@@ -835,6 +904,20 @@ class TestDiagnose:
             f"error: {schema}: line 2: attribute 'u' is declared twice"
         ]
 
+    @pytest.mark.parametrize("spelling", [["--tau", "-1e-3"], ["--config", "tau.cfg"]],
+                             ids=["two-tokens", "config"])
+    def test_negative_exponent_tau_matches_equals_spelling(self, spelling, tmp_path,
+                                                           monkeypatch, capsys):
+        # argparse alone reads -1e-3 as an option: "expected one argument".
+        monkeypatch.chdir(tmp_path)
+        Path("d.csv").write_text("u,y\n0.1,normal\n0.9,anomalous\n0.5,anomalous\n")
+        Path("s.txt").write_text("u,high\nlabel,y,anomalous,normal\n")
+        Path("tau.cfg").write_text("tau=-1e-3\n")
+        diagnose = ["diagnose", "--data", "d.csv", "--schema", "s.txt"]
+        assert run([*diagnose, "--tau=-1e-3"]) == 0
+        expected = capsys.readouterr()
+        assert run([*diagnose, *spelling]) == 0
+        assert capsys.readouterr() == expected
 
     @pytest.mark.parametrize("tau", ["nan", "inf", "-inf"])
     def test_non_finite_tau_is_one_error(self, tau, tmp_path, capsys):
@@ -847,6 +930,16 @@ class TestDiagnose:
         assert captured.out == ""
         assert captured.err.splitlines() == [
             f"error: tau must be a finite number, got {float(tau)!r}"
+        ]
+
+    def test_minus_inf_as_two_tokens_is_one_error(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("u,y\n0.1,normal\n0.9,anomalous\n")
+        schema = tmp_path / "s.txt"
+        schema.write_text("u,high\nlabel,y,anomalous,normal\n")
+        assert run(["diagnose", "--data", data, "--schema", schema, "--tau", "-inf"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: tau must be a finite number, got -inf"
         ]
 
 
@@ -1001,6 +1094,26 @@ def test_undecodable_file_is_named(argv, tmp_path, monkeypatch, capsys):
     assert len(err) == 1
     assert err[0].startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff")
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", ["score", "bench", "diagnose"])
+def test_schema_with_leading_bom_reads_as_without(command, synth_dir, tmp_path, capsys):
+    plain = synth_dir / "schema.txt"
+    bom = tmp_path / "bom.txt"
+    bom.write_text("\ufeff" + plain.read_text(), encoding="utf-8")
+    seen = []
+    for schema, out in ((plain, tmp_path / "plain"), (bom, tmp_path / "bom")):
+        argv = {
+            "score": ["score", "--train", synth_dir / "train.csv", "--schema", schema,
+                      "--queries", synth_dir / "test.csv", "--out", out / "scores.csv"],
+            "bench": ["bench", "--data", synth_dir / "test.csv", "--schema", schema,
+                      "--folds", "3", "--out-dir", out],
+            "diagnose": ["diagnose", "--data", synth_dir / "test.csv", "--schema", schema],
+        }[command]
+        assert run(argv) == 0
+        files = sorted((f.name, f.read_bytes()) for f in out.glob("*")) if out.exists() else []
+        seen.append((capsys.readouterr().out.replace(str(out), "OUT"), files))
+    assert seen[0] == seen[1]
 
 
 @pytest.mark.parametrize("second", ["b/x.csv", "a/x.csv"])

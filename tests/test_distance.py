@@ -121,7 +121,7 @@ class TestDistanceMatrix:
         assert not np.signbit(record_distance([-0.0], [0.0], DistanceSpec((SIGNED,))))
 
     def test_ramp_zero_difference_gives_positive_zero(self):
-        # np.maximum(-0.0, 0.0) may keep the -0.0 of a ramp term; the cell,
+        # np.fmax(-0.0, 0.0) may keep the -0.0 of a ramp term; the cell,
         # accumulated from +0.0, must still be +0.0.
         dm = distance_matrix([[-0.0]], [[0.0]], DistanceSpec((RAMP,)))
         assert dm[0, 0] == 0.0 and not np.signbit(dm[0, 0])
@@ -144,6 +144,34 @@ class TestDistanceMatrix:
                 expected = np.float64(record_distance(y, x, spec))
                 assert dm[i, j].tobytes() == expected.tobytes()
 
+    def test_ramp_of_infinite_inputs_matches_record_distance(self):
+        # inf - inf is NaN, which the scalar ramp clamps to 0.0.
+        spec = DistanceSpec((RAMP,))
+        dm = distance_matrix([[np.inf], [-np.inf]], [[np.inf], [-np.inf]], spec)
+        assert dm.tobytes() == np.array([[0.0, np.inf], [0.0, 0.0]]).tobytes()
+        assert record_distance([np.inf], [np.inf], spec) == 0.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_infinite_inputs_match_record_distance(self, data):
+        # Bitwise wherever the oracle gives a number. Absolute and signed
+        # terms of inf - inf (or inf + -inf sums) give NaN on both sides, but
+        # NaN payload bits may differ, so NaN cells are compared by position.
+        m = data.draw(st.integers(1, 4))
+        variants = data.draw(st.lists(st.sampled_from([ABS, RAMP, SIGNED]),
+                                      min_size=m, max_size=m))
+        spec = DistanceSpec(tuple(variants))
+        values = st.sampled_from([np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0, 1e308, -1e308])
+        shapes = st.tuples(st.integers(1, 4), st.just(m))
+        queries = data.draw(hnp.arrays(np.float64, shapes, elements=values))
+        train = data.draw(hnp.arrays(np.float64, shapes, elements=values))
+        dm = distance_matrix(queries, train, spec)
+        expected = np.array([[record_distance(y, x, spec) for x in train] for y in queries])
+        assert np.array_equal(np.isnan(dm), np.isnan(expected))
+        numbers = ~np.isnan(expected)
+        assert dm[numbers].tobytes() == expected[numbers].tobytes()
+        if set(variants) == {RAMP}:
+            assert not np.isnan(dm).any()
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
