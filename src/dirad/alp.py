@@ -118,7 +118,11 @@ class AlpModel:
         return anomaly_scores(self, queries, knn)
 
     def query_knn(self, queries: np.ndarray, *, indices: bool = True) -> tuple:
-        return query_knn(self, queries, indices=indices)
+        """The ``knn_batch`` search ``neighbour_problem`` of ``queries``, with
+        the indices scoring gathers by unless ``indices`` is false."""
+        columns, spec, width = self.neighbour_problem
+        q = _as_queries(queries, self.train.shape[1])
+        return knn_batch(self.train[:, columns], q[:, columns], width, spec, indices=indices)
 
 
 def fit(train: Dataset, cfg: AlpConfig) -> AlpModel:
@@ -132,21 +136,10 @@ def fit(train: Dataset, cfg: AlpConfig) -> AlpModel:
     return AlpModel(cfg.variant, train.records, k, l, train.directional_mask)
 
 
-def query_knn(model: AlpModel, queries: np.ndarray, *, indices: bool = True) -> tuple:
-    """The ``knn_batch`` search ``model.neighbour_problem`` of ``queries``.
-
-    It carries the neighbours' indices, by which scoring gathers; ``indices``
-    false leaves them out (None) for a search that no model reads them from.
-    """
-    columns, spec, width = model.neighbour_problem
-    q = _as_queries(queries, model.train.shape[1])
-    return knn_batch(model.train[:, columns], q[:, columns], width, spec, indices=indices)
-
-
 def _lp_batch(model: AlpModel, queries: np.ndarray, knn=None) -> np.ndarray:
     """(q, k) localised proximities; entry (r, i-1) is lp_i of query r.
 
-    ``knn``, if given, stands in for ``query_knn(model, queries)``, as in
+    ``knn``, if given, stands in for ``model.query_knn(queries)``, as in
     ``nnd.raw_scores``.
     """
     q = _as_queries(queries, model.train.shape[1])

@@ -145,8 +145,17 @@ def _attach_numbers(argv: list[str]) -> list[str]:
     return joined
 
 
-def _csv_list(text: str) -> list[str]:
-    return [part.strip() for part in text.split(",") if part.strip()]
+def _selection(flag: str, text: str, convert=str) -> list:
+    """The comma-separated values of ``flag``, blanks skipped, each
+    ``convert``ed; a ValueError unless there is at least one and none comes
+    twice."""
+    values = [convert(part.strip()) for part in text.split(",") if part.strip()]
+    if not values:
+        raise ValueError(f"{flag} selects nothing")
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ValueError(f"{flag} selects {value!r} twice")
+    return values
 
 
 def _auto_int(text: str):
@@ -157,9 +166,12 @@ def _parsed(path, parse, *args):
     """``parse(text, *args)`` for the UTF-8 text of the file at ``path``,
     less a leading byte-order mark (``parse=str`` gives the text itself); a
     decode or parse error names the file, e.g. ``big.csv: field larger than
-    field limit``. Every input file of every command is read here."""
+    field limit``. Every input file of every command is read here, without
+    newline translation, so a ``\\r`` in a quoted CSV field stays one."""
     try:
-        return parse(Path(path).read_text(encoding="utf-8-sig"), *args)
+        with open(path, encoding="utf-8-sig", newline="") as file:
+            text = file.read()
+        return parse(text, *args)
     except (ValueError, csv.Error) as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -206,23 +218,24 @@ def _detector_config(detector: str, variant: str, args) -> NndConfig | AlpConfig
 
 def _detector_configs(args, parser) -> list[NndConfig | AlpConfig]:
     """One config per bench cell; signed x alp is a config error."""
-    detectors = _csv_list(args.detectors)
+    detectors = _selection("--detectors", args.detectors)
     for d in detectors:
         if d not in ("nnd", "alp"):
             parser.error(f"unknown detector {d!r}")
-    if args.variants is not None:
-        nnd_variants = alp_variants = _csv_list(args.variants)
-    else:
-        nnd_variants = _csv_list(args.nnd_variants)
-        alp_variants = _csv_list(args.alp_variants)
+
+    def variants(detector: str) -> list[str]:
+        if args.variants is not None:
+            return _selection("--variants", args.variants)
+        return _selection(f"--{detector}-variants", getattr(args, f"{detector}_variants"))
+
     cells = []
     if "nnd" in detectors:
-        for v in nnd_variants:
+        for v in variants("nnd"):
             if v not in NND_VARIANTS:
                 parser.error(f"unknown NND variant {v!r}")
             cells.append(_detector_config("nnd", v, args))
     if "alp" in detectors:
-        for v in alp_variants:
+        for v in variants("alp"):
             if v not in ALP_VARIANTS:
                 parser.error(
                     f"variant {v!r} cannot be used with ALP (allowed: "
@@ -328,9 +341,8 @@ def _bench_cv(args, cells) -> int:
 
 def _bench_sweep(args, cells) -> int:
     shifts = (
-        [float(s) for s in _csv_list(args.shifts)]
-        if args.shifts
-        else synthgen.default_shifts(args.sweep)
+        synthgen.default_shifts(args.sweep) if args.shifts is None
+        else _selection("--shifts", args.shifts, float)
     )
     reps = 10 if args.replicates is None else args.replicates
     specs = synthgen.grid(args.sweep, shifts, reps, base_seed=args.seed)
@@ -476,7 +488,7 @@ def _read_summary(paths) -> dict:
     read_at: dict = {}  # (detector, variant, dataset) -> "path: line N"
     for path in paths:
         # The whole file is decoded first, so a decode error names it too.
-        reader = csv.DictReader(io.StringIO(_parsed(path, str)))
+        reader = csv.DictReader(io.StringIO(_parsed(path, str), newline=""))
         header = reader.fieldnames or ()
         missing = [c for c in _SUMMARY_COLUMNS if c not in header]
         if missing:

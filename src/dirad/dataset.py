@@ -19,6 +19,7 @@ import csv
 import enum
 import io
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -120,7 +121,7 @@ def parse_csv(
     the schema attributes plus, when ``label_rule`` is given, its label
     column. A label column absent from the header reads as unlabelled data.
     """
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader)
     except StopIteration:
@@ -181,14 +182,16 @@ def csv_text(header: Sequence, rows: Iterable[Sequence]) -> str:
     """The CSV text of a header and its rows, one ``\\n`` after each row.
 
     A field is written as its ``str`` (a Python float's is its shortest
-    round-trip repr); one that holds a comma, a double quote or a ``\\n`` is
-    quoted as RFC 4180 says, so ``csv`` reads it back.
+    round-trip repr); one that holds a comma, a double quote, a ``\\r`` or a
+    ``\\n`` is quoted as RFC 4180 says, so ``csv`` reads it back.
     """
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
+    # csv quotes a field holding a character of the line terminator, so rows
+    # are written with "\r\n", which quotes both, and then end in "\n" alone.
+    lines: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
     writer.writerow(header)
     writer.writerows(rows)
-    return out.getvalue()
+    return "".join([line[:-2] + "\n" for line in lines])
 
 
 def format_csv(ds: Dataset, label_rule: LabelRule | None = None) -> str:

@@ -10,22 +10,18 @@ whose distance matrix stays within ``_BLOCK_BYTES``; a self-query is the same
 loop with the training rows as queries and each block's own rows masked to
 +inf, so a row is never its own neighbour.
 
-Each block's k nearest are selected without a full sort, in one of two ways.
-A caller that reads the neighbours' row indices (``indices=True``, the
-default) gets ``_smallest_k``: a partition of a copy in the kernel's scratch
-buffer finds every row's k-th smallest distance, the row keeps all entries
-below it plus the lowest-index entries equal to it, and only those k
-candidates are stably sorted. The result is exactly the stable ``argsort``
-order by (distance, training row index); rows with fewer than k non-NaN
-distances take the full stable argsort, which puts NaN last.
+Each block's k nearest distances are selected one way, without a full sort:
+every row is partitioned at k - 1 and its first k columns are sorted. A
+caller that reads only distances (``indices=False``; NND's searches and ALP's
+self-kNN) selects on the block itself. A caller that reads the neighbours' row
+indices (``indices=True``, the default) selects on a copy in the kernel's
+scratch buffer, and ``_columns`` recovers their columns from the untouched
+block: the entries at most the k-th value, with one repair for rows where it
+is tied or NaN, stably sorted. Both match the stable ``argsort`` by
+(distance, training row index), the distances bit for bit:
 
-A caller that reads only distances (``indices=False``; NND's searches and
-ALP's self-kNN) gets the values alone: the block is partitioned in place at
-k - 1 and its first k columns are sorted. No copy, compare, take or argsort
-runs, and the distances are bit for bit those of the stable argsort:
-
-* a row's k smallest values form one multiset, and both selections order it
-  ascending with NaN last;
+* a row's k smallest values form one multiset, which the selection and the
+  stable argsort both order ascending with NaN last;
 * a kernel cell is never -0.0, since every sum starts at +0.0 and
   round-to-nearest gives -0.0 only for (-0.0) + (-0.0), so equal cells are
   equal bits;
@@ -61,45 +57,29 @@ def _block_rows(row_bytes: int) -> int:
     return max(1, _BLOCK_BYTES // row_bytes)
 
 
-def _smallest_k(
-    block: np.ndarray, k: int, scratch: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Values and columns of each row's k smallest entries, ascending.
+def _columns(block: np.ndarray, nearest: np.ndarray) -> np.ndarray:
+    """Columns of ``nearest``, each row's k smallest entries of ``block`` in
+    ascending order: ``np.argsort(block, axis=1, kind="stable")[:, :k]``.
 
-    Bit-identical to ``np.argsort(block, axis=1, kind="stable")[:, :k]`` and
-    the values it selects: ties keep ascending column order and NaN sorts last.
-    ``scratch``, an array of ``block``'s shape, is overwritten.
+    Ties keep ascending column order and NaN sorts last.
     """
     rows, n = block.shape
-    np.copyto(scratch, block)
-    scratch.partition(k - 1, axis=1)
-    kth = scratch[:, k - 1, None]
+    k = nearest.shape[1]
+    kth = nearest[:, -1:]
     keep = block <= kth
-    count = np.count_nonzero(keep, axis=1)
-    tied = np.flatnonzero(count > k)
-    if tied.size:
-        # Keep everything below the k-th value, then the lowest-index entries
-        # equal to it until the row has k.
-        sub, bound = block[tied], kth[tied]
-        below = sub < bound
-        equal = sub == bound
+    repair = np.flatnonzero(np.count_nonzero(keep, axis=1) != k)
+    if repair.size:
+        # Ties at the k-th value, or a NaN as it: keep everything below it, then
+        # the lowest-index entries equal to it (or NaN) until the row has k.
+        sub, bound = block[repair], kth[repair]
+        nan = np.isnan(bound)
+        below = np.where(nan, ~np.isnan(sub), sub < bound)
+        equal = np.where(nan, np.isnan(sub), sub == bound)
         room = k - np.count_nonzero(below, axis=1)
-        keep[tied] = below | (equal & (np.cumsum(equal, axis=1) <= room[:, None]))
-    short = np.flatnonzero(count < k)
-    if short.size:
-        # The k-th value is NaN: fewer than k comparable entries in the row.
-        order = np.argsort(block[short], axis=1, kind="stable")[:, :k]
-        fill = np.zeros((short.size, n), dtype=bool)
-        np.put_along_axis(fill, order, True, axis=1)
-        keep[short] = fill
+        keep[repair] = below | (equal & (np.cumsum(equal, axis=1) <= room[:, None]))
     flat = np.flatnonzero(keep).reshape(rows, k)
-    values = np.take(block, flat)
-    cols = flat - np.arange(0, rows * n, n)[:, None]
-    order = np.argsort(values, axis=1, kind="stable")
-    return (
-        np.take_along_axis(values, order, axis=1),
-        np.take_along_axis(cols, order, axis=1),
-    )
+    order = np.argsort(np.take(block, flat), axis=1, kind="stable")
+    return np.take_along_axis(flat - np.arange(0, rows * n, n)[:, None], order, axis=1)
 
 
 def _knn(
@@ -109,10 +89,10 @@ def _knn(
     """Each row of ``q``'s k nearest rows of ``t``, one block at a time.
 
     ``self_query`` means ``q`` is ``t``: each block's own rows are masked.
-    ``indices`` false returns None for the indices and selects values only.
-    The kernel gets ``t`` Fortran-ordered: one transpose per search, not per
-    block. Every block reuses one work array: its result in the first half,
-    the kernel's scratch in the second, which ``_smallest_k`` then reuses.
+    ``indices`` false returns None for the indices. The kernel gets ``t``
+    Fortran-ordered: one transpose per search, not per block. Every block
+    reuses one work array: its result in the first half, the kernel's scratch
+    in the second, where index readers then select on a copy of the block.
     """
     rows, n = q.shape[0], t.shape[0]
     dists = np.empty((rows, k), dtype=np.float64)
@@ -126,16 +106,19 @@ def _knn(
         block = distance_matrix(q[start:stop], columns, spec, out=out, scratch=scratch)
         if self_query:
             block[np.arange(stop - start), np.arange(start, stop)] = np.inf
+        chosen = block
+        if indices:  # select on a copy: ``_columns`` reads the block itself
+            chosen = scratch
+            np.copyto(chosen, block)
+        chosen.partition(k - 1, axis=1)
+        nearest = dists[start:stop]
+        nearest[...] = chosen[:, :k]
+        nearest.sort(axis=1)
+        nan = np.flatnonzero(np.isnan(nearest[:, -1]))
+        if nan.size:  # the quicksort rewrote their NaN bits
+            nearest[nan] = np.sort(chosen[nan, :k], axis=1, kind="stable")
         if indices:
-            dists[start:stop], idx[start:stop] = _smallest_k(block, k, scratch)
-        else:
-            block.partition(k - 1, axis=1)
-            nearest = dists[start:stop]
-            nearest[...] = block[:, :k]
-            nearest.sort(axis=1)
-            nan = np.flatnonzero(np.isnan(nearest[:, -1]))
-            if nan.size:  # the quicksort rewrote their NaN bits
-                nearest[nan] = np.sort(block[nan, :k], axis=1, kind="stable")
+            idx[start:stop] = _columns(block, nearest)
     return dists, idx
 
 

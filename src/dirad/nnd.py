@@ -100,7 +100,11 @@ class NndModel:
         return anomaly_scores(self, queries, knn)
 
     def query_knn(self, queries: np.ndarray, *, indices: bool = False) -> tuple:
-        return query_knn(self, queries, indices=indices)
+        """The ``knn_batch`` search ``neighbour_problem`` of ``queries``; its
+        indices are None unless asked for, to share with an index reader."""
+        columns, spec, width = self.neighbour_problem
+        q = _as_queries(queries, self.train.shape[1])
+        return knn_batch(self.train[:, columns], q[:, columns], width, spec, indices=indices)
 
 
 def _require_oriented(ds: Dataset) -> None:
@@ -173,22 +177,10 @@ def signed_risks(model: NndModel, queries: np.ndarray) -> np.ndarray:
     return sums - top
 
 
-def query_knn(model: NndModel, queries: np.ndarray, *, indices: bool = False) -> tuple:
-    """The ``knn_batch`` search ``model.neighbour_problem`` of ``queries``.
-
-    Scoring reads only distances, so the indices are None unless
-    ``indices`` asks for them, for a search shared with a model that reads
-    them (``evaluation._neighbour_plans``).
-    """
-    columns, spec, width = model.neighbour_problem
-    q = _as_queries(queries, model.train.shape[1])
-    return knn_batch(model.train[:, columns], q[:, columns], width, spec, indices=indices)
-
-
 def raw_scores(model: NndModel, queries: np.ndarray, knn=None) -> np.ndarray:
     """Raw detector scores for a (q, m) query matrix (may be negative).
 
-    ``knn``, if given, stands in for ``query_knn(model, queries)``: any
+    ``knn``, if given, stands in for ``model.query_knn(queries)``: any
     search of ``neighbour_problem`` at least ``k`` wide (``_knn_prefix``).
     """
     q = _as_queries(queries, model.train.shape[1])

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dirad import alp, evaluation, nnd
+from dirad import alp, nnd
 from dirad.alp import AlpConfig, default_k, default_l
 from dirad.dataset import (
     AttributeSpec,
@@ -24,8 +24,6 @@ from dirad.dataset import (
 )
 from dirad.distance import DistanceVariant
 from dirad.evaluation import (
-    ExperimentResult,
-    _prepare_train,
     auroc,
     holm_bonferroni,
     make_folds,
@@ -35,6 +33,8 @@ from dirad.evaluation import (
 )
 from dirad.nnd import NndConfig, contract, linear_weights
 from dirad.synthgen import SynthSpec, replicate_seed
+
+from cv_spies import fitted_per_fold
 
 ABS = DistanceVariant.ABSOLUTE
 RAMP = DistanceVariant.RAMP
@@ -62,39 +62,6 @@ def directional_dataset(records, n_directional=None):
         for j in range(m)
     )
     return Dataset(schema, records)
-
-
-class KeepModels:
-    """A detector config whose ``fit`` delegates to ``config`` and keeps each
-    model it returns."""
-
-    def __init__(self, config):
-        self.config, self.models = config, []
-
-    def __getattr__(self, name):
-        return getattr(self.config, name)
-
-    def fit(self, train):
-        self.models.append(self.config.fit(train))
-        return self.models[-1]
-
-
-def fitted_per_fold(monkeypatch, dataset, config, plan):
-    """Each fold's (scaler, model) as ``run_cv`` used them: the scaler from a
-    spy on ``evaluation._prepare_train``, the model from ``config.fit``."""
-    scalers = []
-
-    def spy(train, scale):
-        prepared = _prepare_train(train, scale)
-        scalers.append(prepared[0])
-        return prepared
-
-    monkeypatch.setattr(evaluation, "_prepare_train", spy)
-    keep = KeepModels(config)
-    (result,) = run_cv(dataset, [keep], plan)
-    assert isinstance(result, ExperimentResult)
-    assert len(scalers) == len(keep.models) == len(plan)
-    return list(zip(scalers, keep.models))
 
 
 def test_01_auroc_matches_pairwise_oracle():

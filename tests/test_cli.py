@@ -799,12 +799,12 @@ class TestStats:
     @settings(max_examples=60, deadline=None)
     @given(table=st.dictionaries(
         st.tuples(*[st.text(st.characters(blacklist_categories=("Cs", "Cc"))
-                            | st.sampled_from(',"'), max_size=6)] * 3),
+                            | st.sampled_from(',"\r\n'), max_size=6)] * 3),
         st.floats(allow_nan=False, allow_infinity=False), max_size=6,
     ))
     def test_summary_round_trips_through_the_stats_reader(self, table):
-        # Ids and variant names with commas, quotes, spaces and non-ASCII
-        # text come back as the same keys; each float as the same repr.
+        # Ids and variant names with commas, quotes, line breaks, spaces and
+        # non-ASCII text come back as the same keys; each float as the same repr.
         results = [evaluation.ExperimentResult(ds, det, var, (auc,), auc)
                    for (ds, det, var), auc in table.items()]
         expected: dict = {}
@@ -1132,6 +1132,43 @@ def test_repeated_dataset_id_is_rejected(second, tmp_path, monkeypatch, capsys):
         f"error: --data a/x.csv and {second} share the dataset id 'x'"
     ]
     assert not (tmp_path / "out").exists()
+
+
+CV_ARGS = ["--data", "x.csv", "--schema", "schema.txt"]
+SWEEP_ARGS = ["--sweep", "gaussian", "--replicates", "1"]
+
+
+@pytest.mark.parametrize("flags, message", [
+    # Each would write every row twice, or only a header, and exit 0.
+    ([*SWEEP_ARGS, "--shifts", "0.5,0.5"], "--shifts selects 0.5 twice"),
+    ([*SWEEP_ARGS, "--shifts", "0.5,.5"], "--shifts selects 0.5 twice"),
+    ([*SWEEP_ARGS, "--shifts", ","], "--shifts selects nothing"),
+    ([*SWEEP_ARGS, "--shifts", ""], "--shifts selects nothing"),
+    ([*SWEEP_ARGS, "--detectors", ""], "--detectors selects nothing"),
+    ([*CV_ARGS, "--detectors", ""], "--detectors selects nothing"),
+    ([*CV_ARGS, "--detectors", "alp,nnd,alp"], "--detectors selects 'alp' twice"),
+    ([*CV_ARGS, "--variants", "ramp,ramp"], "--variants selects 'ramp' twice"),
+    ([*CV_ARGS, "--detectors", "nnd,alp", "--alp-variants", ","],
+     "--alp-variants selects nothing"),
+], ids=["shift-twice", "shift-twice-spelt-apart", "comma-shifts", "empty-shifts",
+        "no-sweep-detector", "no-cv-detector", "detector-twice", "variant-twice",
+        "no-alp-variant"])
+def test_empty_or_repeated_selection_is_rejected(
+    flags, message, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "schema.txt").write_text("x,high\nlabel,label,anomalous,normal\n")
+    (tmp_path / "x.csv").write_text("x,label\n1,normal\n2,anomalous\n")
+    assert run(["bench", *flags, "--out-dir", "out"]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_selection_for_an_unselected_detector_is_not_read(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(["bench", *SWEEP_ARGS, "--shifts", "0.5", "--detectors", "nnd",
+                "--nnd-variants", "ramp", "--alp-variants", "", "--out-dir", "out"]) == 0
+    assert len(read_rows("out/sweep.csv")) == 1
 
 
 @pytest.mark.parametrize("argv, threads", [

@@ -28,6 +28,8 @@ from dirad.evaluation import (
 from dirad.nnd import NndConfig, _knn_prefix
 from dirad.synthgen import SynthSpec, replicate_seed
 
+from cv_spies import fitted_per_fold
+
 
 def pairwise_auroc(scores, labels):
     """Brute-force pairwise count: wins plus half-credited ties."""
@@ -92,39 +94,6 @@ class FakeConfig:
 
     def anomaly_scores(self, queries, knn=None):
         return self.score(queries)
-
-
-class KeepModels:
-    """A detector config whose ``fit`` delegates to ``config`` and keeps each
-    model it returns."""
-
-    def __init__(self, config):
-        self.config, self.models = config, []
-
-    def __getattr__(self, name):
-        return getattr(self.config, name)
-
-    def fit(self, train):
-        self.models.append(self.config.fit(train))
-        return self.models[-1]
-
-
-def fitted_per_fold(monkeypatch, dataset, config, plan):
-    """Each fold's (scaler, model) as ``run_cv`` used them: the scaler from a
-    spy on ``evaluation._prepare_train``, the model from ``config.fit``."""
-    scalers = []
-
-    def spy(train, scale):
-        prepared = _prepare_train(train, scale)
-        scalers.append(prepared[0])
-        return prepared
-
-    monkeypatch.setattr(evaluation, "_prepare_train", spy)
-    keep = KeepModels(config)
-    (result,) = run_cv(dataset, [keep], plan)
-    assert isinstance(result, ExperimentResult)
-    assert len(scalers) == len(keep.models) == len(plan)
-    return list(zip(scalers, keep.models))
 
 
 def labelled_gaussian(seed, n_normal=40, n_anom=15, m=3, shift=1.0):
@@ -475,15 +444,15 @@ class TestNeighbourPlans:
 
     def test_distance_only_searches_skip_index_selection(self, monkeypatch):
         # NND reads no indices and ALP's fit only its self-NN distances, so
-        # neither runs _smallest_k; ALP's query search does.
+        # neither runs _columns; ALP's query search does.
         calls = []
 
-        def spy(block, k, scratch):
-            calls.append(k)
-            return smallest_k(block, k, scratch)
+        def spy(block, nearest):
+            calls.append(nearest.shape[1])
+            return columns(block, nearest)
 
-        smallest_k = neighbours._smallest_k
-        monkeypatch.setattr(neighbours, "_smallest_k", spy)
+        columns = neighbours._columns
+        monkeypatch.setattr(neighbours, "_columns", spy)
         ds = labelled_mixed(5)
         results = run_cv(ds, [NndConfig(v, k=8) for v in DistanceVariant],
                          make_folds(40, 5, seed=0))
