@@ -22,7 +22,6 @@ import csv
 import io
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -147,9 +146,14 @@ def _attach_numbers(argv: list[str]) -> list[str]:
 
 def _selection(flag: str, text: str, convert=str) -> list:
     """The comma-separated values of ``flag``, blanks skipped, each
-    ``convert``ed; a ValueError unless there is at least one and none comes
-    twice."""
-    values = [convert(part.strip()) for part in text.split(",") if part.strip()]
+    ``convert``ed; a ValueError naming ``flag`` unless every value converts,
+    there is at least one and none comes twice."""
+    values = []
+    for part in filter(None, (part.strip() for part in text.split(","))):
+        try:
+            values.append(convert(part))
+        except ValueError:
+            raise ValueError(f"{flag}: {part!r} is not a number") from None
     if not values:
         raise ValueError(f"{flag} selects nothing")
     for i, value in enumerate(values):
@@ -258,6 +262,8 @@ def _run_cells(jobs, worker, width: int) -> list:
     threads = _thread_count()
     if threads == 1:
         return [attempt(job) for job in jobs]
+    from concurrent.futures import ThreadPoolExecutor  # 0.6 MB a serial run never needs
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(attempt, jobs))
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import hashlib
 import os
 import zipfile
 from dataclasses import dataclass
@@ -121,6 +120,8 @@ def save_model(
 def _digest(arrays: dict) -> str:
     """SHA-256 over the key, dtype, shape and bytes of every array but
     ``digest``, in key order."""
+    import hashlib  # loads OpenSSL, which scoring without bundles never needs
+
     sha = hashlib.sha256()
     for key in sorted(arrays.keys() - {"digest"}):
         arr = np.asarray(arrays[key])

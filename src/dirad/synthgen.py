@@ -13,7 +13,6 @@ bit-identical across runs.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -84,6 +83,8 @@ def generate(spec: SynthSpec) -> tuple[Dataset, Dataset]:
 
 def replicate_seed(base_seed: int, family: str, shift: float, replicate: int) -> int:
     """Stable per-replicate seed; independent of Python's hash randomisation."""
+    import hashlib  # loads OpenSSL, which only a sweep's grid needs
+
     key = f"{base_seed}|{family}|{float(shift)!r}|{replicate}".encode()
     return int.from_bytes(hashlib.sha256(key).digest()[:8], "big") >> 1
 

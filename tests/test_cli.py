@@ -1150,9 +1150,11 @@ SWEEP_ARGS = ["--sweep", "gaussian", "--replicates", "1"]
     ([*CV_ARGS, "--variants", "ramp,ramp"], "--variants selects 'ramp' twice"),
     ([*CV_ARGS, "--detectors", "nnd,alp", "--alp-variants", ","],
      "--alp-variants selects nothing"),
+    # Exited 1, but said only "could not convert string to float: 'x'".
+    ([*SWEEP_ARGS, "--shifts", "0.5, x"], "--shifts: 'x' is not a number"),
 ], ids=["shift-twice", "shift-twice-spelt-apart", "comma-shifts", "empty-shifts",
         "no-sweep-detector", "no-cv-detector", "detector-twice", "variant-twice",
-        "no-alp-variant"])
+        "no-alp-variant", "non-numeric-shift"])
 def test_empty_or_repeated_selection_is_rejected(
     flags, message, tmp_path, monkeypatch, capsys
 ):

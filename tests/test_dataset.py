@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -81,6 +81,22 @@ class TestParseCsv:
         assert np.array_equal(ds.records, again.records)
         assert np.array_equal(ds.labels, again.labels)
         assert format_csv(again, rule) == text
+
+    @settings(max_examples=150, deadline=None)
+    @given(records=st.integers(1, 4).flatmap(lambda m: hnp.arrays(
+        np.float64, st.tuples(st.integers(0, 40), st.just(m)),
+        elements=st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308])
+        | st.floats(allow_nan=False, allow_infinity=False),
+    )))
+    @example(records=np.empty((0, 3)))  # header-only text
+    def test_every_value_reads_back_bit_for_bit_whatever_the_line_ends(self, records):
+        schema = tuple(AttributeSpec(f"a{j}") for j in range(records.shape[1]))
+        text = format_csv(Dataset(schema, records))
+        for version in (text, text.replace("\n", "\r\n"), text.replace("\n", "\r"),
+                        "\ufeff" + text):
+            again = parse_csv(version, schema).records
+            assert again.shape == records.shape
+            assert again.tobytes() == records.tobytes()
 
 
 class TestDatasetInvariants:

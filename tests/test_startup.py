@@ -1,14 +1,25 @@
 """Import-cost guard: of the CLI commands only ``dirad stats`` loads SciPy,
-and the others leave ``numpy.ma`` unloaded.
+the others leave ``numpy.ma`` unloaded, a serial run never loads the thread
+pool, and importing dirad, fitting with ``score`` and ``diagnose`` never load
+OpenSSL.
 
 SciPy takes about a second to import, more than all of dirad's other imports
 together, and only the signed-rank test's normal tail needs it. ``numpy.ma``
 (about 0.9 MB resident) came in through ``np.quantile``'s ``np.unique``,
 which the scaler calls only for a column holding both -0.0 and +0.0 that
-reads a zero quartile. One fresh interpreter imports dirad, runs every other
-command on a tiny problem and then ``stats``, recording the ``scipy*``
-modules, and whether ``numpy.ma`` is loaded, after each step. NumPy 1.x
-imports ``numpy.ma`` with numpy itself, so there only SciPy is checked.
+reads a zero quartile. ``concurrent.futures`` (about 0.6 MB) is needed only
+when DIRAD_THREADS is above 1, and ``_hashlib`` (OpenSSL, about 3.6 MB) only
+to hash a model bundle or a sweep's replicate seeds. ``_hashlib`` is not
+checked after ``synth``, ``bench`` or ``stats``: ``numpy.random`` loads it
+through ``secrets`` and ``hmac``, and SciPy's ``special`` loads it too.
+
+The test writes a tiny problem first, so one fresh interpreter, with
+DIRAD_THREADS unset, can import dirad, fit with ``score`` and run
+``diagnose`` before any command that loads ``_hashlib``, then run every
+other command and ``stats`` last. It records the ``scipy*`` modules, and
+whether ``numpy.ma``, ``concurrent.futures`` and ``_hashlib`` are loaded,
+after each step. NumPy 1.x imports ``numpy.ma`` and ``numpy.random`` with
+numpy itself, so there a module that ``import numpy`` loads is not checked.
 """
 
 import json
@@ -19,7 +30,7 @@ from pathlib import Path
 
 import pytest
 
-import dirad
+import dirad.cli
 
 SCRIPT = r"""
 import json
@@ -29,13 +40,15 @@ from pathlib import Path
 work = Path(sys.argv[1])
 import numpy
 
-seen = {"numpy.ma": {"import numpy": "numpy.ma" in sys.modules}}
+WATCHED = ("numpy.ma", "concurrent.futures", "_hashlib")
+seen = {name: {"import numpy": name in sys.modules} for name in WATCHED}
 
 
 def record(step, code=0):
     loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
     seen[step] = {"code": code, "scipy": loaded}
-    seen["numpy.ma"][step] = "numpy.ma" in sys.modules
+    for name in WATCHED:
+        seen[name][step] = name in sys.modules
 
 
 import dirad
@@ -49,27 +62,33 @@ def run(step, *argv):
 
 
 data = work / "data"
-run("synth", "synth", "--family", "gaussian", "--a", "0.7", "--seed", "3",
-    "--n-train", "40", "--n-test-normal", "20", "--n-test-anomalous", "10",
-    "--m", "3", "--out", data)
 pair = ["--data", data / "test.csv", "--schema", data / "schema.txt"]
+fit = ["score", "--train", data / "train.csv", "--schema", data / "schema.txt"]
+run("score", *fit, "--queries", data / "test.csv", "--out", work / "scores.csv")
+run("diagnose", "diagnose", *pair)
+run("synth", *json.loads(sys.argv[2]), "--out", work / "synth")
 run("bench cv", "bench", *pair, "--detectors", "nnd,alp", "--k", "3",
     "--alp-k", "2", "--alp-l", "3", "--out-dir", work / "cv")
 run("bench sweep", "bench", "--sweep", "gaussian", "--shifts", "0.5",
     "--replicates", "1", "--k", "3", "--out-dir", work / "sweep")
-run("score", "score", "--train", data / "train.csv", "--schema",
-    data / "schema.txt", "--save-model", work / "model.npz",
-    "--queries", data / "test.csv", "--out", work / "scores.csv")
-run("score --model", "score", "--model", work / "model.npz",
+run("score --save-model", *fit, "--save-model", work / "model.npz",
     "--queries", data / "test.csv", "--out", work / "scores2.csv")
-run("diagnose", "diagnose", *pair)
+run("score --model", "score", "--model", work / "model.npz",
+    "--queries", data / "test.csv", "--out", work / "scores3.csv")
 run("stats", "stats", "--results", work / "summary.csv", "--detector", "nnd",
     "--compare", "ramp:absolute", "--out", work / "report.csv")
 (work / "seen.json").write_text(json.dumps(seen))
 """
 
-NON_STATS_STEPS = ["import dirad", "import dirad.cli", "synth", "bench cv",
-                   "bench sweep", "score", "score --model", "diagnose"]
+SYNTH = ["synth", "--family", "gaussian", "--a", "0.7", "--seed", "3",
+         "--n-train", "40", "--n-test-normal", "20", "--n-test-anomalous", "10",
+         "--m", "3"]
+NON_STATS_STEPS = ["import dirad", "import dirad.cli", "score", "diagnose", "synth",
+                   "bench cv", "bench sweep", "score --save-model", "score --model"]
+# The steps run in this order: the thread pool stays unloaded through
+# "bench cv", OpenSSL through "diagnose".
+NO_OPENSSL_UNTIL = "diagnose"
+NO_THREAD_POOL_UNTIL = "bench cv"
 
 
 @pytest.fixture(scope="module")
@@ -81,11 +100,12 @@ def seen(tmp_path_factory):
         rows.append(f"d{i},nnd,ramp,{0.9 - 0.01 * i!r}")
         rows.append(f"d{i},nnd,absolute,{0.8 - 0.02 * i!r}")
     (work / "summary.csv").write_text("\n".join(rows) + "\n")
+    assert dirad.cli.main([*SYNTH, "--out", str(work / "data")]) == 0
     env = dict(os.environ)
     env.pop("DIRAD_THREADS", None)
     src = str(Path(dirad.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    subprocess.run([sys.executable, "-c", SCRIPT, str(work)], env=env,
+    subprocess.run([sys.executable, "-c", SCRIPT, str(work), json.dumps(SYNTH)], env=env,
                    capture_output=True, timeout=120, check=True)
     return json.loads((work / "seen.json").read_text())
 
@@ -100,8 +120,26 @@ def test_stats_still_works_and_is_what_loads_scipy(seen):
     assert "scipy.special" in seen["stats"]["scipy"]
 
 
+def steps_until(last):
+    return NON_STATS_STEPS[:NON_STATS_STEPS.index(last) + 1]
+
+
+def assert_not_loaded(seen, name, step):
+    if seen[name]["import numpy"]:
+        pytest.skip(f"this NumPy imports {name} with numpy itself")
+    assert seen[name][step] is False
+
+
 @pytest.mark.parametrize("step", NON_STATS_STEPS)
 def test_step_loads_no_numpy_ma(seen, step):
-    if seen["numpy.ma"]["import numpy"]:
-        pytest.skip("this NumPy imports numpy.ma with numpy itself")
-    assert seen["numpy.ma"][step] is False
+    assert_not_loaded(seen, "numpy.ma", step)
+
+
+@pytest.mark.parametrize("step", steps_until(NO_THREAD_POOL_UNTIL))
+def test_serial_step_loads_no_thread_pool(seen, step):
+    assert_not_loaded(seen, "concurrent.futures", step)
+
+
+@pytest.mark.parametrize("step", steps_until(NO_OPENSSL_UNTIL))
+def test_step_loads_no_openssl(seen, step):
+    assert_not_loaded(seen, "_hashlib", step)
