@@ -23,9 +23,10 @@ import numpy as np
 
 from .dataset import Dataset
 from .distance import DistanceSpec, DistanceVariant
-from .neighbours import _block_rows, knn_batch, self_knn_batch
+from .neighbours import knn_batch, self_knn_batch
 from .nnd import (
     _as_queries, _assign, _knn_prefix, _require_oriented, _train_and_mask, linear_weights,
+    weighted_sum,
 )
 
 
@@ -60,6 +61,10 @@ class AlpConfig:
     def __post_init__(self) -> None:
         if self.variant is DistanceVariant.SIGNED:
             raise ValueError("signed distance cannot be used with ALP")
+        for name in ("k", "l"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
 
     def fit(self, train: Dataset) -> AlpModel:
         return fit(train, self)
@@ -104,7 +109,7 @@ class AlpModel:
         if nn_dists is None:
             nn_dists, _ = self_knn_batch(train, self.k, spec, indices=False)
         else:
-            # float64, as ``_lp_batch`` gathers it into a float64 buffer
+            # float64, so scoring sums D in double precision
             nn_dists = np.asarray(nn_dists, dtype=np.float64)
             if nn_dists.shape != (n, self.k):
                 raise ValueError(f"train_nn_dists must have shape ({n}, {self.k})")
@@ -149,21 +154,8 @@ def _lp_batch(model: AlpModel, queries: np.ndarray, knn=None) -> np.ndarray:
     near, n = idx[:, :l], model.train_nn_dists.shape[0]
     if near.size and not (near.min() >= 0 and near.max() < n):
         raise ValueError(f"knn indices must be in [0, {n - 1}]")
-    # D[r, i] = sum_j w'_j * (i-th self-NN distance of the j-th neighbour of r).
-    # The (rows, l, k) gather runs a block of rows at a time into one buffer, so
-    # its memory is bounded by bytes; the sum over axis 1 is per row, so blocks
-    # cannot move it. The indices are checked above: "clip" lets ``take`` write
-    # straight into the buffer, where "raise" stages it in a temporary.
-    rows = q.shape[0]
-    big_d = np.empty((rows, k))
-    step = _block_rows(8 * l * k)
-    gather = np.empty((min(rows, step), l, k))
-    for start in range(0, rows, step):
-        stop = min(start + step, rows)
-        local = gather[: stop - start]
-        np.take(model.train_nn_dists, near[start:stop], axis=0, out=local, mode="clip")
-        np.multiply(model.weights_l[None, :, None], local, out=local)
-        local.sum(axis=1, out=big_d[start:stop])
+    # D[r, i] = sum_j w'_j * (i-th self-NN distance of the j-th neighbour of r)
+    big_d = weighted_sum(model.weights_l, (model.train_nn_dists[column] for column in near.T))
     with np.errstate(over="ignore", invalid="ignore"):  # settled below
         denom = big_d + d
         lp = big_d / denom
@@ -183,7 +175,7 @@ def _lp_batch(model: AlpModel, queries: np.ndarray, knn=None) -> np.ndarray:
 def normality_scores(model: AlpModel, queries: np.ndarray, knn=None) -> np.ndarray:
     """Weighted maximum of the localised proximities, one score per row."""
     lp = _lp_batch(model, queries, knn)
-    raw = np.sort(lp, axis=1)[:, ::-1] @ model.weights_k
+    raw = weighted_sum(model.weights_k, np.sort(lp, axis=1)[:, ::-1].T)
     # The weights sum to 1 only within rounding, so pin the hard [0, 1] range.
     return np.clip(raw, 0.0, 1.0)
 

@@ -19,6 +19,7 @@ import array
 import csv
 import enum
 import io
+import itertools
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Iterable, Sequence
@@ -175,6 +176,14 @@ def parse_csv(
                 )
 
     records = np.frombuffer(values, dtype=np.float64).reshape(rownum, len(schema))
+    finite = np.isfinite(records)
+    if not finite.all():  # name the first non-finite cell, in the order read
+        r, j = divmod(int(np.argmin(finite)), len(schema))
+        row = next(itertools.islice(csv.reader(io.StringIO(text, newline="")), r + 1, None))
+        raise ValueError(
+            f"row {r + 1}, column {schema[j].name!r}: {row[attr_pos[j]]!r} "
+            f"is not a finite number"
+        )
     return Dataset(
         tuple(schema), records, np.array(labels, dtype=bool) if label_rule else None
     )

@@ -38,10 +38,10 @@ import numpy as np
 from .distance import DistanceSpec, distance_matrix
 
 # Bytes per block of rows: a kernel call takes max(1, _BLOCK_BYTES // (8 * n)) query
-# rows, and ALP's (rows, l, k) gather as many as fit, so memory per block is bounded
-# by bytes whatever n is. Each search allocates one block's result and the kernel's
-# scratch buffer once and reuses them for every block; together they fit a per-core
-# L2 cache: 512 KiB was the fastest of 32 KiB-2 MiB on a Xeon with 2 MiB of L2.
+# rows, so memory per block is bounded by bytes whatever n is. Each search allocates
+# one block's result and the kernel's scratch buffer once and reuses them for every
+# block; together they fit a per-core L2 cache: 512 KiB was the fastest of
+# 32 KiB-2 MiB on a Xeon with 2 MiB of L2.
 _BLOCK_BYTES = 512 * 1024
 
 

@@ -10,6 +10,11 @@ distance, added on top of that risk score.
 
 Raw scores are squashed into (0, 1) by ``contract`` for evaluation; the
 squash is strictly increasing, so rankings (and hence AUROC) are unchanged.
+
+Every weighted sum in scoring, NND's and ALP's, is ``weighted_sum``, which
+adds w_i * t_i in weight order from +0.0 with elementwise ufuncs, as a scalar
+loop does: that order, not the memory layout or the CPU's BLAS kernel, fixes
+a score's bits.
 """
 
 from __future__ import annotations
@@ -31,6 +36,17 @@ def linear_weights(k: int) -> np.ndarray:
     return 2.0 * (k + 1.0 - i) / (k * (k + 1.0))
 
 
+def weighted_sum(weights: np.ndarray, terms):
+    """Sum of w_i * t_i over ``weights`` and as many ``terms`` (scalars or
+    arrays of one shape), added in weight order from +0.0; an overflow to inf
+    or an inf - inf NaN passes silently, as in the scalar loop."""
+    total = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for w, term in zip(weights, terms, strict=True):
+            total += w * term
+    return total
+
+
 def contract(raw):
     """Squash a raw score into (0, 1): a -> a / (2(|a| + 1)) + 1/2.
 
@@ -50,6 +66,10 @@ class NndConfig:
     k: int = 8
 
     detector = "nnd"
+
+    def __post_init__(self) -> None:
+        if self.k < 1:
+            raise ValueError(f"k must be >= 1, got {self.k}")
 
     def fit(self, train: Dataset) -> NndModel:
         return fit(train, self)
@@ -90,7 +110,8 @@ class NndModel:
         problem = None if columns.size == 0 else (
             tuple(columns.tolist()), DistanceSpec.for_mask(mask[columns], self.variant), self.k
         )
-        sums = np.sort(train[:, mask].sum(axis=1))[::-1].copy() if signed else None
+        with np.errstate(over="ignore"):  # huge finite rows sum to inf
+            sums = np.sort(train[:, mask].sum(axis=1))[::-1].copy() if signed else None
         _assign(
             self, train=train, directional_mask=mask, weights=weights,
             neighbour_problem=problem, sorted_sums=sums,
@@ -150,11 +171,10 @@ def _as_queries(queries, m: int) -> np.ndarray:
 
 
 def _knn_prefix(model, queries: np.ndarray, knn) -> tuple:
-    """``model``'s own ``query_knn``, or contiguous copies of the first
-    ``width`` columns of ``knn``, a search of its problem at least that wide:
-    the total (distance, row index) order makes the two equal. Indices of
-    None, from a distances-only search, pass through unless the model
-    ``reads_indices``."""
+    """``model``'s own ``query_knn``, or the first ``width`` columns of
+    ``knn``, a search of its problem at least that wide: the total (distance,
+    row index) order makes the two equal. Indices of None, from a
+    distances-only search, pass through unless the model ``reads_indices``."""
     rows, width = len(queries), model.neighbour_problem[2]
     dists, idx = model.query_knn(queries) if knn is None else knn
     if (
@@ -162,8 +182,7 @@ def _knn_prefix(model, queries: np.ndarray, knn) -> tuple:
         or (idx.shape != dists.shape if idx is not None else model.reads_indices)
     ):
         raise ValueError(f"knn must hold ({rows}, >= {width}) distances and indices")
-    cut = np.ascontiguousarray(dists[:, :width])
-    return cut, None if idx is None else np.ascontiguousarray(idx[:, :width])
+    return dists[:, :width], None if idx is None else idx[:, :width]
 
 
 def signed_risks(model: NndModel, queries: np.ndarray) -> np.ndarray:
@@ -171,10 +190,10 @@ def signed_risks(model: NndModel, queries: np.ndarray) -> np.ndarray:
     if model.variant is not DistanceVariant.SIGNED:
         raise ValueError("signed risk is only defined for the signed variant")
     q = _as_queries(queries, model.train.shape[1])
-    with np.errstate(over="ignore"):  # huge finite rows sum to inf
+    # Huge finite rows sum to inf, and an inf sum less an inf top is NaN.
+    with np.errstate(over="ignore", invalid="ignore"):
         sums = q[:, model.directional_mask].sum(axis=1)
-    top = float(np.dot(model.weights, model.sorted_sums[: model.k]))
-    return sums - top
+        return sums - weighted_sum(model.weights, model.sorted_sums[: model.k])
 
 
 def raw_scores(model: NndModel, queries: np.ndarray, knn=None) -> np.ndarray:
@@ -186,14 +205,14 @@ def raw_scores(model: NndModel, queries: np.ndarray, knn=None) -> np.ndarray:
     q = _as_queries(queries, model.train.shape[1])
     if model.neighbour_problem is None:
         return signed_risks(model, q)
-    dists, _ = _knn_prefix(model, q, knn)
+    nearest = weighted_sum(model.weights, _knn_prefix(model, q, knn)[0].T)
     if model.variant is not DistanceVariant.SIGNED:
-        return dists @ model.weights
+        return nearest
     # Without directional attributes the risk is +0.0, which leaves the
-    # (non-negative) adirectional part unchanged bit for bit. A -inf risk
-    # plus an infinite distance is NaN, which scoring rejects.
-    with np.errstate(invalid="ignore"):
-        return signed_risks(model, q) + dists @ model.weights
+    # (non-negative) adirectional part unchanged bit for bit. Huge parts sum to
+    # inf; a -inf risk plus an infinite distance is NaN, which scoring rejects.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return signed_risks(model, q) + nearest
 
 
 def anomaly_scores(model: NndModel, queries: np.ndarray, knn=None) -> np.ndarray:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from dirad import alp, neighbours
+from dirad import alp
 from dirad.alp import AlpConfig, default_k, default_l
 from dirad.dataset import AttributeSpec, Dataset, Direction
 from dirad.distance import DistanceSpec, DistanceVariant, record_distance
@@ -187,51 +187,25 @@ class TestScoreProperties:
 class TestBlockedGather:
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
-    def test_blocks_match_the_whole_array_formula_bitwise(self, data):
-        # Small integers give tied distances and duplicated rows; blocks run
-        # from one row up to every query, k = 1 included.
-        n = data.draw(st.integers(2, 25))
-        m = data.draw(st.integers(1, 3))
-        values = st.integers(-2, 2).map(float)
-        records = data.draw(hnp.arrays(np.float64, (n, m), elements=values))
-        rows = data.draw(st.integers(1, 30))
-        queries = data.draw(hnp.arrays(np.float64, (rows, m), elements=values))
-        k, l = data.draw(st.integers(1, n - 1)), data.draw(st.integers(1, n))
-        variant = data.draw(st.sampled_from([ABS, RAMP]))
-        model = alp.fit(dataset(records), AlpConfig(variant, k=k, l=l))
-        budget = data.draw(st.integers(1, 8 * l * k * rows))
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(neighbours, "_BLOCK_BYTES", budget)
-            got = alp._lp_batch(model, queries)
-        # The whole (q, l, k) gather in one piece, as before blocking.
+    def test_d_sums_first_neighbour_first(self, data):
+        # Gaussian rows give positive, finite, non-integer distances, where
+        # the order of the sum over the l neighbours shows in the bits.
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        n, m = data.draw(st.integers(2, 25)), data.draw(st.integers(1, 3))
+        k = data.draw(st.one_of(st.just(1), st.integers(1, n - 1)))
+        l = data.draw(st.integers(1, n))
+        model = alp.fit(dataset(rng.standard_normal((n, m))), AlpConfig(ABS, k=k, l=l))
+        queries = rng.standard_normal((data.draw(st.integers(1, 20)), m))
         dists, idx = model.query_knn(queries)
-        local = model.train_nn_dists[idx[:, :l], :]
-        big_d = (model.weights_l[None, :, None] * local).sum(axis=1)
-        denom = big_d + dists[:, :k]
-        expected = np.where(denom == 0.0, 1.0, big_d / np.where(denom == 0.0, 1.0, denom))
-        assert got.tobytes() == expected.tobytes()
-
-    def test_every_block_gathers_into_one_buffer(self, monkeypatch):
-        # A two-row block budget splits 7 queries into 4 gathers.
-        rng = np.random.default_rng(4)
-        model = alp.fit(dataset(rng.standard_normal((30, 2))), AlpConfig(ABS, k=4, l=5))
-        queries = rng.standard_normal((7, 2))
-        knn = model.query_knn(queries)
-        expected = alp._lp_batch(model, queries, knn)
-        buffers = []
-        take = np.take
-
-        def spy(*args, out=None, **kwargs):
-            buffers.append(out)
-            return take(*args, out=out, **kwargs)
-
-        monkeypatch.setattr(neighbours, "_BLOCK_BYTES", 2 * 8 * 5 * 4)
-        monkeypatch.setattr(np, "take", spy)
-        got = alp._lp_batch(model, queries, knn)
-        monkeypatch.undo()
-        assert got.tobytes() == expected.tobytes()
-        assert len(buffers) == 4
-        assert all(np.shares_memory(out, buffers[0]) for out in buffers)
+        weights, nn = model.weights_l.tolist(), model.train_nn_dists.tolist()
+        expected = np.empty((len(queries), k))
+        for r in range(len(queries)):
+            for i in range(k):
+                big_d = 0.0
+                for j in range(l):
+                    big_d += weights[j] * nn[idx[r, j]][i]
+                expected[r, i] = big_d / (big_d + float(dists[r, i]))
+        assert alp._lp_batch(model, queries).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("bad", [-1, 30])
     def test_knn_index_out_of_range_rejected(self, bad):
@@ -256,7 +230,7 @@ class TestBlockedGather:
             model.anomaly_scores(queries, knn)
 
     def test_single_precision_train_nn_dists_score_as_double(self):
-        # The gather buffer is float64; the exact widening keeps every score.
+        # D is summed in float64; the exact widening keeps every score.
         rng = np.random.default_rng(6)
         model = alp.fit(dataset(np.round(rng.standard_normal((20, 2)), 2)),
                         AlpConfig(ABS, k=3, l=4))
@@ -348,10 +322,10 @@ class TestScalarOracle:
         assert idx.tolist() == [near for near, _ in neighbours]
         assert dists.tobytes() == np.array([d for _, d in neighbours]).tobytes()
         got = model.anomaly_scores(queries)
-        # The gather sums over l in NumPy's order, lp is formed another way
-        # here, and the weighting over k is a BLAS matvec: each side is off
-        # the exact value by at most about (l / 2 + k + 3) rounding errors of
-        # a [0, 1] quantity, so the two differ by at most (k + l + 4) ulps of 1.0.
+        # D and the weighting over k add in this oracle's order, but lp is
+        # formed another way here, as 1 / (1 + d / D): each lp differs by a
+        # few rounding errors, which the weighting over k carries into a
+        # [0, 1] quantity, well within (k + l + 4) ulps of 1.0.
         assert np.array_equal(np.isnan(got), np.isnan(expected))
         numbers = ~np.isnan(expected)
         bound = (k + l + 4) * np.spacing(1.0)

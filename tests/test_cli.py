@@ -1,4 +1,7 @@
 import csv
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dirad
 from dirad import cli, evaluation, synthgen
 from dirad.cli import main
 from dirad.distance import DistanceVariant
@@ -235,6 +239,20 @@ class TestBench:
         assert capsys.readouterr().err == "error: folds must be >= 2, got 1\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flag, message", [
+        ("--k", "k must be >= 1, got 0"),
+        ("--alp-k", "k must be >= 1, got 0"),
+        ("--alp-l", "l must be >= 1, got 0"),
+    ], ids=["k", "alp-k", "alp-l"])
+    def test_zero_neighbours_is_a_usage_error(self, flag, message, synth_dir, tmp_path,
+                                              capsys):
+        code = run(["bench", "--data", synth_dir / "test.csv",
+                    "--schema", synth_dir / "schema.txt", "--detectors", "nnd,alp",
+                    flag, "0", "--out-dir", tmp_path / "out"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_sweep_builds_each_problem_once(self, tmp_path, monkeypatch):
         generated = []
 
@@ -391,6 +409,77 @@ class TestScore:
         assert [str(w.message) for w in seen] == []
         assert capsys.readouterr().err == ""
         assert out.read_text() == "row,score\n1,1.0\n"
+
+    def test_huge_signed_training_row_fits_silently(self, tmp_path, capsys):
+        # Scaled by a semi-IQR near 0.2, the first row's six 1e307s sum past
+        # the float range: the top of the signed risk is inf, and a finite
+        # query's risk takes the limit score 0.0.
+        rows = np.round(np.random.default_rng(0).standard_normal((60, 6)) * 0.3, 3)
+        rows[0] = 1e307
+        header = ",".join(f"x{j}" for j in range(6))
+        train = tmp_path / "train.csv"
+        train.write_text("\n".join([header, *(",".join(map(repr, r.tolist())) for r in rows)])
+                         + "\n")
+        (tmp_path / "schema.txt").write_text("".join(f"x{j},high\n" for j in range(6)))
+        queries = tmp_path / "queries.csv"
+        queries.write_text(header + "\n" + ",".join(["0.5"] * 6) + "\n")
+        out = tmp_path / "scores.csv"
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            code = run(["score", "--train", train, "--schema", tmp_path / "schema.txt",
+                        "--variant", "signed", "--k", "3", "--queries", queries,
+                        "--out", out])
+        assert code == 0
+        assert [str(w.message) for w in seen] == []
+        assert out.read_text() == "row,score\n1,0.0\n"
+
+    @pytest.mark.parametrize("role", ["data", "train", "queries"])
+    @pytest.mark.parametrize("cell", ["inf", "nan", "1e309"])
+    def test_non_finite_cell_is_named(self, role, cell, synth_dir, tmp_path, capsys):
+        lines = (synth_dir / ("train.csv" if role == "train" else "test.csv")).read_text()
+        lines = lines.splitlines()
+        row = lines[2].split(",")
+        row[lines[0].split(",").index("x2")] = cell
+        lines[2] = ",".join(row)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        schema = synth_dir / "schema.txt"
+        if role == "data":
+            argv = ["bench", "--data", bad, "--schema", schema, "--out-dir", tmp_path / "out"]
+        else:
+            files = {"train": synth_dir / "train.csv", "queries": synth_dir / "test.csv",
+                     role: bad}
+            argv = ["score", "--train", files["train"], "--schema", schema,
+                    "--queries", files["queries"], "--out", tmp_path / "scores.csv"]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: row 2, column 'x2': {cell!r} is not a finite number\n")
+
+    @pytest.mark.parametrize("detector, variant", [
+        ("nnd", "ramp"), ("nnd", "absolute"), ("alp", "ramp"),
+    ])
+    def test_scores_do_not_depend_on_the_blas_core_type(self, detector, variant, tmp_path):
+        # No score goes through BLAS, so OpenBLAS's SSE3 kernels (Prescott),
+        # which any x86-64 CPU can run, give the bytes of the default ones. A
+        # BLAS that ignores the variable passes trivially.
+        assert run(["synth", "--family", "gaussian", "--a", "0.5", "--seed", "7",
+                    "--n-train", "200", "--n-test-normal", "100",
+                    "--n-test-anomalous", "100", "--out", tmp_path]) == 0
+        env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+        src = str(Path(dirad.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        written = []
+        for core in (None, "Prescott"):
+            out = tmp_path / f"scores-{core}.csv"
+            subprocess.run(
+                [sys.executable, "-m", "dirad.cli", "score", "--train", tmp_path / "train.csv",
+                 "--schema", tmp_path / "schema.txt", "--detector", detector,
+                 "--variant", variant, "--queries", tmp_path / "test.csv", "--out", out],
+                env=env if core is None else {**env, "OPENBLAS_CORETYPE": core},
+                capture_output=True, timeout=120, check=True,
+            )
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
 
     def test_scaling_overflow_names_its_attribute(self, synth_dir, tmp_path, capsys):
         # x1's semi-IQR is below 1, so 1e308 scales past the float range.

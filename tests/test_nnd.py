@@ -1,12 +1,15 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dirad import nnd
 from dirad.dataset import AttributeSpec, Dataset, Direction
-from dirad.distance import DistanceSpec, DistanceVariant
-from dirad.nnd import NndConfig, contract, linear_weights
+from dirad.distance import DistanceSpec, DistanceVariant, record_distance
+from dirad.nnd import NndConfig, contract, linear_weights, weighted_sum
 
 ABS = DistanceVariant.ABSOLUTE
 RAMP = DistanceVariant.RAMP
@@ -30,6 +33,41 @@ def signed_raw_oracle(train, y, k, weights):
     return sum(w * d for w, d in zip(weights, dists[:k]))
 
 
+def nnd_oracle(train, mask, variant, k, queries):
+    """NND anomaly scores from the scalar distance, the full stable argsort,
+    the weighted sums as loops from 0.0 and the ``contract`` formula."""
+    weights = [2.0 * (k + 1.0 - i) / (k * (k + 1.0)) for i in range(1, k + 1)]
+
+    def weighted(terms):
+        total = 0.0
+        for w, t in zip(weights, terms):
+            total += w * t
+        return total
+
+    def directional_sum(row):
+        with np.errstate(over="ignore"):  # the reduction ``signed_risks`` uses
+            return float(row[mask].sum())
+
+    signed = variant is SIGNED
+    columns = np.flatnonzero(~mask) if signed else np.arange(mask.size)
+    if columns.size:
+        spec = DistanceSpec.for_mask(mask[columns], variant)
+    if signed:
+        top = weighted(sorted((directional_sum(row) for row in train), reverse=True))
+    scores = []
+    for y in queries:
+        raw = directional_sum(y) - top if signed else 0.0
+        if columns.size:
+            dists = [record_distance(y[columns], row[columns], spec) for row in train]
+            nearest = weighted(dists[o] for o in np.argsort(dists, kind="stable")[:k])
+            raw = raw + nearest if signed else nearest
+        if math.isinf(raw):
+            scores.append(0.5 * math.copysign(1.0, raw) + 0.5)
+        else:
+            scores.append(0.5 * (raw / (abs(raw) + 1.0)) + 0.5)
+    return np.array(scores)
+
+
 class TestLinearWeights:
     def test_single_weight_is_one(self):
         assert np.array_equal(linear_weights(1), [1.0])
@@ -47,6 +85,21 @@ class TestLinearWeights:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             linear_weights(0)
+
+
+class TestWeightedSum:
+    def test_adds_in_weight_order_from_zero(self):
+        # Left to right, 1e16 + 1 + 1 rounds back to 1e16 twice; adding the
+        # ones first, as a pairwise or blocked sum may, gives 1e16 + 2.
+        weights = np.ones(3)
+        assert weighted_sum(weights, [1e16, 1.0, 1.0]) == 1e16
+        assert weighted_sum(weights, [1.0, 1.0, 1e16]) == 1e16 + 2.0
+        # A sum from +0.0 is never -0.0.
+        assert math.copysign(1.0, weighted_sum(np.ones(1), [-0.0])) == 1.0
+
+    def test_counts_must_match(self):
+        with pytest.raises(ValueError):
+            weighted_sum(np.ones(2), [1.0])
 
 
 class TestFit:
@@ -72,6 +125,7 @@ class TestFit:
     def test_sorted_sums_absent_for_symmetric_variants(self):
         model = nnd.fit(directional_dataset(np.zeros((4, 2))), NndConfig(RAMP, k=2))
         assert model.sorted_sums is None
+
 
 
 class TestRawScore:
@@ -229,3 +283,31 @@ def test_anomaly_score_is_contracted_raw():
     y = rng.standard_normal(2)
     raw = nnd.raw_scores(model, [y])[0]
     assert nnd.anomaly_scores(model, [y])[0] == contract(raw)
+
+
+class TestScalarOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_anomaly_scores_match_the_scalar_oracle_bitwise(self, data):
+        # Small integers give tied distances and duplicate rows; +-1e308 rows
+        # give sums and distances that overflow to inf; fractions make the
+        # weighted sums round.
+        n = data.draw(st.integers(1, 12))
+        m = data.draw(st.integers(1, 4))
+        values = st.one_of(
+            st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0, 1e308, -1e308]),
+            st.floats(-3.0, 3.0, allow_subnormal=False),
+        )
+        records = data.draw(hnp.arrays(np.float64, (n, m), elements=values))
+        records = np.concatenate([records, records[: data.draw(st.integers(0, 3))]])
+        queries = data.draw(hnp.arrays(np.float64, (data.draw(st.integers(1, 6)), m),
+                                       elements=values))
+        k = data.draw(st.one_of(st.just(1), st.just(len(records)),
+                                st.integers(1, len(records))))
+        ds = directional_dataset(records, data.draw(st.integers(0, m)))
+        for variant in (ABS, RAMP, SIGNED):
+            got = nnd.fit(ds, NndConfig(variant, k=k)).anomaly_scores(queries)
+            want = nnd_oracle(records, ds.directional_mask, variant, k, queries)
+            nan = np.isnan(want)
+            assert np.array_equal(np.isnan(got), nan)
+            assert got[~nan].tobytes() == want[~nan].tobytes()

@@ -260,28 +260,34 @@ TRAIN = Dataset(SCHEMA, np.random.default_rng(43).standard_normal((12, 2)))
 
 
 @pytest.mark.parametrize(
-    "config",
-    [
-        nnd.NndConfig(DistanceVariant.RAMP, k=13),
-        nnd.NndConfig(DistanceVariant.RAMP, k=0),
-        alp.AlpConfig(DistanceVariant.RAMP, k=12, l=5),
-        alp.AlpConfig(DistanceVariant.RAMP, k=0, l=5),
-        alp.AlpConfig(DistanceVariant.RAMP, k=3, l=13),
-        alp.AlpConfig(DistanceVariant.RAMP, k=3, l=0),
-    ],
+    "detector, k, l",
+    [("nnd", 13, None), ("nnd", 0, None), ("alp", 12, 5), ("alp", 0, 5), ("alp", 3, 13),
+     ("alp", 3, 0)],
     ids=["nnd-k13", "nnd-k0", "alp-k12", "alp-k0", "alp-l13", "alp-l0"],
 )
-def test_constructor_rejects_what_fit_rejects(config):
+def test_constructor_rejects_what_fit_rejects(detector, k, l):
+    # A k or l below 1 fails as the config is built, before any data is seen;
+    # the model constructor then names the same value. A larger one fails at
+    # fit, with the model constructor's own message.
     with pytest.raises(ValueError) as from_fit:
+        config = (nnd.NndConfig(DistanceVariant.RAMP, k=k) if detector == "nnd"
+                  else alp.AlpConfig(DistanceVariant.RAMP, k=k, l=l))
         config.fit(TRAIN)
     mask = TRAIN.directional_mask
-    if config.detector == "nnd":
-        args = (config.variant, TRAIN.records, config.k, mask)
+    if detector == "nnd":
+        args = (DistanceVariant.RAMP, TRAIN.records, k, mask)
         model_class = nnd.NndModel
     else:
-        args = (config.variant, TRAIN.records, config.k, config.l, mask)
+        args = (DistanceVariant.RAMP, TRAIN.records, k, l, mask)
         model_class = alp.AlpModel
-    with pytest.raises(ValueError, match=re.escape(str(from_fit.value))):
+    message = str(from_fit.value)
+    if k < 1 or l == 0:
+        name = "k" if k < 1 else "l"
+        assert message == f"{name} must be >= 1, got 0"
+        message = rf"{name} must be .*, got 0"
+    else:
+        message = re.escape(message)
+    with pytest.raises(ValueError, match=f"^{message}$"):
         model_class(*args)
 
 
