@@ -22,7 +22,7 @@ import io
 import itertools
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -105,11 +105,49 @@ class Dataset:
         """Boolean mask of attributes whose direction is not ``none``."""
         return np.array([a.direction is not Direction.NONE for a in self.schema])
 
+    @classmethod
+    def _built(cls, schema: tuple[AttributeSpec, ...], records: np.ndarray,
+               labels: np.ndarray | None) -> "Dataset":
+        """A Dataset around arrays this module has just built from a valid one.
+
+        ``records`` is a fresh C-ordered (n, m) float64 array that nothing
+        else holds and that is known to be finite, and ``labels`` a valid
+        Dataset's own; so it is made read-only and kept, neither copied nor
+        scanned again as ``__post_init__`` would (on a 1,000 x 10 problem,
+        17 us of ``apply_scaler``'s 85 us).
+        """
+        records.setflags(write=False)
+        ds = object.__new__(cls)
+        object.__setattr__(ds, "schema", schema)
+        object.__setattr__(ds, "records", records)
+        object.__setattr__(ds, "labels", labels)
+        return ds
+
     def take(self, rows: np.ndarray | Sequence[int]) -> "Dataset":
         """Row subset (labels sliced alongside when present)."""
         rows = np.asarray(rows)
         labels = None if self.labels is None else self.labels[rows]
         return Dataset(self.schema, self.records[rows], labels)
+
+
+# Characters per io.StringIO in _lines: it holds 4 bytes a character, so a
+# whole 10 MB CSV in one took 37 MB (tracemalloc).
+_CHUNK_CHARS = 1 << 16
+
+
+def _lines(text: str) -> Iterator[str]:
+    """The lines of ``text`` with their ends, as ``io.StringIO(text,
+    newline="")`` reads them: split only at ``\r\n``, ``\r`` and ``\n``.
+
+    ``text`` is read through one StringIO per piece of at least
+    ``_CHUNK_CHARS`` characters, each cut just after a ``\n``, which always
+    ends a line. A text without ``\n`` is read in one piece.
+    """
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK_CHARS) + 1 or len(text)
+        yield from io.StringIO(text[start:end], newline="")
+        start = end
 
 
 def parse_csv(
@@ -123,7 +161,7 @@ def parse_csv(
     the schema attributes plus, when ``label_rule`` is given, its label
     column. A label column absent from the header reads as unlabelled data.
     """
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = csv.reader(_lines(text))
     try:
         header = next(reader)
     except StopIteration:
@@ -179,7 +217,7 @@ def parse_csv(
     finite = np.isfinite(records)
     if not finite.all():  # name the first non-finite cell, in the order read
         r, j = divmod(int(np.argmin(finite)), len(schema))
-        row = next(itertools.islice(csv.reader(io.StringIO(text, newline="")), r + 1, None))
+        row = next(itertools.islice(csv.reader(_lines(text)), r + 1, None))
         raise ValueError(
             f"row {r + 1}, column {schema[j].name!r}: {row[attr_pos[j]]!r} "
             f"is not a finite number"
@@ -291,20 +329,20 @@ def orient(ds: Dataset) -> Dataset:
     High values then indicate anomality for every directional attribute;
     applying the operation twice is the same as applying it once.
     """
-    records = np.array(ds.records)
-    schema = []
-    for j, attr in enumerate(ds.schema):
-        if attr.direction is Direction.LOW:
-            records[:, j] = -records[:, j]
-            schema.append(AttributeSpec(attr.name, Direction.HIGH))
-        else:
-            schema.append(attr)
-    return Dataset(tuple(schema), records, ds.labels)
+    low = [a.direction is Direction.LOW for a in ds.schema]
+    schema = tuple(
+        AttributeSpec(a.name, Direction.HIGH) if flip else a
+        for a, flip in zip(ds.schema, low)
+    )
+    # Multiplying by -1.0 negates exactly, zeros included, and by 1.0 keeps.
+    records = ds.records * np.where(low, -1.0, 1.0)
+    return Dataset._built(schema, records, ds.labels)
 
 
 @dataclass(frozen=True)
 class ScalingParams:
-    """Per-attribute midhinge and semi-interquartile range."""
+    """Per-attribute midhinge and semi-interquartile range: finite, and the
+    semi-IQR strictly positive."""
 
     midhinge: np.ndarray
     semi_iqr: np.ndarray
@@ -316,6 +354,8 @@ class ScalingParams:
             raise ValueError("midhinge and semi_iqr must be equal-length vectors")
         if not np.all(semi > 0):
             raise ValueError("semi_iqr entries must be strictly positive")
+        if not (np.isfinite(mid).all() and np.isfinite(semi).all()):
+            raise ValueError("midhinge and semi_iqr entries must be finite")
         mid.setflags(write=False)
         semi.setflags(write=False)
         object.__setattr__(self, "midhinge", mid)
@@ -407,4 +447,5 @@ def apply_scaler(ds: Dataset, params: ScalingParams) -> Dataset:
     if overflowed.any():
         name = ds.schema[overflowed.argmax()].name
         raise ValueError(f"scaling overflowed on attribute {name}")
-    return Dataset(ds.schema, scaled, ds.labels)
+    # Finite: finite records, finite statistics and no inf, checked above.
+    return Dataset._built(ds.schema, scaled, ds.labels)

@@ -12,9 +12,19 @@ distance exists only at p = 1.
 
 ``distance_matrix`` is the batch kernel, bit-identical to the scalar
 reference ``record_distance``: every cell accumulates attribute by attribute
-in index order from a ``+0.0`` start. Per attribute, ``out=`` ufuncs write
-the column difference into a scratch buffer and add it into the result;
-training columns are read from a contiguous transposed copy of ``train``,
+in index order from a ``+0.0`` start. Each attribute takes at most three
+``out=`` ufunc passes over the block: the column difference, its transform
+(``abs``, or for ramp ``fmax`` against a row of ``+0.0`` broadcast along the
+rows), and the add into the result. The first attribute's term is built in
+the result itself, with no zero fill and no add into zeros: an absolute term
+is already ``0.0 + |x|`` bit for bit, as ``|x|`` is never -0.0, and a ramp or
+signed term gets the ``+0.0`` start as one in-place add of the scalar
+``0.0``, which turns a -0.0 into +0.0. So no cell is ever -0.0, and every
+later add keeps it so. Against a scalar ``0.0``, NumPy 2.4.6 ran ``fmax``
+through a loop without SIMD: 24-31 us on a 54 x 1200 block, against 16 us for
+the zero row and 11-16 us for ``abs`` (2-vCPU Xeon).
+
+Training columns are read from a contiguous transposed copy of ``train``,
 which is free for a Fortran-ordered ``train``. A caller that runs the kernel
 block after block passes both buffers (``out`` and ``scratch``) and reuses
 them for every block: allocated and freed per block, they sat at the top of
@@ -142,7 +152,7 @@ def distance_matrix(
     for given in (out, buf):
         if given.shape != shape or given.dtype != np.float64:
             raise ValueError(f"out and scratch must be float64 arrays of shape {shape}")
-    out.fill(0.0)
+    zero = np.zeros(shape[1])  # ramp's clamp: see the module docstring
     # Saved and restored by hand, as NumPy 1.x has no context manager for it;
     # on NumPy 2 the size is a context variable, so other threads keep theirs.
     old = np.setbufsize(512)
@@ -154,12 +164,19 @@ def distance_matrix(
         # propagate the NaN.
         with np.errstate(over="ignore", invalid="ignore"):
             for j, variant in enumerate(spec.variants):
-                np.subtract(q[:, j, None], columns[j], out=buf)
+                # The first attribute's term is built in ``out`` itself.
+                term = buf if j else out
+                np.subtract(q[:, j, None], columns[j], out=term)
                 if variant is DistanceVariant.ABSOLUTE:
-                    np.abs(buf, out=buf)
+                    np.abs(term, out=term)
                 elif variant is DistanceVariant.RAMP:
-                    np.fmax(buf, 0.0, out=buf)
-                np.add(out, buf, out=out)
+                    np.fmax(term, zero, out=term)
+                if j:
+                    np.add(out, buf, out=out)
+                elif variant is not DistanceVariant.ABSOLUTE:
+                    # The +0.0 start: a -0.0 term becomes +0.0. |x| never
+                    # is -0.0, so 0.0 + |x| is |x| bit for bit.
+                    np.add(out, 0.0, out=out)
     finally:
         np.setbufsize(old)
     return out

@@ -22,9 +22,10 @@ is tied or NaN, stably sorted. Both match the stable ``argsort`` by
 
 * a row's k smallest values form one multiset, which the selection and the
   stable argsort both order ascending with NaN last;
-* a kernel cell is never -0.0, since every sum starts at +0.0 and
-  round-to-nearest gives -0.0 only for (-0.0) + (-0.0), so equal cells are
-  equal bits;
+* a kernel cell is never -0.0, so equal cells are equal bits: the first
+  attribute's term is ``|x|``, never -0.0, or a term plus +0.0, and every
+  later sum adds to a cell that is not -0.0, where round-to-nearest gives
+  -0.0 only for (-0.0) + (-0.0);
 * for finite inputs, the only NaN cell is the one default NaN of
   inf + (-inf). NumPy's SIMD quicksort writes back a NaN of its own (on
   x86, +NaN for the kernel's -NaN), so a row with NaN among its k nearest is

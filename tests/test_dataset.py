@@ -1,15 +1,21 @@
+import csv
+import io
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from dirad import dataset
 from dirad.dataset import (
     AttributeSpec,
     Dataset,
     Direction,
     LabelRule,
     ScalingParams,
+    _lines,
     apply_scaler,
     fit_scaler,
     format_csv,
@@ -99,6 +105,41 @@ class TestParseCsv:
             assert again.tobytes() == records.tobytes()
 
 
+def csv_outcome(lines):
+    """The rows ``csv.reader`` reads from ``lines`` and the error it stops at."""
+    rows = []
+    try:
+        for row in csv.reader(lines):
+            rows.append(row)
+    except csv.Error as exc:
+        return rows, str(exc)
+    return rows, None
+
+
+# Line ends, the separators str.splitlines also splits at, quotes, a BOM.
+CSV_CHARS = ["\r", "\n", "\r\n", "\f", "\v", "\x1c", "\x1d", "\x1e", "\x85",
+             "\u2028", "\u2029", "\ufeff", '"', ",", "1", "a"]
+
+
+class TestLines:
+    @settings(max_examples=300, deadline=None)
+    @given(pieces=st.lists(st.sampled_from(CSV_CHARS), max_size=40),
+           chunk=st.integers(1, 8))
+    @example(pieces=["\ufeff", "a", ",", "1", "\n", "1", ",", "1"], chunk=1)
+    @example(pieces=['"', "a", "\r", "\n", "1", '"', ",", "1", "\r\n"], chunk=2)
+    @example(pieces=["a", "\r", "1", "\x85", "1", "\u2028", "\f"], chunk=1)
+    def test_reads_the_rows_and_errors_of_a_string_io(self, pieces, chunk):
+        # Pieces of a few characters put every kind of line end at a cut.
+        text = "".join(pieces)
+        with mock.patch.object(dataset, "_CHUNK_CHARS", chunk):
+            assert list(_lines(text)) == list(io.StringIO(text, newline=""))
+            assert csv_outcome(_lines(text)) == csv_outcome(io.StringIO(text, newline=""))
+
+    def test_splits_only_at_carriage_returns_and_line_feeds(self):
+        text = "a\x85b\u2028c\fd\ve\x1cf\rg\r\nh\ni"
+        assert list(_lines(text)) == ["a\x85b\u2028c\fd\ve\x1cf\r", "g\r\n", "h\n", "i"]
+
+
 class TestDatasetInvariants:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
@@ -121,6 +162,14 @@ class TestDatasetInvariants:
         with pytest.raises(ValueError):
             ds.records[0, 0] = 2.0
 
+    def test_a_callers_array_is_copied_and_read_only(self):
+        callers = np.array([[1.0, -0.0], [2.5, 3.0]])
+        ds = Dataset(spec(("a", "none"), ("b", "high")), callers)
+        assert not np.shares_memory(ds.records, callers)
+        assert callers.flags.writeable and not ds.records.flags.writeable
+        callers[0, 0] = 9.0
+        assert ds.records.tobytes() == np.array([[1.0, -0.0], [2.5, 3.0]]).tobytes()
+
 
 class TestOrient:
     def test_low_attribute_flips(self):
@@ -141,6 +190,16 @@ class TestOrient:
         twice = orient(once)
         assert np.array_equal(once.records, twice.records)
         assert once.schema == twice.schema
+
+    def test_negates_low_columns_bit_for_bit_into_a_read_only_array(self):
+        values = np.array([[0.0, -0.0, 1.5], [-0.0, 0.0, -2.25], [1e308, -5e-324, 7.0]])
+        ds = Dataset(spec(("a", "low"), ("b", "low"), ("c", "none")), values)
+        out = orient(ds)
+        expected = values.copy()
+        expected[:, :2] = -expected[:, :2]
+        assert out.records.tobytes() == expected.tobytes()
+        assert not out.records.flags.writeable
+        assert ds.records.tobytes() == values.tobytes()
 
     def test_negating_twice_restores_values(self):
         rng = np.random.default_rng(5)
@@ -297,6 +356,26 @@ class TestScaler:
         scaled = apply_scaler(Dataset(spec(("a", "none")), [[8.0], [4.0]]), params)
         assert scaled.records[0, 0] == 2.0
         assert scaled.records[1, 0] == 0.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(records=hnp.arrays(np.float64, st.tuples(st.integers(1, 30), st.just(3)),
+                              elements=st.sampled_from([0.0, -0.0])
+                              | st.floats(1e-3, 1e6) | st.floats(-1e6, -1e-3)))
+    def test_scaled_bytes_follow_the_formula_into_a_read_only_array(self, records):
+        ds = Dataset(spec(("a", "none"), ("b", "high"), ("c", "none")), records,
+                     np.arange(len(records)) % 2 == 0)
+        params = fit_scaler(ds)
+        scaled = apply_scaler(ds, params)
+        expected = (records - params.midhinge) / params.semi_iqr
+        assert scaled.records.tobytes() == expected.tobytes()
+        assert scaled.records.flags.c_contiguous and not scaled.records.flags.writeable
+        assert scaled.labels is ds.labels and scaled.schema == ds.schema
+
+    @pytest.mark.parametrize("midhinge, semi_iqr",
+                             [([np.nan], [1.0]), ([0.0], [np.inf]), ([np.inf], [1.0])])
+    def test_non_finite_parameters_rejected(self, midhinge, semi_iqr):
+        with pytest.raises(ValueError, match="finite"):
+            ScalingParams(midhinge, semi_iqr)
 
     def test_apply_dimension_mismatch(self):
         params = fit_scaler(Dataset(spec(("a", "none")), [[1.0], [2.0]]))

@@ -206,23 +206,35 @@ class TestDistanceMatrix:
     @pytest.mark.parametrize("n", [3, 511, 512, 513, 2000])
     def test_rows_either_side_of_the_ufunc_buffer_match_bitwise(self, n):
         # The kernel runs with a 512-element ufunc buffer: training sets of
-        # 511-513 rows put block rows on both sides of it, 2000 well past it.
+        # 511-513 rows put block rows on both sides of it, 2000 well past it,
+        # so the SIMD bodies of fmax, abs and add run, not only their
+        # remainder loops. The first attribute's term is built in the result
+        # itself, so each variant takes that place in turn, with -0.0 queries
+        # against +0.0 training values there; alone, against a column of
+        # +0.0, as a later +0.0 term would hide a -0.0 it left in a cell.
         rng = np.random.default_rng(n)
         specials = np.array([0.0, -0.0, 1e308, -1e308, 1.5, -2.25])
-        spec = DistanceSpec((ABS, RAMP, SIGNED, ABS, SIGNED, RAMP))
+        rest = (RAMP, SIGNED, ABS, SIGNED, RAMP)
 
         def draw(rows):
-            values = rng.standard_normal((rows, spec.m)) * 10
-            special = rng.random((rows, spec.m)) < 0.4
+            values = rng.standard_normal((rows, 1 + len(rest))) * 10
+            special = rng.random(values.shape) < 0.4
             values[special] = rng.choice(specials, int(special.sum()))
             return values
 
-        queries, train = draw(3), draw(n)
-        dm = distance_matrix(queries, train, spec)
-        expected = np.array(
-            [[record_distance(y, x, spec) for x in train] for y in queries]
-        )
-        assert dm.tobytes() == expected.tobytes()
+        for first in (ABS, RAMP, SIGNED):
+            queries, train = draw(3), draw(n)
+            queries[:, 0] = -0.0
+            train[rng.random(n) < 0.5, 0] = 0.0
+            for spec, y, x in ((DistanceSpec((first,)), queries[:, :1], np.zeros((n, 1))),
+                               (DistanceSpec((first, *rest)), queries, train)):
+                dm = distance_matrix(y, x, spec)
+                expected = np.array([[record_distance(a, b, spec) for b in x] for a in y])
+                assert dm.tobytes() == expected.tobytes(), (first, spec.m)
+                numbers = dm[~np.isnan(dm)]
+                if SIGNED in spec.variants:  # only signed terms may be negative
+                    numbers = numbers[numbers == 0]
+                assert not np.signbit(numbers).any(), (first, spec.m)
 
     def test_fortran_ordered_train_gives_identical_bytes(self):
         # The kNN loop hands the kernel a Fortran-ordered training matrix.
