@@ -10,6 +10,14 @@ average of the i-th nearest (self-excluded) training distances of y's l
 nearest training rows. The normality score is the weighted maximum of
 lp_1..lp_k; the evaluation-facing anomaly score is its complement.
 
+D_i(y) reads the self-kNN distances of y's l nearest training rows only, so
+fitting stores the training rows and searches nothing (O(n m)). Scoring runs
+one ``self_knn_batch`` per call over the union of the rows its queries
+gather, and keeps no cache. A model may carry the full n x k table instead,
+as a loaded bundle does; scoring then reads D from it through the same
+gather. ``with_table`` returns a model with its full table, which is what a
+bundle stores.
+
 Signed distance is deliberately unsupported: it destroys the neighbour
 rankings this construction relies on.
 """
@@ -17,7 +25,7 @@ rankings this construction relies on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -72,13 +80,15 @@ class AlpConfig:
 
 @dataclass(frozen=True)
 class AlpModel:
-    """Fitted state: row t of train_nn_dists holds the ascending distances of
-    training record t to its k nearest other training records.
+    """Fitted state: the training rows and, optionally, ``train_nn_dists``,
+    whose row t holds the ascending distances of training record t to its k
+    nearest other training records.
 
     The constructor checks the stored fields and derives the weights and
-    ``neighbour_problem`` (every column, max(k, l) wide). ``train_nn_dists`` of
-    None runs the self-kNN that computes it, distances only; it is stored, as
-    that costs O(n^2 m). Scoring gathers ``train_nn_dists`` by the indices of
+    ``neighbour_problem`` (every column, max(k, l) wide). A fitted model has
+    no ``train_nn_dists`` (None): scoring searches the rows it gathers. A
+    loaded bundle, or ``with_table``, carries the full table, and scoring
+    gathers from it instead. Either way scoring gathers by the indices of
     each query's l nearest rows, so ``reads_indices`` is true.
     """
 
@@ -106,9 +116,7 @@ class AlpModel:
             raise ValueError(f"l must be in [1, {n}], got {self.l}")
         spec = DistanceSpec.for_mask(mask, self.variant)
         nn_dists = self.train_nn_dists
-        if nn_dists is None:
-            nn_dists, _ = self_knn_batch(train, self.k, spec, indices=False)
-        else:
+        if nn_dists is not None:
             # float64, so scoring sums D in double precision
             nn_dists = np.asarray(nn_dists, dtype=np.float64)
             if nn_dists.shape != (n, self.k):
@@ -141,6 +149,16 @@ def fit(train: Dataset, cfg: AlpConfig) -> AlpModel:
     return AlpModel(cfg.variant, train.records, k, l, train.directional_mask)
 
 
+def with_table(model: AlpModel) -> AlpModel:
+    """``model`` carrying its full ``train_nn_dists``, found by one self-kNN
+    of every training row if it has none: what a saved bundle stores."""
+    if model.train_nn_dists is not None:
+        return model
+    _, spec, _ = model.neighbour_problem
+    table, _ = self_knn_batch(model.train, model.k, spec, indices=False)
+    return replace(model, train_nn_dists=table)
+
+
 def _lp_batch(model: AlpModel, queries: np.ndarray, knn=None) -> np.ndarray:
     """(q, k) localised proximities; entry (r, i-1) is lp_i of query r.
 
@@ -151,11 +169,22 @@ def _lp_batch(model: AlpModel, queries: np.ndarray, knn=None) -> np.ndarray:
     dists, idx = _knn_prefix(model, q, knn)
     k, l = model.k, model.l
     d = dists[:, :k]
-    near, n = idx[:, :l], model.train_nn_dists.shape[0]
+    near, n = idx[:, :l], model.train.shape[0]
     if near.size and not (near.min() >= 0 and near.max() < n):
         raise ValueError(f"knn indices must be in [0, {n - 1}]")
+    table = model.train_nn_dists
+    if table is None:
+        # Self-kNN of the gathered rows alone, in row order; a gathered row's
+        # place in that table is the count of gathered rows before it.
+        gathered = np.zeros(n, dtype=bool)
+        gathered[near] = True
+        _, spec, _ = model.neighbour_problem
+        table, _ = self_knn_batch(
+            model.train, k, spec, indices=False, rows=np.flatnonzero(gathered)
+        )
+        near = (np.cumsum(gathered) - 1)[near]
     # D[r, i] = sum_j w'_j * (i-th self-NN distance of the j-th neighbour of r)
-    big_d = weighted_sum(model.weights_l, (model.train_nn_dists[column] for column in near.T))
+    big_d = weighted_sum(model.weights_l, (table[column] for column in near.T))
     with np.errstate(over="ignore", invalid="ignore"):  # settled below
         denom = big_d + d
         lp = big_d / denom

@@ -467,7 +467,7 @@ def cmd_score(args, parser) -> int:
     else:
         model, scaler, schema, rule = _fit_from_args(args, parser)
         if args.save_model:
-            save_model(args.save_model, model, scaler, schema, rule)
+            model = save_model(args.save_model, model, scaler, schema, rule)
             print(f"saved model to {args.save_model}")
 
     if args.model and args.schema_path:

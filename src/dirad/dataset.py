@@ -108,15 +108,18 @@ class Dataset:
     @classmethod
     def _built(cls, schema: tuple[AttributeSpec, ...], records: np.ndarray,
                labels: np.ndarray | None) -> "Dataset":
-        """A Dataset around arrays this module has just built from a valid one.
+        """A Dataset around arrays this module has just built and checked.
 
-        ``records`` is a fresh C-ordered (n, m) float64 array that nothing
-        else holds and that is known to be finite, and ``labels`` a valid
-        Dataset's own; so it is made read-only and kept, neither copied nor
-        scanned again as ``__post_init__`` would (on a 1,000 x 10 problem,
-        17 us of ``apply_scaler``'s 85 us).
+        ``schema`` is a tuple of uniquely named attributes, ``records`` a
+        fresh C-ordered (n, m) float64 array that nothing else holds and that
+        is known to be finite, and ``labels`` None or a bool vector of length
+        n that nothing else writes; so both are made read-only and kept,
+        neither copied nor scanned again as ``__post_init__`` would (on a
+        1,000 x 10 problem, 17 us of ``apply_scaler``'s 85 us).
         """
         records.setflags(write=False)
+        if labels is not None:
+            labels.setflags(write=False)
         ds = object.__new__(cls)
         object.__setattr__(ds, "schema", schema)
         object.__setattr__(ds, "records", records)
@@ -161,6 +164,10 @@ def parse_csv(
     the schema attributes plus, when ``label_rule`` is given, its label
     column. A label column absent from the header reads as unlabelled data.
     """
+    schema = tuple(schema)
+    expected = [a.name for a in schema]
+    if len(set(expected)) != len(expected):
+        raise ValueError("attribute names must be unique within a schema")
     reader = csv.reader(_lines(text))
     try:
         header = next(reader)
@@ -170,7 +177,6 @@ def parse_csv(
         header = [header[0][1:]] + header[1:]
     if label_rule is not None and label_rule.column not in header:
         label_rule = None
-    expected = [a.name for a in schema]
     if label_rule is not None:
         expected.append(label_rule.column)
     if sorted(header) != sorted(expected):
@@ -222,8 +228,8 @@ def parse_csv(
             f"row {r + 1}, column {schema[j].name!r}: {row[attr_pos[j]]!r} "
             f"is not a finite number"
         )
-    return Dataset(
-        tuple(schema), records, np.array(labels, dtype=bool) if label_rule else None
+    return Dataset._built(
+        schema, records, np.array(labels, dtype=bool) if label_rule else None
     )
 
 

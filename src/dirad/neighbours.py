@@ -6,9 +6,12 @@ sizes keep O(n*m) per query tractable. Ties are broken by ascending training
 row index so results are deterministic.
 
 One blocked loop, ``_knn``, serves both query kinds. Queries run in blocks
-whose distance matrix stays within ``_BLOCK_BYTES``; a self-query is the same
-loop with the training rows as queries and each block's own rows masked to
-+inf, so a row is never its own neighbour.
+whose distance matrix stays within ``_BLOCK_BYTES``. A self-query is the same
+loop with training rows as the queries, every row of the training matrix or
+only the ones asked for (``self_knn_batch(..., rows=...)``), and each query's
+own column masked to +inf, so a row comes after every other row at a finite
+distance. A row's cells and selection depend on that row alone, so a subset
+self-query returns, bit for bit, the rows of the full one.
 
 Each block's k nearest distances are selected one way, without a full sort:
 every row is partitioned at k - 1 and its first k columns are sorted. A
@@ -84,29 +87,30 @@ def _columns(block: np.ndarray, nearest: np.ndarray) -> np.ndarray:
 
 
 def _knn(
-    t: np.ndarray, q: np.ndarray, k: int, spec: DistanceSpec, self_query: bool,
-    indices: bool,
+    t: np.ndarray, q: np.ndarray, k: int, spec: DistanceSpec,
+    rows: np.ndarray | None, indices: bool,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Each row of ``q``'s k nearest rows of ``t``, one block at a time.
 
-    ``self_query`` means ``q`` is ``t``: each block's own rows are masked.
+    ``rows``, for a self-query, gives the index in ``t`` of each row of ``q``;
+    that column of its block row is masked to +inf. None means a plain query.
     ``indices`` false returns None for the indices. The kernel gets ``t``
     Fortran-ordered: one transpose per search, not per block. Every block
     reuses one work array: its result in the first half, the kernel's scratch
     in the second, where index readers then select on a copy of the block.
     """
-    rows, n = q.shape[0], t.shape[0]
-    dists = np.empty((rows, k), dtype=np.float64)
-    idx = np.empty((rows, k), dtype=np.int64) if indices else None
+    count, n = q.shape[0], t.shape[0]
+    dists = np.empty((count, k), dtype=np.float64)
+    idx = np.empty((count, k), dtype=np.int64) if indices else None
     columns = np.asfortranarray(t)
     step = _block_rows(8 * n)
-    work = np.empty((2, min(rows, step) * n))
-    for start in range(0, rows, step):
-        stop = min(start + step, rows)
+    work = np.empty((2, min(count, step) * n))
+    for start in range(0, count, step):
+        stop = min(start + step, count)
         out, scratch = (half[: (stop - start) * n].reshape(-1, n) for half in work)
         block = distance_matrix(q[start:stop], columns, spec, out=out, scratch=scratch)
-        if self_query:
-            block[np.arange(stop - start), np.arange(start, stop)] = np.inf
+        if rows is not None:
+            block[np.arange(stop - start), rows[start:stop]] = np.inf
         chosen = block
         if indices:  # select on a copy: ``_columns`` reads the block itself
             chosen = scratch
@@ -140,16 +144,27 @@ def knn_batch(
     n = t.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    return _knn(t, q, k, spec, self_query=False, indices=indices)
+    return _knn(t, q, k, spec, None, indices)
 
 
 def self_knn_batch(
-    train: np.ndarray, k: int, spec: DistanceSpec, *, indices: bool = True
+    train: np.ndarray, k: int, spec: DistanceSpec, *, indices: bool = True,
+    rows=None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """For every training row, its k nearest other rows (self excluded);
-    ``indices`` as in ``knn_batch``."""
+    """For every training row, or for each of ``rows`` (indices into
+    ``train``, in any order, repeats allowed), its k nearest rows with its own
+    distance taken as +inf; ``indices`` as in ``knn_batch``. Each row's result
+    is, bit for bit, its row of the full self-query."""
     t = _as_matrix(train)
     n = t.shape[0]
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must be in [1, {n - 1}] for self-queries, got {k}")
-    return _knn(t, t, k, spec, self_query=True, indices=indices)
+    if rows is None:
+        return _knn(t, t, k, spec, np.arange(n), indices)
+    r = np.asarray(rows)
+    if r.ndim != 1 or (r.size and r.dtype.kind not in "iu"):
+        raise ValueError("rows must be a 1-d array of training row indices")
+    if r.size and not (r.min() >= 0 and r.max() < n):
+        raise ValueError(f"rows must be in [0, {n - 1}]")
+    r = r.astype(np.intp, copy=False)
+    return _knn(t, t[r], k, spec, r, indices)

@@ -5,7 +5,9 @@ and one array per constructor field, named after it and read back through the
 constructor, and may carry the scaler, schema and label rule it was trained
 behind, so a saved model can score raw CSV queries without the original
 training data. A SHA-256 ``digest`` over every other array catches edits that
-leave the bundle well formed, such as cut training rows.
+leave the bundle well formed, such as cut training rows. An ALP bundle
+always holds the full self-kNN table, which a fitted ALP model leaves out:
+``save_model`` searches for it once (``alp.with_table``).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .alp import AlpModel
+from .alp import AlpModel, with_table
 from .dataset import (
     AttributeSpec,
     Direction,
@@ -97,8 +99,12 @@ def save_model(
     scaler: ScalingParams | None = None,
     schema: tuple[AttributeSpec, ...] | None = None,
     label_rule: LabelRule | None = None,
-) -> None:
-    """Write the bundle through ``write_atomic``."""
+) -> NndModel | AlpModel:
+    """Write the bundle through ``write_atomic`` and return the model it
+    holds: an ALP model gets its full self-kNN table first (``with_table``),
+    so a caller that goes on scoring need not search for it again."""
+    if model.detector == "alp":
+        model = with_table(model)
     arrays: dict = {
         "format_version": np.int64(FORMAT_VERSION),
         "kind": np.str_(model.detector),
@@ -115,6 +121,7 @@ def save_model(
     arrays["digest"] = np.str_(_digest(arrays))
     # Write through a handle so np.savez cannot append ".npz" to the path.
     write_atomic(path, lambda handle: np.savez(handle, **arrays))
+    return model
 
 
 def _digest(arrays: dict) -> str:

@@ -325,8 +325,8 @@ def test_12_no_leakage_from_fold_test_records(monkeypatch):
             assert model_a.train.tobytes() == model_b.train.tobytes()
             if isinstance(model_a, alp.AlpModel):
                 assert (
-                    model_a.train_nn_dists.tobytes()
-                    == model_b.train_nn_dists.tobytes()
+                    alp.with_table(model_a).train_nn_dists.tobytes()
+                    == alp.with_table(model_b).train_nn_dists.tobytes()
                 )
             elif model_a.sorted_sums is not None:
                 assert model_a.sorted_sums.tobytes() == model_b.sorted_sums.tobytes()

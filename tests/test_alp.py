@@ -10,6 +10,7 @@ from dirad import alp
 from dirad.alp import AlpConfig, default_k, default_l
 from dirad.dataset import AttributeSpec, Dataset, Direction
 from dirad.distance import DistanceSpec, DistanceVariant, record_distance
+from dirad.neighbours import self_knn_batch
 
 ABS = DistanceVariant.ABSOLUTE
 RAMP = DistanceVariant.RAMP
@@ -56,7 +57,8 @@ class TestConfigAndFit:
     def test_explicit_k_l_honoured(self):
         model = alp.fit(dataset(np.arange(9.0)[:, None]), AlpConfig(ABS, k=2, l=3))
         assert model.k == 2 and model.l == 3
-        assert model.train_nn_dists.shape == (9, 2)
+        assert model.train_nn_dists is None  # fitting searches nothing
+        assert alp.with_table(model).train_nn_dists.shape == (9, 2)
 
     def test_infeasible_explicit_values_rejected(self):
         ds = dataset(np.arange(4.0)[:, None])
@@ -67,7 +69,7 @@ class TestConfigAndFit:
 
     def test_duplicate_training_set_gives_zero_distances(self):
         model = alp.fit(dataset(np.ones((6, 2))), AlpConfig(ABS, k=2, l=2))
-        assert np.array_equal(model.train_nn_dists, np.zeros((6, 2)))
+        assert np.array_equal(alp.with_table(model).train_nn_dists, np.zeros((6, 2)))
 
     def test_needs_two_records(self):
         with pytest.raises(ValueError, match="at least 2"):
@@ -197,7 +199,8 @@ class TestBlockedGather:
         model = alp.fit(dataset(rng.standard_normal((n, m))), AlpConfig(ABS, k=k, l=l))
         queries = rng.standard_normal((data.draw(st.integers(1, 20)), m))
         dists, idx = model.query_knn(queries)
-        weights, nn = model.weights_l.tolist(), model.train_nn_dists.tolist()
+        weights = model.weights_l.tolist()
+        nn = alp.with_table(model).train_nn_dists.tolist()
         expected = np.empty((len(queries), k))
         for r in range(len(queries)):
             for i in range(k):
@@ -206,6 +209,31 @@ class TestBlockedGather:
                     big_d += weights[j] * nn[idx[r, j]][i]
                 expected[r, i] = big_d / (big_d + float(dists[r, i]))
         assert alp._lp_batch(model, queries).tobytes() == expected.tobytes()
+
+    def test_scoring_searches_the_gathered_rows_once(self, monkeypatch):
+        # Fitting searches nothing; scoring runs one distances-only self-kNN
+        # of the union of the queries' l nearest rows, in row order.
+        rng = np.random.default_rng(9)
+        ds = dataset(rng.standard_normal((40, 2)))
+        calls = []
+
+        def spy(train, k, spec, **given):
+            calls.append(given)
+            return self_knn_batch(train, k, spec, **given)
+
+        monkeypatch.setattr(alp, "self_knn_batch", spy)
+        model = alp.fit(ds, AlpConfig(RAMP, k=4, l=3))
+        assert calls == []
+        queries = rng.standard_normal((5, 2))
+        _, idx = model.query_knn(queries)
+        model.anomaly_scores(queries)
+        assert len(calls) == 1 and calls[0]["indices"] is False
+        assert calls[0]["rows"].tolist() == np.unique(idx[:, :3]).tolist()
+        # A model carrying its full table gathers from it and searches nothing.
+        full = alp.with_table(model)
+        assert len(calls) == 2 and "rows" not in calls[1]
+        full.anomaly_scores(queries)
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("bad", [-1, 30])
     def test_knn_index_out_of_range_rejected(self, bad):
@@ -234,7 +262,7 @@ class TestBlockedGather:
         rng = np.random.default_rng(6)
         model = alp.fit(dataset(np.round(rng.standard_normal((20, 2)), 2)),
                         AlpConfig(ABS, k=3, l=4))
-        single = model.train_nn_dists.astype(np.float32)
+        single = alp.with_table(model).train_nn_dists.astype(np.float32)
         queries = rng.standard_normal((5, 2))
         scores = [
             alp.AlpModel(ABS, model.train, 3, 4, model.directional_mask, nn)
@@ -317,16 +345,45 @@ class TestScalarOracle:
         model = alp.fit(ds, AlpConfig(variant, k=k, l=l))
         nn, neighbours, expected = alp_oracle(
             records, ds.directional_mask, variant, k, l, queries)
-        assert model.train_nn_dists.tobytes() == nn.tobytes()
+        assert alp.with_table(model).train_nn_dists.tobytes() == nn.tobytes()
         dists, idx = model.query_knn(queries)
         assert idx.tolist() == [near for near, _ in neighbours]
         assert dists.tobytes() == np.array([d for _, d in neighbours]).tobytes()
+        assert_close_to_oracle(model.anomaly_scores(queries), expected, k, l)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_table_less_model_scores_like_its_full_table(self, data):
+        # A fitted model searches only the training rows its queries gather;
+        # with l < n that is often a strict subset, which must give the bytes
+        # of the full table and the oracle's scores.
+        n = data.draw(st.integers(2, 24))
+        m = data.draw(st.integers(1, 3))
+        values = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 1e308, -1e308])
+        records = data.draw(hnp.arrays(np.float64, (n, m), elements=values))
+        queries = data.draw(hnp.arrays(np.float64, (data.draw(st.integers(0, 6)), m),
+                                       elements=values))
+        k = data.draw(st.integers(1, n - 1))
+        l = data.draw(st.integers(1, n))
+        variant = data.draw(st.sampled_from([ABS, RAMP]))
+        ds = dataset(records, data.draw(st.integers(0, m)))
+        model = alp.fit(ds, AlpConfig(variant, k=k, l=l))
+        assert model.train_nn_dists is None
+        full = alp.with_table(model)
+        assert full.train_nn_dists.shape == (n, k)
+        assert alp._lp_batch(model, queries).tobytes() == alp._lp_batch(full, queries).tobytes()
         got = model.anomaly_scores(queries)
-        # D and the weighting over k add in this oracle's order, but lp is
-        # formed another way here, as 1 / (1 + d / D): each lp differs by a
-        # few rounding errors, which the weighting over k carries into a
-        # [0, 1] quantity, well within (k + l + 4) ulps of 1.0.
-        assert np.array_equal(np.isnan(got), np.isnan(expected))
-        numbers = ~np.isnan(expected)
-        bound = (k + l + 4) * np.spacing(1.0)
-        assert np.all(np.abs(got[numbers] - expected[numbers]) <= bound)
+        assert got.tobytes() == full.anomaly_scores(queries).tobytes()
+        _, _, expected = alp_oracle(records, ds.directional_mask, variant, k, l, queries)
+        assert_close_to_oracle(got, expected, k, l)
+
+
+def assert_close_to_oracle(got, expected, k, l):
+    # D and the weighting over k add in the oracle's order, but lp is formed
+    # another way there, as 1 / (1 + d / D): each lp differs by a few
+    # rounding errors, which the weighting over k carries into a [0, 1]
+    # quantity, well within (k + l + 4) ulps of 1.0.
+    assert np.array_equal(np.isnan(got), np.isnan(expected))
+    numbers = ~np.isnan(expected)
+    bound = (k + l + 4) * np.spacing(1.0)
+    assert np.all(np.abs(got[numbers] - expected[numbers]) <= bound)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dirad
-from dirad import cli, evaluation, synthgen
+from dirad import alp, cli, evaluation, synthgen
 from dirad.cli import main
 from dirad.distance import DistanceVariant
 from dirad.nnd import NndConfig
@@ -635,6 +635,29 @@ class TestScore:
                     "--queries", low_dir / "train.csv", "--out", low2]) == 0
         assert low1.read_bytes() == low2.read_bytes()
         assert all(float(r["score"]) == 0.5 for r in read_rows(low2))
+
+    def test_save_model_searches_the_full_table_once(self, synth_dir, tmp_path,
+                                                      monkeypatch):
+        # Saving an ALP model searches its full self-kNN table once, and the
+        # scores that follow gather from it; scoring without saving searches
+        # only the gathered rows, and both write the same bytes.
+        calls, real = [], alp.self_knn_batch
+
+        def spy(train, k, spec, **given):
+            calls.append(given.get("rows"))
+            return real(train, k, spec, **given)
+
+        monkeypatch.setattr(alp, "self_knn_batch", spy)
+        fit = ["score", "--train", synth_dir / "train.csv",
+               "--schema", synth_dir / "schema.txt", "--detector", "alp",
+               "--variant", "ramp", "--queries", synth_dir / "test.csv"]
+        saved, unsaved = tmp_path / "saved.csv", tmp_path / "unsaved.csv"
+        assert run(fit + ["--save-model", tmp_path / "m.npz", "--out", saved]) == 0
+        assert calls == [None]
+        calls.clear()
+        assert run(fit + ["--out", unsaved]) == 0
+        assert len(calls) == 1 and calls[0] is not None
+        assert saved.read_bytes() == unsaved.read_bytes()
 
     # The committed bundle's schema is risk,high / safety,low / size,none.
     @pytest.mark.parametrize("attributes, message", [

@@ -46,6 +46,29 @@ class TestParseCsv:
         with pytest.raises(ValueError, match=r"row 1, column 'a'"):
             parse_csv("a,b\nx,2\n3,4", spec(("a", "none"), ("b", "none")))
 
+    @pytest.mark.parametrize("text", ["a,b,y\n", "a,b,y", "b,y,a\r\n"])
+    def test_header_only_reads_no_records(self, text):
+        ds = parse_csv(text, spec(("a", "none"), ("b", "high")), LabelRule("y", "1"))
+        assert ds.records.shape == (0, 2) and ds.records.dtype == np.float64
+        assert ds.labels.shape == (0,) and ds.labels.dtype == np.bool_
+        assert ds.schema == spec(("a", "none"), ("b", "high"))
+        assert not ds.records.flags.writeable and not ds.labels.flags.writeable
+
+    def test_one_row_keeps_its_bits_read_only(self):
+        ds = parse_csv("b,y,a\n-0,0,1e308\n", spec(("a", "none"), ("b", "high")),
+                       LabelRule("y", "1", "0"))
+        assert ds.records.tobytes() == np.array([[1e308, -0.0]]).tobytes()
+        assert ds.records.flags.c_contiguous and list(ds.labels) == [False]
+        assert not ds.records.flags.writeable and not ds.labels.flags.writeable
+        with pytest.raises(ValueError):
+            ds.records[0, 0] = 2.0
+
+    @pytest.mark.parametrize("text", ["a,a\n1,2\n", "a\n1\n", ""])
+    def test_schema_naming_an_attribute_twice_is_rejected(self, text):
+        # Before the header is read: it is the schema that is at fault.
+        with pytest.raises(ValueError, match="attribute names must be unique within a schema"):
+            parse_csv(text, spec(("a", "none"), ("a", "high")))
+
     def test_header_mismatch(self):
         with pytest.raises(ValueError, match="schema/header mismatch"):
             parse_csv("a,c\n1,2", spec(("a", "none"), ("b", "none")))

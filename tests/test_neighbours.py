@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -264,3 +265,62 @@ def test_self_knn_batch_distances_only_match_full_sort_property(problem):
     train, _, k, spec = problem
     got = self_knn_batch(train, k, spec, indices=False)
     assert_same_distances(got, oracle_knn(train, train, k, spec, exclude_self=True))
+
+
+@st.composite
+def row_subsets(draw):
+    """(infinite, train, k, spec, rows, block_bytes): a self-query problem,
+    its values replaced by ones with +-inf if ``infinite``, row indices into it
+    (unsorted, repeated, empty or one row) and a per-block byte budget that
+    cuts the subset search into blocks of 1-4 rows or leaves it whole."""
+    infinite = draw(st.booleans())
+    train, _, k, spec = draw(problems(self_query=True))
+    n, m = train.shape
+    if infinite:  # inf - inf cells are NaN under every variant
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        train = rng.choice([-np.inf, np.inf, -1e308, 1e308, 0.0, 1.0], size=(n, m))
+    index = st.integers(0, n - 1)
+    first_block = min(_block_rows(8 * n), n - 1)
+    rows = draw(st.one_of(
+        st.just([]),
+        st.lists(index, min_size=1, max_size=1),
+        st.lists(index, max_size=40),
+        # Both sides of the full search's first block boundary.
+        st.just([first_block, first_block - 1]),
+    ))
+    block_bytes = draw(st.sampled_from([_BLOCK_BYTES] + [b * 8 * n for b in (1, 2, 4)]))
+    return infinite, train, k, spec, np.array(rows, dtype=np.int64), block_bytes
+
+
+@settings(max_examples=80, deadline=None)
+@given(row_subsets())
+def test_self_knn_batch_rows_match_the_full_self_query_property(problem):
+    infinite, train, k, spec, rows, block_bytes = problem
+    full = self_knn_batch(train, k, spec)
+    full_dists, _ = self_knn_batch(train, k, spec, indices=False)
+    expected = oracle_knn(train, train, k, spec, exclude_self=True)
+    if infinite:
+        # NaN cells of both signs: the selection may keep other NaN bits than
+        # the stable argsort does, so only NaN-ness is compared with it.
+        assert np.array_equal(full[0], expected[0], equal_nan=True)
+        assert np.array_equal(full[1], expected[1])
+    else:
+        assert_same_neighbours(full, expected)
+    with mock.patch.object(neighbours, "_BLOCK_BYTES", block_bytes):
+        got = self_knn_batch(train, k, spec, rows=rows)
+        got_dists = self_knn_batch(train, k, spec, indices=False, rows=rows)
+    assert got[0].shape == got[1].shape == (len(rows), k)
+    assert_same_neighbours(got, (full[0][rows], full[1][rows]))
+    assert_same_distances(got_dists, (full_dists[rows],))
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([4], r"rows must be in \[0, 3\]"),
+    ([0, -1], r"rows must be in \[0, 3\]"),
+    (np.array([2**63], dtype=np.uint64), r"rows must be in \[0, 3\]"),
+    ([[0]], "1-d array"),
+    ([0.0], "1-d array"),
+])
+def test_self_knn_batch_rejects_rows_outside_the_training_set(rows, message):
+    with pytest.raises(ValueError, match=message):
+        self_knn_batch(np.arange(4.0)[:, None], 1, DistanceSpec((ABS,)), rows=rows)

@@ -48,11 +48,11 @@ def assert_arrays_equal(a, b):
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
 def test_roundtrip_is_bit_exact(tmp_path, model):
     path = tmp_path / "model.npz"
-    save_model(path, model)
+    saved_model = save_model(path, model)
     loaded = load_model(path).model
     assert type(loaded) is type(model)
     assert loaded.neighbour_problem == model.neighbour_problem
-    saved, restored = persist._model_arrays(model), persist._model_arrays(loaded)
+    saved, restored = persist._model_arrays(saved_model), persist._model_arrays(loaded)
     assert saved.keys() == restored.keys()
     for key in saved:
         assert_arrays_equal(np.asarray(restored[key]), np.asarray(saved[key]))
