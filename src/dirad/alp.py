@@ -155,7 +155,7 @@ def with_table(model: AlpModel) -> AlpModel:
     if model.train_nn_dists is not None:
         return model
     _, spec, _ = model.neighbour_problem
-    table, _ = self_knn_batch(model.train, model.k, spec, indices=False)
+    table = self_knn_batch(model.train, model.k, spec)
     return replace(model, train_nn_dists=table)
 
 
@@ -179,9 +179,7 @@ def _lp_batch(model: AlpModel, queries: np.ndarray, knn=None) -> np.ndarray:
         gathered = np.zeros(n, dtype=bool)
         gathered[near] = True
         _, spec, _ = model.neighbour_problem
-        table, _ = self_knn_batch(
-            model.train, k, spec, indices=False, rows=np.flatnonzero(gathered)
-        )
+        table = self_knn_batch(model.train, k, spec, rows=np.flatnonzero(gathered))
         near = (np.cumsum(gathered) - 1)[near]
     # D[r, i] = sum_j w'_j * (i-th self-NN distance of the j-th neighbour of r)
     big_d = weighted_sum(model.weights_l, (table[column] for column in near.T))

@@ -169,9 +169,11 @@ def _auto_int(text: str):
 def _parsed(path, parse, *args):
     """``parse(text, *args)`` for the UTF-8 text of the file at ``path``,
     less a leading byte-order mark (``parse=str`` gives the text itself); a
-    decode or parse error names the file, e.g. ``big.csv: field larger than
-    field limit``. Every input file of every command is read here, without
-    newline translation, so a ``\\r`` in a quoted CSV field stays one."""
+    decode error, or a ``ValueError`` of ``parse``, names the file, e.g.
+    ``big.csv: field larger than field limit``. Every input file of every
+    command is read here, without newline translation, so a ``\\r`` in a
+    quoted CSV field stays one. ``score`` fits and scores inside ``parse``
+    too, so an error its training or query records cause names their file."""
     try:
         with open(path, encoding="utf-8-sig", newline="") as file:
             text = file.read()
@@ -416,18 +418,26 @@ _FIT_DEFAULTS = {"detector": "nnd", "variant": "ramp", "k": 8, "alp_k": None, "a
 def _fit_from_args(args, parser):
     if not (args.train and args.schema_path):
         parser.error("--train and --schema are required when --model is not given")
-    ds, rule = _load_dataset(args.train, args.schema_path)
-    if ds.labels is not None:
-        ds = ds.take(np.flatnonzero(~ds.labels))  # fit on normal records only
+    schema, rule = _parsed(args.schema_path, parse_schema)
     fit = argparse.Namespace(**{**_FIT_DEFAULTS, **vars(args)})
     config = _detector_config(fit.detector, fit.variant, fit)
-    scaler, model = fit_detector(config, ds)
-    return model, scaler, ds.schema, rule
+    scaler, model = _parsed(args.train, _fit_normal_records, schema, rule, config)
+    return model, scaler, schema, rule
 
 
-def _parse_queries(text: str, schema, rule) -> Dataset | None:
-    """The query records, or None for a blank file."""
-    return parse_csv(text, schema, rule) if text.strip() else None
+def _fit_normal_records(text: str, schema, rule, config):
+    """``fit_detector`` on the normal records of the CSV ``text``."""
+    ds = parse_csv(text, schema, rule)
+    if ds.labels is not None:
+        ds = ds.take(np.flatnonzero(~ds.labels))  # fit on normal records only
+    return fit_detector(config, ds)
+
+
+def _scores(text: str, schema, rule, scaler, model) -> np.ndarray:
+    """Scores of the query records of the CSV ``text``; none for a blank one."""
+    if not text.strip():
+        return np.empty(0)
+    return score_queries(scaler, model, parse_csv(text, schema, rule))
 
 
 def _check_bundle_schema(path, given, schema) -> None:
@@ -473,8 +483,7 @@ def cmd_score(args, parser) -> int:
     if args.model and args.schema_path:
         given, rule = _parsed(args.schema_path, parse_schema)
         _check_bundle_schema(args.schema_path, given, schema)
-    queries = _parsed(args.queries, _parse_queries, schema, rule)
-    scores = [] if queries is None else score_queries(scaler, model, queries)
+    scores = _parsed(args.queries, _scores, schema, rule, scaler, model)
     rows = ((i, float(s)) for i, s in enumerate(scores, start=1))
     _write_atomic(Path(args.out), csv_text(("row", "score"), rows))
     print(f"wrote {len(scores)} scores to {args.out}")

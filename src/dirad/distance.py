@@ -34,11 +34,13 @@ against under 20). Without them the kernel allocates its own.
 
 The loop runs with NumPy's ufunc buffer set to 512 elements. At the default
 8,192, a broadcast ufunc whose rows are shorter than the buffer copies its
-operands through it. On NumPy 2.4.6 (2-vCPU Xeon), the column subtract of a
-65 x 1000 block, the block shape of a 1,000-row training set, took 71-95 us
-at the default and 16-27 us at 512; blocks whose rows hold 5,000 or more
-elements were within noise either way. Only elementwise ufuncs may run under
-the setting: a float reduction's summation order could depend on it.
+operands through it. On NumPy 2.4.6 (2-vCPU Xeon, best of 7 x 20 calls), a
+whole kernel call took 487-728 us at 512 against 1,084-1,289 us at the
+default, on a 54 x 1200 block (the ramp spec of a 10-attribute training set
+with 2 adirectional attributes) and a 65 x 1000 one (all absolute, the block
+shape of a 1,000-row training set); 1 x 50,000 and 13 x 5,000 blocks were at
+parity. Only elementwise ufuncs may run under the setting: a float
+reduction's summation order could depend on it.
 """
 
 from __future__ import annotations

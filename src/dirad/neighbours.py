@@ -9,19 +9,23 @@ One blocked loop, ``_knn``, serves both query kinds. Queries run in blocks
 whose distance matrix stays within ``_BLOCK_BYTES``. A self-query is the same
 loop with training rows as the queries, every row of the training matrix or
 only the ones asked for (``self_knn_batch(..., rows=...)``), and each query's
-own column masked to +inf, so a row comes after every other row at a finite
-distance. A row's cells and selection depend on that row alone, so a subset
-self-query returns, bit for bit, the rows of the full one.
+own column masked to +inf, so a row's own distance sorts after every finite
+one. A row's cells and selection depend on that row alone, so a subset
+self-query returns, bit for bit, the rows of the full one. A self-query
+returns distances only: ALP's localised proximity reads nothing else, and a
+row with fewer than k other rows at a finite distance would list itself
+among its +inf ties.
 
 Each block's k nearest distances are selected one way, without a full sort:
 every row is partitioned at k - 1 and its first k columns are sorted. A
-caller that reads only distances (``indices=False``; NND's searches and ALP's
-self-kNN) selects on the block itself. A caller that reads the neighbours' row
-indices (``indices=True``, the default) selects on a copy in the kernel's
-scratch buffer, and ``_columns`` recovers their columns from the untouched
-block: the entries at most the k-th value, with one repair for rows where it
-is tied or NaN, stably sorted. Both match the stable ``argsort`` by
-(distance, training row index), the distances bit for bit:
+search that reads only distances (a self-query, or ``knn_batch`` with
+``indices=False``, as NND's searches run) selects on the block itself. A
+``knn_batch`` caller that reads the neighbours' row indices (``indices=True``,
+the default) selects on a copy in the kernel's scratch buffer, and
+``_columns`` recovers their columns from the untouched block: the entries at
+most the k-th value, with one repair for rows where it is tied or NaN, stably
+sorted. Both match the stable ``argsort`` by (distance, training row index),
+the distances bit for bit:
 
 * a row's k smallest values form one multiset, which the selection and the
   stable argsort both order ascending with NaN last;
@@ -94,10 +98,12 @@ def _knn(
 
     ``rows``, for a self-query, gives the index in ``t`` of each row of ``q``;
     that column of its block row is masked to +inf. None means a plain query.
-    ``indices`` false returns None for the indices. The kernel gets ``t``
-    Fortran-ordered: one transpose per search, not per block. Every block
-    reuses one work array: its result in the first half, the kernel's scratch
-    in the second, where index readers then select on a copy of the block.
+    ``indices`` false returns None for the indices; a self-query reads
+    distances only, so ``rows`` comes with ``indices`` false. The kernel gets
+    ``t`` Fortran-ordered: one transpose per search, not per block. Every
+    block reuses one work array: its result in the first half, the kernel's
+    scratch in the second, where index readers then select on a copy of the
+    block.
     """
     count, n = q.shape[0], t.shape[0]
     dists = np.empty((count, k), dtype=np.float64)
@@ -148,23 +154,20 @@ def knn_batch(
 
 
 def self_knn_batch(
-    train: np.ndarray, k: int, spec: DistanceSpec, *, indices: bool = True,
-    rows=None,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """For every training row, or for each of ``rows`` (indices into
-    ``train``, in any order, repeats allowed), its k nearest rows with its own
-    distance taken as +inf; ``indices`` as in ``knn_batch``. Each row's result
-    is, bit for bit, its row of the full self-query."""
+    train: np.ndarray, k: int, spec: DistanceSpec, *, rows=None,
+) -> np.ndarray:
+    """(n, k) ascending distances from every training row, or (len(rows), k)
+    from each of ``rows`` (indices into ``train``, in any order, repeats
+    allowed), to its k nearest rows, its own distance taken as +inf. Each
+    row's result is, bit for bit, its row of the full self-query."""
     t = _as_matrix(train)
     n = t.shape[0]
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must be in [1, {n - 1}] for self-queries, got {k}")
-    if rows is None:
-        return _knn(t, t, k, spec, np.arange(n), indices)
-    r = np.asarray(rows)
+    r = np.arange(n) if rows is None else np.asarray(rows)
     if r.ndim != 1 or (r.size and r.dtype.kind not in "iu"):
         raise ValueError("rows must be a 1-d array of training row indices")
     if r.size and not (r.min() >= 0 and r.max() < n):
         raise ValueError(f"rows must be in [0, {n - 1}]")
     r = r.astype(np.intp, copy=False)
-    return _knn(t, t[r], k, spec, r, indices)
+    return _knn(t, t[r], k, spec, r, False)[0]

@@ -7,7 +7,10 @@ behind, so a saved model can score raw CSV queries without the original
 training data. A SHA-256 ``digest`` over every other array catches edits that
 leave the bundle well formed, such as cut training rows. An ALP bundle
 always holds the full self-kNN table, which a fitted ALP model leaves out:
-``save_model`` searches for it once (``alp.with_table``).
+``save_model`` searches for it once (``alp.with_table``). A loaded model
+then gathers D from the table; without it, every scoring call would search
+the training rows its queries gather again: 1.4-12.7x slower per call at
+n = 1,200-5,000 and 50 to n queries (ALP ramp, m = 10, 2-vCPU Xeon).
 """
 
 from __future__ import annotations

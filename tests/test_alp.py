@@ -211,8 +211,8 @@ class TestBlockedGather:
         assert alp._lp_batch(model, queries).tobytes() == expected.tobytes()
 
     def test_scoring_searches_the_gathered_rows_once(self, monkeypatch):
-        # Fitting searches nothing; scoring runs one distances-only self-kNN
-        # of the union of the queries' l nearest rows, in row order.
+        # Fitting searches nothing; scoring runs one self-kNN of the union of
+        # the queries' l nearest rows, in row order.
         rng = np.random.default_rng(9)
         ds = dataset(rng.standard_normal((40, 2)))
         calls = []
@@ -227,11 +227,11 @@ class TestBlockedGather:
         queries = rng.standard_normal((5, 2))
         _, idx = model.query_knn(queries)
         model.anomaly_scores(queries)
-        assert len(calls) == 1 and calls[0]["indices"] is False
+        assert len(calls) == 1 and calls[0].keys() == {"rows"}
         assert calls[0]["rows"].tolist() == np.unique(idx[:, :3]).tolist()
         # A model carrying its full table gathers from it and searches nothing.
         full = alp.with_table(model)
-        assert len(calls) == 2 and "rows" not in calls[1]
+        assert len(calls) == 2 and calls[1] == {}
         full.anomaly_scores(queries)
         assert len(calls) == 2
 

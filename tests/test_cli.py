@@ -490,7 +490,8 @@ class TestScore:
                     "--schema", synth_dir / "schema.txt",
                     "--queries", queries, "--out", out])
         assert code == 1
-        assert capsys.readouterr().err == "error: scaling overflowed on attribute x1\n"
+        assert capsys.readouterr().err == (
+            f"error: {queries}: scaling overflowed on attribute x1\n")
         assert not out.exists()
 
     def test_training_scale_overflow_names_its_attribute(self, tmp_path, capsys):
@@ -504,7 +505,8 @@ class TestScore:
                         "--variant", "ramp", "--k", "3", "--queries", queries, "--out", out])
         assert code == 1
         assert [str(w.message) for w in seen] == []
-        assert capsys.readouterr().err == "error: scaling overflowed on attribute x1\n"
+        assert capsys.readouterr().err == (
+            f"error: {train}: scaling overflowed on attribute x1\n")
         assert not out.exists()
 
     def test_undefined_score_is_one_error_naming_its_row(self, tmp_path, capsys):
@@ -522,7 +524,7 @@ class TestScore:
                     "--variant", "signed", "--queries", queries, "--out", out])
         assert code == 1
         assert capsys.readouterr().err == (
-            "error: query row 2 has an undefined score: its distances overflow\n"
+            f"error: {queries}: query row 2 has an undefined score: its distances overflow\n"
         )
         assert not out.exists()
 
@@ -553,7 +555,8 @@ class TestScore:
         err = capsys.readouterr().err
         if expected is None:
             assert code == 1 and not out.exists()
-            assert err == "error: query row 1 has an undefined score: its distances overflow\n"
+            assert err == (f"error: {queries}: query row 1 has an undefined score: "
+                           "its distances overflow\n")
         else:
             assert code == 0 and err == ""
             assert out.read_text() == expected

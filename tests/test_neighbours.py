@@ -81,26 +81,28 @@ def test_dimension_mismatch_propagates():
 
 class TestSelfKnn:
     def test_duplicate_rows(self):
-        dists, idx = self_knn_batch([[2.0], [2.0]], 1, DistanceSpec((ABS,)))
-        assert dists[0, 0] == 0.0 and idx[0, 0] == 1
-        assert dists[1, 0] == 0.0 and idx[1, 0] == 0
+        dists = self_knn_batch([[2.0], [2.0]], 1, DistanceSpec((ABS,)))
+        assert dists.tolist() == [[0.0], [0.0]]
 
     def test_three_point_line(self):
-        dists, _ = self_knn_batch([[0.0], [1.0], [3.0]], 1, DistanceSpec((ABS,)))
+        dists = self_knn_batch([[0.0], [1.0], [3.0]], 1, DistanceSpec((ABS,)))
         assert dists[:, 0].tolist() == [1.0, 1.0, 2.0]
+
+    def test_a_row_with_no_finite_neighbour_reads_inf(self):
+        # Row 0's only other rows are at an overflowed distance: its own
+        # masked cell ties with them, and only the distance comes back.
+        dists = self_knn_batch([[1e308], [-1e308], [-1e308]], 1, DistanceSpec((ABS,)))
+        assert isinstance(dists, np.ndarray)
+        assert dists.tolist() == [[np.inf], [0.0], [0.0]]
 
     def test_matches_per_row_knn_with_self_removed(self):
         rng = np.random.default_rng(59)
         train = rng.standard_normal((15, 2))
         spec = DistanceSpec((ABS, DistanceVariant.RAMP))
-        dists, idx = self_knn_batch(train, 4, spec)
+        dists = self_knn_batch(train, 4, spec)
         for i in range(15):
-            others = np.delete(train, i, axis=0)
-            expected_dists, expected_idx = knn(others, train[i], 4, spec)
-            # Map indices back to the original row numbering.
-            mapped = expected_idx + (expected_idx >= i)
+            expected_dists, _ = knn(np.delete(train, i, axis=0), train[i], 4, spec)
             assert np.array_equal(dists[i], expected_dists)
-            assert np.array_equal(idx[i], mapped)
 
     def test_k_must_leave_room_for_self(self):
         with pytest.raises(ValueError, match="self"):
@@ -141,8 +143,8 @@ def test_batch_blocks_do_not_change_results():
     rng = np.random.default_rng(67)
     train = rng.standard_normal((n, 2))
     spec = DistanceSpec((ABS, ABS))
-    got = self_knn_batch(train, 3, spec)
-    assert_same_neighbours(got, oracle_knn(train, train, 3, spec, exclude_self=True))
+    expected, _ = oracle_knn(train, train, 3, spec, exclude_self=True)
+    assert self_knn_batch(train, 3, spec).tobytes() == expected.tobytes()
     queries = rng.standard_normal((2 * _block_rows(8 * n) + 1, 2))
     got = knn_batch(train, queries, 3, spec)
     assert_same_neighbours(got, oracle_knn(train, queries, 3, spec))
@@ -167,10 +169,9 @@ def test_every_block_reuses_the_first_blocks_buffers(self_query, monkeypatch):
     monkeypatch.setattr(neighbours, "_BLOCK_BYTES", 5 * 8 * n)
     monkeypatch.setattr(neighbours, "distance_matrix", spy)
     if self_query:
-        got = self_knn_batch(train, 4, spec)
+        assert self_knn_batch(train, 4, spec).tobytes() == expected[0].tobytes()
     else:
-        got = knn_batch(train, queries, 4, spec)
-    assert_same_neighbours(got, expected)
+        assert_same_neighbours(knn_batch(train, queries, 4, spec), expected)
     assert len(buffers) == 3
     first_block, first_scratch = buffers[0]
     for block, scratch in buffers:
@@ -237,14 +238,6 @@ def test_knn_batch_matches_full_sort_property(problem):
     assert_same_neighbours(got, oracle_knn(train, queries, k, spec))
 
 
-@settings(max_examples=60, deadline=None)
-@given(problems(self_query=True))
-def test_self_knn_batch_matches_full_sort_property(problem):
-    train, _, k, spec = problem
-    got = self_knn_batch(train, k, spec)
-    assert_same_neighbours(got, oracle_knn(train, train, k, spec, exclude_self=True))
-
-
 def assert_same_distances(got, expected):
     # A distances-only search returns no indices and the oracle's bytes.
     assert got[1] is None
@@ -261,10 +254,12 @@ def test_knn_batch_distances_only_match_full_sort_property(problem):
 
 @settings(max_examples=60, deadline=None)
 @given(problems(self_query=True))
-def test_self_knn_batch_distances_only_match_full_sort_property(problem):
+def test_self_knn_batch_matches_full_sort_property(problem):
+    # A self-query returns the (n, k) distances alone, the oracle's bytes.
     train, _, k, spec = problem
-    got = self_knn_batch(train, k, spec, indices=False)
-    assert_same_distances(got, oracle_knn(train, train, k, spec, exclude_self=True))
+    got = self_knn_batch(train, k, spec)
+    expected, _ = oracle_knn(train, train, k, spec, exclude_self=True)
+    assert got.shape == (len(train), k) and got.tobytes() == expected.tobytes()
 
 
 @st.composite
@@ -297,21 +292,17 @@ def row_subsets(draw):
 def test_self_knn_batch_rows_match_the_full_self_query_property(problem):
     infinite, train, k, spec, rows, block_bytes = problem
     full = self_knn_batch(train, k, spec)
-    full_dists, _ = self_knn_batch(train, k, spec, indices=False)
-    expected = oracle_knn(train, train, k, spec, exclude_self=True)
+    expected = oracle_knn(train, train, k, spec, exclude_self=True)[0]
     if infinite:
         # NaN cells of both signs: the selection may keep other NaN bits than
         # the stable argsort does, so only NaN-ness is compared with it.
-        assert np.array_equal(full[0], expected[0], equal_nan=True)
-        assert np.array_equal(full[1], expected[1])
+        assert np.array_equal(full, expected, equal_nan=True)
     else:
-        assert_same_neighbours(full, expected)
+        assert full.tobytes() == expected.tobytes()
     with mock.patch.object(neighbours, "_BLOCK_BYTES", block_bytes):
         got = self_knn_batch(train, k, spec, rows=rows)
-        got_dists = self_knn_batch(train, k, spec, indices=False, rows=rows)
-    assert got[0].shape == got[1].shape == (len(rows), k)
-    assert_same_neighbours(got, (full[0][rows], full[1][rows]))
-    assert_same_distances(got_dists, (full_dists[rows],))
+    assert got.shape == (len(rows), k)
+    assert got.tobytes() == full[rows].tobytes()
 
 
 @pytest.mark.parametrize("rows, message", [
