@@ -262,6 +262,27 @@ def test_self_knn_batch_matches_full_sort_property(problem):
     assert got.shape == (len(train), k) and got.tobytes() == expected.tobytes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(problems(self_query=True))
+def test_self_knn_batch_distances_only_match_full_sort_property(problem):
+    # Each row's self-query distances are the distances-only search of that
+    # row among the other rows, with its own +inf cell sorted in before the
+    # first NaN (a stable sort puts NaN after +inf).
+    train, _, k, spec = problem
+    got = self_knn_batch(train, k, spec)
+    for i, row in enumerate(train):
+        expected, idx = knn_batch(np.delete(train, i, axis=0), row[None], k, spec, indices=False)
+        assert idx is None
+        expected = expected[0]
+        first_nan = np.flatnonzero(np.isnan(expected))
+        if first_nan.size:
+            j = first_nan[0]
+            expected = np.concatenate([expected[:j], [np.inf], expected[j:]])[:k]
+        nan = np.isnan(got[i])
+        assert np.array_equal(nan, np.isnan(expected))
+        assert got[i][~nan].tobytes() == expected[~nan].tobytes()
+
+
 @st.composite
 def row_subsets(draw):
     """(infinite, train, k, spec, rows, block_bytes): a self-query problem,
