@@ -574,6 +574,13 @@ def cmd_stats(args, parser) -> int:
 # diagnose
 
 
+def _mean_cell(value: float) -> str:
+    """``value`` right-aligned in 12 characters: to 4 decimals while that
+    fits, in exponent form (at most 12 characters) past it."""
+    text = f"{value:.4f}"
+    return f"{text:>12}" if len(text) <= 12 else f"{value:>12.4e}"
+
+
 def cmd_diagnose(args, parser) -> int:
     ds, _ = _load_dataset(args.data, args.schema_path)
     if ds.labels is None:
@@ -582,9 +589,9 @@ def cmd_diagnose(args, parser) -> int:
     print(f"{'attribute':<20} {'normal_mean':>12} {'anom_mean':>12} "
           f"{'difference':>12}  flagged")
     for entry in report:
+        means = (entry.normal_mean, entry.anomalous_mean, entry.difference)
         print(
-            f"{entry.name:<20} {entry.normal_mean:>12.4f} "
-            f"{entry.anomalous_mean:>12.4f} {entry.difference:>12.4f}  "
+            f"{entry.name:<20} {' '.join(map(_mean_cell, means))}  "
             f"{'yes' if entry.flagged else 'no'}"
         )
     directions = {a.name: a.direction.value for a in ds.schema}

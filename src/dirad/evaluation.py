@@ -349,21 +349,34 @@ def directionality_diagnostic(
     lab = dataset.labels
     if not lab.any() or lab.all():
         raise ValueError("both classes must be present for the diagnostic")
-    normal_means = dataset.records[~lab].mean(axis=0)
-    anom_means = dataset.records[lab].mean(axis=0)
+    normal_means = _column_means(dataset.records[~lab])
+    anom_means = _column_means(dataset.records[lab])
     report = []
-    for j, attr in enumerate(dataset.schema):
-        diff = float(anom_means[j] - normal_means[j])
-        report.append(
-            AttributeDiagnostic(
-                attr.name,
-                float(normal_means[j]),
-                float(anom_means[j]),
-                diff,
-                anom_means[j] <= normal_means[j] + tau,
+    # A difference or a tau-shifted mean past the float range reads +-inf.
+    with np.errstate(over="ignore"):
+        for j, attr in enumerate(dataset.schema):
+            diff = float(anom_means[j] - normal_means[j])
+            report.append(
+                AttributeDiagnostic(
+                    attr.name,
+                    float(normal_means[j]),
+                    float(anom_means[j]),
+                    diff,
+                    anom_means[j] <= normal_means[j] + tau,
+                )
             )
-        )
     return tuple(report)
+
+
+def _column_means(records: np.ndarray) -> np.ndarray:
+    """Column means of finite records. A column whose sum passes the float
+    range takes the sum of x / n instead, which reads inf only for a mean
+    within rounding of the largest float."""
+    with np.errstate(over="ignore"):
+        means = records.mean(axis=0)
+        over = np.isinf(means)
+        means[over] = (records[:, over] / len(records)).sum(axis=0)
+    return means
 
 
 def fold_results_csv(results: Sequence[ExperimentResult]) -> str:

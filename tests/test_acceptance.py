@@ -15,13 +15,7 @@ import pytest
 
 from dirad import alp, nnd
 from dirad.alp import AlpConfig, default_k, default_l
-from dirad.dataset import (
-    AttributeSpec,
-    Dataset,
-    Direction,
-    parse_csv,
-    parse_schema,
-)
+from dirad.dataset import Dataset, parse_csv, parse_schema
 from dirad.distance import DistanceVariant
 from dirad.evaluation import (
     auroc,
@@ -31,10 +25,11 @@ from dirad.evaluation import (
     synthetic_auroc,
     wilcoxon_one_sided,
 )
-from dirad.nnd import NndConfig, contract, linear_weights
+from dirad.nnd import NndConfig, contract
 from dirad.synthgen import SynthSpec, replicate_seed
 
 from cv_spies import fitted_per_fold
+from oracles import directional_dataset, pairwise_auroc, signed_raw_oracle
 
 ABS = DistanceVariant.ABSOLUTE
 RAMP = DistanceVariant.RAMP
@@ -53,17 +48,6 @@ def criterion(number, description):
     print(f"ACCEPTANCE {number:02d} {description}: PASS ({elapsed:.1f}s)")
 
 
-def directional_dataset(records, n_directional=None):
-    records = np.asarray(records, dtype=np.float64)
-    m = records.shape[1]
-    n_dir = m if n_directional is None else n_directional
-    schema = tuple(
-        AttributeSpec(f"x{j}", Direction.HIGH if j < n_dir else Direction.NONE)
-        for j in range(m)
-    )
-    return Dataset(schema, records)
-
-
 def test_01_auroc_matches_pairwise_oracle():
     with criterion(1, "AUROC equals the pairwise-count oracle"):
         start = time.perf_counter()
@@ -77,11 +61,7 @@ def test_01_auroc_matches_pairwise_oracle():
                 scores = np.round(rng.standard_normal(n), 1)  # force ties
             else:
                 scores = rng.standard_normal(n)
-            anom, norm = scores[labels], scores[~labels]
-            wins = np.sum(anom[:, None] > norm[None, :])
-            ties = np.sum(anom[:, None] == norm[None, :])
-            expected = (wins + 0.5 * ties) / (anom.size * norm.size)
-            assert auroc(scores, labels) == expected
+            assert auroc(scores, labels) == pairwise_auroc(scores, labels)
         assert time.perf_counter() - start < 5.0
 
 
@@ -95,10 +75,7 @@ def test_02_signed_shortcut_equals_direct_evaluation():
             train = rng.standard_normal((n, m)) * 2
             y = rng.standard_normal(m) * 2
             model = nnd.fit(directional_dataset(train), NndConfig(SIGNED, k=k))
-            # Independent route: all signed distances, sorted, weighted.
-            dists = sorted(float((y - row).sum()) for row in train)
-            weights = linear_weights(k)
-            expected = sum(w * d for w, d in zip(weights, dists[:k]))
+            expected = signed_raw_oracle(train, y, k)
             got = nnd.raw_scores(model, [y])[0]
             assert got == pytest.approx(expected, rel=1e-9, abs=1e-9)
 

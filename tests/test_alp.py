@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,23 +6,13 @@ from hypothesis.extra import numpy as hnp
 
 from dirad import alp
 from dirad.alp import AlpConfig, default_k, default_l
-from dirad.dataset import AttributeSpec, Dataset, Direction
-from dirad.distance import DistanceSpec, DistanceVariant, record_distance
+from dirad.distance import DistanceVariant
 from dirad.neighbours import self_knn_batch
+
+from oracles import alp_oracle, assert_same_scores, directional_dataset
 
 ABS = DistanceVariant.ABSOLUTE
 RAMP = DistanceVariant.RAMP
-
-
-def dataset(records, n_directional=None):
-    records = np.asarray(records, dtype=np.float64)
-    m = records.shape[1]
-    n_dir = m if n_directional is None else n_directional
-    schema = tuple(
-        AttributeSpec(f"x{j}", Direction.HIGH if j < n_dir else Direction.NONE)
-        for j in range(m)
-    )
-    return Dataset(schema, records)
 
 
 class TestDefaults:
@@ -40,7 +28,7 @@ class TestDefaults:
         assert default_l(10) == 10  # 6*ln 10 rounds to 14, clamped
 
     def test_k_clamped_at_fit_time(self):
-        model = alp.fit(dataset(np.arange(6.0)[:, None]), AlpConfig(ABS))
+        model = alp.fit(directional_dataset(np.arange(6.0)[:, None]), AlpConfig(ABS))
         assert model.k == 5  # default_k(6) = 10, clamped to n-1
 
 
@@ -51,66 +39,66 @@ class TestConfigAndFit:
 
     def test_auto_resolution_at_n_1000(self):
         rng = np.random.default_rng(11)
-        model = alp.fit(dataset(rng.standard_normal((1000, 2))), AlpConfig(ABS))
+        model = alp.fit(directional_dataset(rng.standard_normal((1000, 2))), AlpConfig(ABS))
         assert model.k == 38 and model.l == 41
 
     def test_explicit_k_l_honoured(self):
-        model = alp.fit(dataset(np.arange(9.0)[:, None]), AlpConfig(ABS, k=2, l=3))
+        model = alp.fit(directional_dataset(np.arange(9.0)[:, None]), AlpConfig(ABS, k=2, l=3))
         assert model.k == 2 and model.l == 3
         assert model.train_nn_dists is None  # fitting searches nothing
         assert alp.with_table(model).train_nn_dists.shape == (9, 2)
 
     def test_infeasible_explicit_values_rejected(self):
-        ds = dataset(np.arange(4.0)[:, None])
+        ds = directional_dataset(np.arange(4.0)[:, None])
         with pytest.raises(ValueError, match="k must be"):
             alp.fit(ds, AlpConfig(ABS, k=4, l=2))
         with pytest.raises(ValueError, match="l must be"):
             alp.fit(ds, AlpConfig(ABS, k=2, l=5))
 
     def test_duplicate_training_set_gives_zero_distances(self):
-        model = alp.fit(dataset(np.ones((6, 2))), AlpConfig(ABS, k=2, l=2))
+        model = alp.fit(directional_dataset(np.ones((6, 2))), AlpConfig(ABS, k=2, l=2))
         assert np.array_equal(alp.with_table(model).train_nn_dists, np.zeros((6, 2)))
 
     def test_needs_two_records(self):
         with pytest.raises(ValueError, match="at least 2"):
-            alp.fit(dataset([[1.0]]), AlpConfig(ABS))
+            alp.fit(directional_dataset([[1.0]]), AlpConfig(ABS))
 
 
 class TestLocalisedProximity:
     def test_hand_traced_three_point_instance(self):
         # train {0, 1, 3}, k=l=1, query 5: d1=2, its neighbour 3 has self-NN
         # distance 2, so D1=2 and lp = 2/(2+2) = 0.5.
-        model = alp.fit(dataset([[0.0], [1.0], [3.0]]), AlpConfig(ABS, k=1, l=1))
+        model = alp.fit(directional_dataset([[0.0], [1.0], [3.0]]), AlpConfig(ABS, k=1, l=1))
         assert alp._lp_batch(model, [[5.0]])[0, 0] == 0.5
         assert alp.normality_scores(model, [[5.0]])[0] == 0.5
 
     def test_weighted_maximum_of_two_proximities(self):
         # Same instance with k=2: d = (2, 4) and the neighbour 3 has self-NN
         # distances (2, 3), so lp = (1/2, 3/7), weighted 2/3 and 1/3.
-        model = alp.fit(dataset([[0.0], [1.0], [3.0]]), AlpConfig(ABS, k=2, l=1))
+        model = alp.fit(directional_dataset([[0.0], [1.0], [3.0]]), AlpConfig(ABS, k=2, l=1))
         assert np.allclose(alp._lp_batch(model, [[5.0]]), [[0.5, 3 / 7]])
         score = alp.normality_scores(model, [[5.0]])[0]
         assert score == pytest.approx(10 / 21, abs=1e-12)
 
     def test_zero_query_distance_gives_one(self):
-        model = alp.fit(dataset([[0.0], [1.0], [3.0]]), AlpConfig(ABS, k=1, l=1))
+        model = alp.fit(directional_dataset([[0.0], [1.0], [3.0]]), AlpConfig(ABS, k=1, l=1))
         assert alp._lp_batch(model, [[1.0]])[0, 0] == 1.0
 
     def test_degenerate_duplicates_give_one(self):
-        model = alp.fit(dataset(np.zeros((5, 1))), AlpConfig(ABS, k=2, l=2))
+        model = alp.fit(directional_dataset(np.zeros((5, 1))), AlpConfig(ABS, k=2, l=2))
         lp = alp._lp_batch(model, [[0.0]])
         assert np.array_equal(lp, [[1.0, 1.0]])
         assert alp.normality_scores(model, [[0.0]])[0] == 1.0
 
     def test_direct_ratio(self):
         # Construct D=2 against d=6: lp must be 0.25.
-        model = alp.fit(dataset([[0.0], [2.0]]), AlpConfig(ABS, k=1, l=1))
+        model = alp.fit(directional_dataset([[0.0], [2.0]]), AlpConfig(ABS, k=1, l=1))
         # d1(8) = 6 (to 2); NN_1(8) = 2 whose own nearest distance is 2.
         assert alp._lp_batch(model, [[8.0]])[0, 0] == 0.25
 
     def test_index_bounds(self):
         # lp_i exists for i = 1..k only: one column per neighbour order.
-        model = alp.fit(dataset([[0.0], [1.0], [3.0]]), AlpConfig(ABS, k=1, l=1))
+        model = alp.fit(directional_dataset([[0.0], [1.0], [3.0]]), AlpConfig(ABS, k=1, l=1))
         assert alp._lp_batch(model, [[5.0], [0.0]]).shape == (2, 1)
 
 
@@ -120,7 +108,7 @@ class TestScoreProperties:
         for _ in range(20):
             n = int(rng.integers(3, 30))
             m = int(rng.integers(1, 4))
-            ds = dataset(rng.standard_normal((n, m)))
+            ds = directional_dataset(rng.standard_normal((n, m)))
             k = int(rng.integers(1, n))
             l = int(rng.integers(1, n + 1))
             variant = RAMP if rng.integers(2) else ABS
@@ -142,9 +130,9 @@ class TestScoreProperties:
         rng = np.random.default_rng(17)
         records = rng.standard_normal((25, 3))
         queries = rng.standard_normal((5, 3))
-        base = alp.fit(dataset(records), AlpConfig(ABS, k=4, l=6))
+        base = alp.fit(directional_dataset(records), AlpConfig(ABS, k=4, l=6))
         perm = rng.permutation(25)
-        shuffled = alp.fit(dataset(records[perm]), AlpConfig(ABS, k=4, l=6))
+        shuffled = alp.fit(directional_dataset(records[perm]), AlpConfig(ABS, k=4, l=6))
         assert np.allclose(
             alp.normality_scores(base, queries),
             alp.normality_scores(shuffled, queries),
@@ -156,8 +144,8 @@ class TestScoreProperties:
         records = rng.standard_normal((20, 2))
         queries = rng.standard_normal((6, 2))
         for c in (0.5, 3.0, 100.0):
-            base = alp.fit(dataset(records), AlpConfig(ABS, k=3, l=4))
-            scaled = alp.fit(dataset(records * c), AlpConfig(ABS, k=3, l=4))
+            base = alp.fit(directional_dataset(records), AlpConfig(ABS, k=3, l=4))
+            scaled = alp.fit(directional_dataset(records * c), AlpConfig(ABS, k=3, l=4))
             assert np.allclose(
                 alp.normality_scores(base, queries),
                 alp.normality_scores(scaled, queries * c),
@@ -166,7 +154,7 @@ class TestScoreProperties:
 
     def test_ramp_equals_absolute_on_adirectional_data(self):
         rng = np.random.default_rng(23)
-        ds = dataset(rng.standard_normal((15, 3)), n_directional=0)
+        ds = directional_dataset(rng.standard_normal((15, 3)), n_directional=0)
         queries = rng.standard_normal((5, 3))
         m_abs = alp.fit(ds, AlpConfig(ABS, k=3, l=4))
         m_ramp = alp.fit(ds, AlpConfig(RAMP, k=3, l=4))
@@ -177,7 +165,7 @@ class TestScoreProperties:
 
     def test_anomaly_scores_are_complement(self):
         rng = np.random.default_rng(29)
-        ds = dataset(rng.standard_normal((12, 2)))
+        ds = directional_dataset(rng.standard_normal((12, 2)))
         model = alp.fit(ds, AlpConfig(ABS, k=2, l=3))
         queries = rng.standard_normal((4, 2))
         assert np.array_equal(
@@ -187,34 +175,11 @@ class TestScoreProperties:
 
 
 class TestBlockedGather:
-    @settings(max_examples=80, deadline=None)
-    @given(data=st.data())
-    def test_d_sums_first_neighbour_first(self, data):
-        # Gaussian rows give positive, finite, non-integer distances, where
-        # the order of the sum over the l neighbours shows in the bits.
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        n, m = data.draw(st.integers(2, 25)), data.draw(st.integers(1, 3))
-        k = data.draw(st.one_of(st.just(1), st.integers(1, n - 1)))
-        l = data.draw(st.integers(1, n))
-        model = alp.fit(dataset(rng.standard_normal((n, m))), AlpConfig(ABS, k=k, l=l))
-        queries = rng.standard_normal((data.draw(st.integers(1, 20)), m))
-        dists, idx = model.query_knn(queries)
-        weights = model.weights_l.tolist()
-        nn = alp.with_table(model).train_nn_dists.tolist()
-        expected = np.empty((len(queries), k))
-        for r in range(len(queries)):
-            for i in range(k):
-                big_d = 0.0
-                for j in range(l):
-                    big_d += weights[j] * nn[idx[r, j]][i]
-                expected[r, i] = big_d / (big_d + float(dists[r, i]))
-        assert alp._lp_batch(model, queries).tobytes() == expected.tobytes()
-
     def test_scoring_searches_the_gathered_rows_once(self, monkeypatch):
         # Fitting searches nothing; scoring runs one self-kNN of the union of
         # the queries' l nearest rows, in row order.
         rng = np.random.default_rng(9)
-        ds = dataset(rng.standard_normal((40, 2)))
+        ds = directional_dataset(rng.standard_normal((40, 2)))
         calls = []
 
         def spy(train, k, spec, **given):
@@ -238,7 +203,8 @@ class TestBlockedGather:
     @pytest.mark.parametrize("bad", [-1, 30])
     def test_knn_index_out_of_range_rejected(self, bad):
         rng = np.random.default_rng(5)
-        model = alp.fit(dataset(rng.standard_normal((30, 2))), AlpConfig(RAMP, k=4, l=5))
+        ds = directional_dataset(rng.standard_normal((30, 2)))
+        model = alp.fit(ds, AlpConfig(RAMP, k=4, l=5))
         queries = rng.standard_normal((3, 2))
         dists, idx = model.query_knn(queries)
         idx = idx.copy()
@@ -249,7 +215,8 @@ class TestBlockedGather:
     def test_knn_without_indices_rejected(self):
         # ALP gathers by the indices, so a distances-only search cannot stand in.
         rng = np.random.default_rng(5)
-        model = alp.fit(dataset(rng.standard_normal((30, 2))), AlpConfig(RAMP, k=4, l=5))
+        ds = directional_dataset(rng.standard_normal((30, 2)))
+        model = alp.fit(ds, AlpConfig(RAMP, k=4, l=5))
         queries = rng.standard_normal((3, 2))
         knn = model.query_knn(queries, indices=False)
         assert knn[1] is None
@@ -260,7 +227,7 @@ class TestBlockedGather:
     def test_single_precision_train_nn_dists_score_as_double(self):
         # D is summed in float64; the exact widening keeps every score.
         rng = np.random.default_rng(6)
-        model = alp.fit(dataset(np.round(rng.standard_normal((20, 2)), 2)),
+        model = alp.fit(directional_dataset(np.round(rng.standard_normal((20, 2)), 2)),
                         AlpConfig(ABS, k=3, l=4))
         single = alp.with_table(model).train_nn_dists.astype(np.float32)
         queries = rng.standard_normal((5, 2))
@@ -272,76 +239,35 @@ class TestBlockedGather:
         assert scores[0] == scores[1]
 
 
-def alp_oracle(train, mask, variant, k, l, queries):
-    """ALP from the scalar distance, the full stable argsort and the lp formula
-    as loops: (train_nn_dists, each query's max(k, l) nearest rows and their
-    distances, anomaly scores)."""
-    spec = DistanceSpec.for_mask(mask, variant)
-
-    def nearest(y, rows):
-        dists = [record_distance(y, train[s], spec) for s in rows]
-        order = np.argsort(dists, kind="stable")
-        return [rows[o] for o in order], [dists[o] for o in order]
-
-    def weights(count):
-        return [2.0 * (count + 1.0 - i) / (count * (count + 1.0))
-                for i in range(1, count + 1)]
-
-    n = len(train)
-    self_nn = [nearest(train[t], [s for s in range(n) if s != t])[1][:k]
-               for t in range(n)]
-    w_k, w_l = weights(k), weights(l)
-    neighbours, scores = [], []
-    for y in queries:
-        idx, d = nearest(y, list(range(n)))
-        neighbours.append((idx[: max(k, l)], d[: max(k, l)]))
-        lp = []
-        for i in range(k):
-            big_d = 0.0
-            for j in range(l):
-                big_d += w_l[j] * self_nn[idx[j]][i]
-            # lp = D / (D + d) = 1 / (1 + d / D), which cannot overflow.
-            if math.isinf(big_d) and math.isinf(d[i]):
-                lp.append(math.nan)
-            elif big_d == d[i] == 0.0 or math.isinf(big_d):
-                lp.append(1.0)  # a zero-spread neighbourhood; the limit of D -> inf
-            elif big_d == 0.0:
-                lp.append(0.0)
-            else:
-                lp.append(1.0 / (1.0 + d[i] / big_d))  # 0.0 for d = inf
-        if any(math.isnan(v) for v in lp):
-            scores.append(math.nan)
-            continue
-        normality = 0.0
-        for w, v in zip(w_k, sorted(lp, reverse=True)):
-            normality += w * v
-        scores.append(1.0 - min(max(normality, 0.0), 1.0))
-    return np.array(self_nn), neighbours, np.array(scores)
-
-
 class TestScalarOracle:
     def test_finite_distances_whose_sum_overflows(self):
         # Both rows' self-NN distance is 1e308, so D = 1e308 against d = 1e308:
         # D + d passes the float range, but lp = D / (D + d) is a half, not
         # D / inf = 0 with an overflow warning.
-        model = alp.fit(dataset([[1e308], [-2.0]]), AlpConfig(ABS, k=1, l=2))
+        model = alp.fit(directional_dataset([[1e308], [-2.0]]), AlpConfig(ABS, k=1, l=2))
         assert alp._lp_batch(model, [[-1e308]])[0, 0] == pytest.approx(0.5)
 
-    @settings(max_examples=150, deadline=None)
+    @settings(deadline=None)
     @given(data=st.data())
     def test_anomaly_scores_match_the_scalar_oracle(self, data):
         # Small integers give tied distances and duplicate rows; +-1e308 rows
-        # give distances that overflow to inf.
-        n = data.draw(st.integers(2, 12))
+        # give distances that overflow to inf; fractions make D's sum over the
+        # l neighbours round, so its order shows in the bits.
         m = data.draw(st.integers(1, 3))
-        values = st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0, 1e308, -1e308])
-        records = data.draw(hnp.arrays(np.float64, (n, m), elements=values))
+        values = st.one_of(
+            st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0, 1e308, -1e308]),
+            st.floats(-3.0, 3.0, allow_subnormal=False),
+        )
+        records = data.draw(hnp.arrays(np.float64, (data.draw(st.integers(2, 11)), m),
+                                       elements=values))
+        records = np.concatenate([records, records[: data.draw(st.integers(0, 3))]])
+        n = len(records)
         queries = data.draw(hnp.arrays(np.float64, (data.draw(st.integers(1, 6)), m),
                                        elements=values))
-        k = data.draw(st.one_of(st.just(1), st.integers(1, n - 1)))
+        k = data.draw(st.one_of(st.just(1), st.just(n - 1), st.integers(1, n - 1)))
         l = data.draw(st.one_of(st.just(n), st.integers(1, n)))
         variant = data.draw(st.sampled_from([ABS, RAMP]))
-        ds = dataset(records, data.draw(st.integers(0, m)))
+        ds = directional_dataset(records, data.draw(st.integers(0, m)))
         model = alp.fit(ds, AlpConfig(variant, k=k, l=l))
         nn, neighbours, expected = alp_oracle(
             records, ds.directional_mask, variant, k, l, queries)
@@ -349,9 +275,9 @@ class TestScalarOracle:
         dists, idx = model.query_knn(queries)
         assert idx.tolist() == [near for near, _ in neighbours]
         assert dists.tobytes() == np.array([d for _, d in neighbours]).tobytes()
-        assert_close_to_oracle(model.anomaly_scores(queries), expected, k, l)
+        assert_same_scores(model.anomaly_scores(queries), expected)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(deadline=None)
     @given(data=st.data())
     def test_table_less_model_scores_like_its_full_table(self, data):
         # A fitted model searches only the training rows its queries gather;
@@ -366,7 +292,7 @@ class TestScalarOracle:
         k = data.draw(st.integers(1, n - 1))
         l = data.draw(st.integers(1, n))
         variant = data.draw(st.sampled_from([ABS, RAMP]))
-        ds = dataset(records, data.draw(st.integers(0, m)))
+        ds = directional_dataset(records, data.draw(st.integers(0, m)))
         model = alp.fit(ds, AlpConfig(variant, k=k, l=l))
         assert model.train_nn_dists is None
         full = alp.with_table(model)
@@ -375,15 +301,5 @@ class TestScalarOracle:
         got = model.anomaly_scores(queries)
         assert got.tobytes() == full.anomaly_scores(queries).tobytes()
         _, _, expected = alp_oracle(records, ds.directional_mask, variant, k, l, queries)
-        assert_close_to_oracle(got, expected, k, l)
+        assert_same_scores(got, expected)
 
-
-def assert_close_to_oracle(got, expected, k, l):
-    # D and the weighting over k add in the oracle's order, but lp is formed
-    # another way there, as 1 / (1 + d / D): each lp differs by a few
-    # rounding errors, which the weighting over k carries into a [0, 1]
-    # quantity, well within (k + l + 4) ulps of 1.0.
-    assert np.array_equal(np.isnan(got), np.isnan(expected))
-    numbers = ~np.isnan(expected)
-    bound = (k + l + 4) * np.spacing(1.0)
-    assert np.all(np.abs(got[numbers] - expected[numbers]) <= bound)

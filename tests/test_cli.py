@@ -1009,6 +1009,26 @@ class TestDiagnose:
         # The schema file itself is untouched.
         assert schema.read_text() == schema_text
 
+    @pytest.mark.parametrize("csv_text, rows", [
+        # A mean wider than 12 characters in fixed point takes exponent form.
+        ("u,a,y\n0.1,1e308,normal\n0.2,0,normal\n0.9,-1e308,anomalous\n0.8,0,anomalous\n",
+         ["u                          0.1500       0.8500       0.7000  no",
+          "a                     5.0000e+307 -5.0000e+307 -1.0000e+308  yes"]),
+        # Two normal rows at 1e308 sum past the float range; their mean does not.
+        ("a,y\n1e308,normal\n1e308,normal\n0,anomalous\n",
+         ["a                     1.0000e+308       0.0000 -1.0000e+308  yes"]),
+    ], ids=["wide-mean", "overflowing-sum"])
+    def test_rows_line_up_with_the_header(self, csv_text, rows, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text(csv_text)
+        schema = tmp_path / "s.txt"
+        names = csv_text.split("\n")[0].split(",")[:-1]
+        schema.write_text("".join(f"{name},high\n" for name in names)
+                          + "label,y,anomalous,normal\n")
+        assert run(["diagnose", "--data", data, "--schema", schema]) == 0
+        assert capsys.readouterr().out.splitlines()[: len(rows) + 1] == [
+            "attribute             normal_mean    anom_mean   difference  flagged", *rows]
+
     def test_attribute_declared_twice_names_the_schema(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         data.write_text("u,y\n0.1,normal\n0.9,anomalous\n")

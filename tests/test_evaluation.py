@@ -29,16 +29,7 @@ from dirad.nnd import NndConfig, _knn_prefix
 from dirad.synthgen import SynthSpec, replicate_seed
 
 from cv_spies import fitted_per_fold
-
-
-def pairwise_auroc(scores, labels):
-    """Brute-force pairwise count: wins plus half-credited ties."""
-    s = np.asarray(scores, dtype=np.float64)
-    lab = np.asarray(labels, dtype=bool)
-    anom, norm = s[lab], s[~lab]
-    wins = np.sum(anom[:, None] > norm[None, :])
-    ties = np.sum(anom[:, None] == norm[None, :])
-    return (wins + 0.5 * ties) / (anom.size * norm.size)
+from oracles import pairwise_auroc
 
 
 # Rounded values tie often; the specials cover -0.0 next to +0.0 and +-inf.

@@ -10,6 +10,8 @@ from dirad import neighbours
 from dirad.distance import DistanceSpec, DistanceVariant, distance_matrix
 from dirad.neighbours import _BLOCK_BYTES, _block_rows, knn_batch, self_knn_batch
 
+from oracles import oracle_knn
+
 ABS = DistanceVariant.ABSOLUTE
 RAMP = DistanceVariant.RAMP
 SIGNED = DistanceVariant.SIGNED
@@ -39,12 +41,9 @@ def test_matches_full_sort_oracle():
     spec = DistanceSpec((ABS, DistanceVariant.RAMP, DistanceVariant.SIGNED))
     train = rng.standard_normal((20, 3))
     query = rng.standard_normal(3)
-    row = distance_matrix(query[None, :], train, spec)[0]
-    order = np.argsort(row, kind="stable")
     for k in (1, 5, 20):
-        dists, idx = knn(train, query, k, spec)
-        assert np.array_equal(idx, order[:k])
-        assert np.array_equal(dists, row[order[:k]])
+        expected = oracle_knn(train, query[None, :], k, spec)
+        assert_same_neighbours(knn_batch(train, [query], k, spec), expected)
 
 
 def test_prefix_monotonicity_in_k():
@@ -119,15 +118,6 @@ def test_batch_matches_single_queries():
         single_dists, single_idx = knn(train, queries[i], 5, spec)
         assert np.array_equal(dists[i], single_dists)
         assert np.array_equal(idx[i], single_idx)
-
-
-def oracle_knn(train, queries, k, spec, exclude_self=False):
-    """Top-k by full stable argsort of every distance row."""
-    block = distance_matrix(queries, train, spec)
-    if exclude_self:
-        block[np.arange(len(train)), np.arange(len(train))] = np.inf
-    order = np.argsort(block, axis=1, kind="stable")[:, :k]
-    return np.take_along_axis(block, order, axis=1), order
 
 
 def assert_same_neighbours(got, expected):
@@ -230,7 +220,7 @@ def problems(draw, self_query):
     return sample_rows(rng, kind, n, m), sample_rows(rng, kind, q, m), k, spec
 
 
-@settings(max_examples=60, deadline=None)
+@settings(deadline=None)
 @given(problems(self_query=False))
 def test_knn_batch_matches_full_sort_property(problem):
     train, queries, k, spec = problem
@@ -244,7 +234,7 @@ def assert_same_distances(got, expected):
     assert got[0].tobytes() == expected[0].tobytes()
 
 
-@settings(max_examples=60, deadline=None)
+@settings(deadline=None)
 @given(problems(self_query=False))
 def test_knn_batch_distances_only_match_full_sort_property(problem):
     train, queries, k, spec = problem
@@ -252,7 +242,7 @@ def test_knn_batch_distances_only_match_full_sort_property(problem):
     assert_same_distances(got, oracle_knn(train, queries, k, spec))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(deadline=None)
 @given(problems(self_query=True))
 def test_self_knn_batch_matches_full_sort_property(problem):
     # A self-query returns the (n, k) distances alone, the oracle's bytes.
@@ -262,7 +252,7 @@ def test_self_knn_batch_matches_full_sort_property(problem):
     assert got.shape == (len(train), k) and got.tobytes() == expected.tobytes()
 
 
-@settings(max_examples=60, deadline=None)
+@settings(deadline=None)
 @given(problems(self_query=True))
 def test_self_knn_batch_distances_only_match_full_sort_property(problem):
     # Each row's self-query distances are the distances-only search of that
@@ -308,7 +298,7 @@ def row_subsets(draw):
     return infinite, train, k, spec, np.array(rows, dtype=np.int64), block_bytes
 
 
-@settings(max_examples=80, deadline=None)
+@settings(deadline=None)
 @given(row_subsets())
 def test_self_knn_batch_rows_match_the_full_self_query_property(problem):
     infinite, train, k, spec, rows, block_bytes = problem
