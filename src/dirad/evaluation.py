@@ -14,14 +14,15 @@ orient-and-scale path for one config, as ``dirad score`` uses. ``_scores``
 rejects a NaN score, naming its query row.
 
 AUROC and the signed-rank test rank with ``_average_ranks``, a NumPy
-average-rank helper equal bit for bit to ``scipy.stats.rankdata``. SciPy is
-imported only inside the signed-rank test's normal approximation, so
-importing this module (and every CLI command but ``dirad stats``) does not
-load it.
+average-rank helper equal bit for bit to ``scipy.stats.rankdata``, and the
+signed-rank test's normal tail is ``_ndtr``, a port of Cephes' ``ndtr`` equal
+bit for bit to ``scipy.special.ndtr``. So the module runs on NumPy alone;
+SciPy is only the reference its tests compare against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import astuple, dataclass, fields
 from typing import Sequence
 
@@ -294,11 +295,87 @@ def wilcoxon_one_sided(x, y, method: str = "approx") -> float:
     if var <= 0:
         raise ValueError("zero variance: all differences are tied away")
     z = (w_plus - mean - 0.5) / np.sqrt(var)
-    # ndtr(-z) is the upper normal tail, the same value as stats.norm.sf(z);
-    # imported here so that only this branch loads SciPy.
-    from scipy.special import ndtr
+    # ndtr(-z) is the upper normal tail, the same value as stats.norm.sf(z).
+    return min(_ndtr(float(-z)), 1.0)
 
-    return float(min(ndtr(-z), 1.0))
+
+# Cephes' ndtr, erf and erfc (S. L. Moshier, Methods and Programs for
+# Mathematical Functions, 1989), the routines scipy.special.ndtr runs: the
+# same coefficients, Horner order and branches give the same bits, as long as
+# math.exp is the libm exp SciPy calls.
+_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+      4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+      9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+      9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+      1.65666309194161350182e3, 5.57535340817727675546e2)
+_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+      6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+      1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+      7.00332514112805075473e3, 5.55923013010394962768e4)
+_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+      2.26290000613890934246e4, 4.92673942608635921086e4)
+_MAXLOG = 7.09782712893383996843e2  # log(2**1024)
+_SQRT1_2 = 7.07106781186547524401e-1
+
+
+def _polevl(x: float, coef: tuple) -> float:
+    """Cephes' ``polevl``: the polynomial with coefficients ``coef``, highest
+    degree first, in Horner order."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x: float, coef: tuple) -> float:
+    """Cephes' ``p1evl``: ``_polevl`` with a leading coefficient of 1 left out."""
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _erf(x: float) -> float:
+    """Cephes' ``erf``; ``_ndtr`` calls it only for |x| < 1."""
+    if x < 0.0:
+        return -_erf(-x)
+    if x > 1.0:
+        return 1.0 - _erfc(x)
+    z = x * x
+    return x * _polevl(z, _T) / _p1evl(z, _U)
+
+
+def _erfc(a: float) -> float:
+    """Cephes' ``erfc``, 0 or 2 past its underflow; ``_ndtr`` calls it only
+    for a > 0."""
+    x = abs(a)
+    if x < 1.0:
+        return 1.0 - _erf(a)
+    z = -a * a
+    if z >= -_MAXLOG:
+        p, q = (_polevl(x, _P), _p1evl(x, _Q)) if x < 8.0 else (_polevl(x, _R), _p1evl(x, _S))
+        y = math.exp(z) * p / q
+        if a < 0:
+            y = 2.0 - y
+        if y != 0.0:
+            return y
+    return 2.0 if a < 0 else 0.0  # underflow
+
+
+def _ndtr(a: float) -> float:
+    """The standard normal CDF at ``a``, bit for bit ``scipy.special.ndtr(a)``;
+    NaN gives NaN."""
+    if math.isnan(a):
+        return math.nan
+    x = a * _SQRT1_2
+    z = abs(x)
+    if z < _SQRT1_2:
+        return 0.5 + 0.5 * _erf(x)
+    y = 0.5 * _erfc(z)
+    return 1.0 - y if x > 0 else y
 
 
 def holm_bonferroni(pvals) -> np.ndarray:
@@ -370,12 +447,15 @@ def directionality_diagnostic(
 
 def _column_means(records: np.ndarray) -> np.ndarray:
     """Column means of finite records. A column whose sum passes the float
-    range takes the sum of x / n instead, which reads inf only for a mean
-    within rounding of the largest float."""
+    range is summed scaled down by 2**e, e = ceil(log2 n), divided by n and
+    scaled back with ``np.ldexp``: each term is at most max / 2**e <= max / n,
+    so the sum stays in range, and a power-of-two scale moves no rounding."""
+    n = len(records)
     with np.errstate(over="ignore"):
         means = records.mean(axis=0)
-        over = np.isinf(means)
-        means[over] = (records[:, over] / len(records)).sum(axis=0)
+    over = np.isinf(means)
+    e = (n - 1).bit_length()
+    means[over] = np.ldexp(np.ldexp(records[:, over], -e).sum(axis=0) / n, e)
     return means
 
 

@@ -10,7 +10,8 @@ whose distance matrix stays within ``_BLOCK_BYTES``. A self-query is the same
 loop with training rows as the queries, every row of the training matrix or
 only the ones asked for (``self_knn_batch(..., rows=...)``), and each query's
 own column masked to +inf, so a row's own distance sorts after every finite
-one. A row's cells and selection depend on that row alone, so a subset
+one. A row's cells and selection depend on that row alone, all but the signs
+of NaN cells, which every result writes one way (below), so a subset
 self-query returns, bit for bit, the rows of the full one. A self-query
 returns distances only: ALP's localised proximity reads nothing else, and a
 row with fewer than k other rows at a finite distance would list itself
@@ -33,10 +34,13 @@ the distances bit for bit:
   attribute's term is ``|x|``, never -0.0, or a term plus +0.0, and every
   later sum adds to a cell that is not -0.0, where round-to-nearest gives
   -0.0 only for (-0.0) + (-0.0);
-* for finite inputs, the only NaN cell is the one default NaN of
-  inf + (-inf). NumPy's SIMD quicksort writes back a NaN of its own (on
-  x86, +NaN for the kernel's -NaN), so a row with NaN among its k nearest is
-  sorted again, stably, which moves its values without rewriting them.
+* every NaN in a result is written as the one default NaN of inf + (-inf),
+  whatever bits the kernel or the sort left: NumPy's SIMD quicksort writes
+  back a NaN of its own (on x86, +NaN for the kernel's -NaN), and with
+  infinite inputs the kernel's NaN + NaN keeps either operand's sign, which
+  can differ between a row computed in a block of many rows and in a block
+  of one. For finite inputs the default NaN is the only NaN cell, so the
+  result still equals the stable argsort's bit for bit.
 """
 
 from __future__ import annotations
@@ -51,6 +55,11 @@ from .distance import DistanceSpec, distance_matrix
 # block; together they fit a per-core L2 cache: 512 KiB was the fastest of
 # 32 KiB-2 MiB on a Xeon with 2 MiB of L2.
 _BLOCK_BYTES = 512 * 1024
+
+# The default NaN of inf + (-inf) on this platform (-NaN on x86): every NaN in
+# a search's result is written with these bits.
+with np.errstate(invalid="ignore"):
+    _NAN = np.add(np.array([np.inf]), -np.inf)[0]
 
 
 def _as_matrix(train) -> np.ndarray:
@@ -125,9 +134,8 @@ def _knn(
         nearest = dists[start:stop]
         nearest[...] = chosen[:, :k]
         nearest.sort(axis=1)
-        nan = np.flatnonzero(np.isnan(nearest[:, -1]))
-        if nan.size:  # the quicksort rewrote their NaN bits
-            nearest[nan] = np.sort(chosen[nan, :k], axis=1, kind="stable")
+        if np.isnan(nearest[:, -1]).any():  # NaN sorts last: only such rows have one
+            np.copyto(nearest, _NAN, where=np.isnan(nearest))
         if indices:
             idx[start:stop] = _columns(block, nearest)
     return dists, idx

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import ndtr
 
 from dirad import evaluation, neighbours
 from dirad.alp import AlpConfig
@@ -11,6 +14,7 @@ from dirad.distance import DistanceVariant, distance_matrix
 from dirad.evaluation import (
     ExperimentResult,
     _average_ranks,
+    _ndtr,
     _neighbour_plans,
     _prepare_train,
     auroc,
@@ -559,6 +563,49 @@ class TestWilcoxon:
         assert wilcoxon_one_sided(y, x) > 0.9
 
 
+# |z| = 1 is ndtr's own branch edge, sqrt(2) and 8 sqrt(2) are erfc's x < 1 and
+# x < 8, and sqrt(2 MAXLOG) is where erfc underflows.
+NDTR_EDGES = (1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), math.sqrt(2.0 * evaluation._MAXLOG))
+
+
+def ulp_neighbours(value, count):
+    """``value`` and the ``count`` nearest floats on each side of it."""
+    bits = np.array([value]).view(np.int64) + np.arange(-count, count + 1)
+    return bits.view(np.float64)
+
+
+def assert_ndtr_is_scipys(values):
+    z = np.asarray(values, dtype=np.float64)
+    got = np.array([_ndtr(v) for v in z.tolist()])
+    want = ndtr(z)
+    assert got.tobytes() == want.tobytes(), (
+        f"_ndtr differs from scipy.special.ndtr at "
+        f"{z[got.view(np.int64) != want.view(np.int64)][:5].tolist()}: this "
+        "platform's exp or SciPy build is not the one the port matches"
+    )
+
+
+class TestNdtr:
+    def test_equals_scipy_bitwise_on_a_grid(self):
+        grid = [np.linspace(-40.0, 40.0, 80_001), np.linspace(-1.5, 1.5, 30_001)]
+        for edge in NDTR_EDGES:  # the crossings lie within 2 ulps of these
+            grid += [ulp_neighbours(edge, 64), ulp_neighbours(-edge, 64)]
+        assert_ndtr_is_scipys(np.concatenate(grid))
+
+    @given(st.floats(allow_nan=False, allow_infinity=True, allow_subnormal=True))
+    @example(0.0)
+    @example(-0.0)
+    @example(math.inf)
+    @example(-math.inf)
+    @example(5e-324)
+    @example(-5e-324)
+    def test_equals_scipy_bitwise_on_any_float(self, z):
+        assert_ndtr_is_scipys([z])
+
+    def test_nan_gives_nan(self):
+        assert math.isnan(_ndtr(math.nan))
+
+
 class TestHolmBonferroni:
     def test_single_p_unchanged(self):
         assert holm_bonferroni([0.04]) == pytest.approx([0.04])
@@ -633,6 +680,22 @@ class TestDiagnostic:
         ds = Dataset((AttributeSpec("a"),), [[1.0]], [True])
         with pytest.raises(ValueError, match="both classes"):
             directionality_diagnostic(ds)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 9, 11, 1000])
+    @pytest.mark.parametrize("value", [np.finfo(np.float64).max, -np.finfo(np.float64).max])
+    def test_mean_at_the_largest_float_stays_finite(self, n, value):
+        # n rows at +-max sum past the float range, and so do n copies of
+        # value / n for n = 3, 9 and 11. The mean has the bits of the plain
+        # mean of the rows scaled into range and back: a power-of-two scale
+        # moves no rounding. Column b's mean is in range and keeps its bits.
+        rows = np.column_stack([np.full(n, value), np.random.default_rng(n).standard_normal(n)])
+        ds = Dataset((AttributeSpec("a"), AttributeSpec("b")),
+                     np.vstack([rows, [[0.0, 0.0]]]), [False] * n + [True])
+        a_entry, b_entry = directionality_diagnostic(ds)
+        expected = np.ldexp(np.ldexp(rows, -10).mean(axis=0), 10)
+        assert np.isfinite(a_entry.normal_mean)
+        assert (a_entry.normal_mean, a_entry.difference) == (expected[0], -expected[0])
+        assert b_entry.normal_mean == expected[1]
 
     def test_shifted_gaussian_never_flagged(self):
         from dirad.synthgen import generate

@@ -1,4 +1,5 @@
-"""Golden outputs: the CLI's scores and benchmark tables, byte for byte.
+"""Golden outputs: the CLI's scores, benchmark tables and stats reports, byte
+for byte.
 
 The files under ``tests/data/golden/`` were written by ``write_outputs``. A
 change that is meant to keep every number (a faster kernel, a leaner parse)
@@ -17,8 +18,9 @@ GOLDEN = DATA / "golden"
 
 SCORES = [("nnd", "absolute"), ("nnd", "ramp"), ("nnd", "signed"),
           ("alp", "absolute"), ("alp", "ramp")]
+STATS = ["approx", "exact"]
 NAMES = [f"score-{d}-{v}.csv" for d, v in SCORES] + [
-    "cv-folds.csv", "cv-summary.csv", "sweep.csv"]
+    "cv-folds.csv", "cv-summary.csv", "sweep.csv"] + [f"stats-{m}.csv" for m in STATS]
 
 
 def _run(argv):
@@ -42,6 +44,12 @@ def write_outputs(out: Path) -> None:
     (out / "cv" / "summary.csv").rename(out / "cv-summary.csv")
     _run(["bench", "--sweep", "gaussian", "--shifts", "0.3,0.9", "--replicates", "2",
           "--detectors", "nnd,alp", "--seed", "31", "--out-dir", out])
+    # Twelve datasets with a zero and a tied difference: the approx p-values
+    # reach the normal tail both inside and outside its erf branch.
+    for method in STATS:
+        _run(["stats", "--results", DATA / "stats-summary.csv",
+              "--compare", "ramp:absolute", "--compare", "absolute:signed",
+              "--method", method, "--holm", "--out", out / f"stats-{method}.csv"])
 
 
 @pytest.fixture(scope="module")

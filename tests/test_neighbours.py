@@ -316,6 +316,24 @@ def test_self_knn_batch_rows_match_the_full_self_query_property(problem):
     assert got.tobytes() == full[rows].tobytes()
 
 
+def test_self_knn_batch_rows_write_nan_cells_as_the_full_self_query_does():
+    # inf - inf cells of both signs: the kernel's NaN + NaN keeps either
+    # operand's sign, which differed between row 5 in a block of six rows
+    # and in a block of one before every result NaN was written one way.
+    train = np.array([
+        [-np.inf, 1.0, -np.inf],
+        [1.0, -np.inf, 1.0],
+        [1.0, 1.0, -np.inf],
+        [1.0, 1.0, np.inf],
+        [np.inf, np.inf, -np.inf],
+        [np.inf, np.inf, -np.inf],
+    ])
+    spec = DistanceSpec((RAMP, SIGNED, ABS))
+    full = self_knn_batch(train, 5, spec)
+    assert np.isnan(full[5]).any()
+    assert self_knn_batch(train, 5, spec, rows=[5]).tobytes() == full[[5]].tobytes()
+
+
 @pytest.mark.parametrize("rows, message", [
     ([4], r"rows must be in \[0, 3\]"),
     ([0, -1], r"rows must be in \[0, 3\]"),
