@@ -11,16 +11,20 @@ that raises fails each of its cells. score goes through ``fit_detector`` and
 ``score --save-model`` carries the schema as read and its label rule, so
 ``score --model`` needs no ``--schema``.
 
-Environment: DIRAD_THREADS caps the threads that run bench jobs (a positive
-integer, default 1).
+Environment: DIRAD_THREADS caps the worker processes that run bench jobs (a
+positive integer, default 1). Above 1, and with more than one job, the jobs
+run on a fork pool and their outcomes come back in job order; otherwise they
+run in this process and ``multiprocessing`` is never imported.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import os
+import pickle
 import sys
 from pathlib import Path
 
@@ -69,7 +73,7 @@ def _write_atomic(path: Path, text: str) -> None:
     write_atomic(path, lambda handle: handle.write(text.encode("utf-8")))
 
 
-def _thread_count() -> int:
+def _worker_count() -> int:
     raw = os.environ.get("DIRAD_THREADS", "").strip()
     if not raw:
         return 1
@@ -251,23 +255,51 @@ def _detector_configs(args, parser) -> list[NndConfig | AlpConfig]:
     return cells
 
 
+def _attempt(worker, width: int, job) -> list:
+    """``worker(job)``, or ``[exc] * width`` for a job that raised."""
+    try:
+        return worker(job)
+    except Exception as exc:  # a failed job fails its cells; the run goes on
+        return [exc] * width
+
+
+def _portable(exc: Exception) -> Exception:
+    """``exc``, or ``RuntimeError(str(exc))`` if ``exc`` would not come back
+    from a worker process as an exception that prints the same."""
+    try:
+        if str(pickle.loads(pickle.dumps(exc))) == str(exc):
+            return exc
+    except Exception:
+        pass
+    return RuntimeError(str(exc))
+
+
+def _attempt_in_worker(worker, width: int, job) -> list:
+    """``_attempt`` in a pool process: an exception the parent could not
+    unpickle would stop the pool's result thread and hang the run."""
+    return [_portable(outcome) if isinstance(outcome, Exception) else outcome
+            for outcome in _attempt(worker, width, job)]
+
+
 def _run_cells(jobs, worker, width: int) -> list:
-    """Run jobs (serially or thread-pooled); returns, in job order, each job's
-    list of ``width`` outcomes, ``[exc] * width`` for a job that raised."""
+    """Run jobs, in this process or on a pool of worker processes; returns,
+    in job order, each job's list of ``width`` outcomes, ``[exc] * width``
+    for a job that raised. ``worker`` must pickle for the pool: a
+    module-level function, or a ``functools.partial`` of one."""
+    workers = min(_worker_count(), len(jobs))
+    if workers <= 1:
+        return [_attempt(worker, width, job) for job in jobs]
+    import multiprocessing  # a serial run never loads it
 
-    def attempt(job):
-        try:
-            return worker(job)
-        except Exception as exc:  # a failed job fails its cells; the run goes on
-            return [exc] * width
-
-    threads = _thread_count()
-    if threads == 1:
-        return [attempt(job) for job in jobs]
-    from concurrent.futures import ThreadPoolExecutor  # 0.6 MB a serial run never needs
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(attempt, jobs))
+    # fork, named: Python 3.14 changes the Linux default. The children
+    # inherit the parent's modules, so a job costs only its own pickling.
+    task = functools.partial(_attempt_in_worker, worker, width)
+    # Leaving the block terminates the pool, should map raise.
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
+        outcomes = pool.map(task, jobs)  # about four chunks a worker
+        pool.close()
+        pool.join()  # no worker outlives the command
+    return outcomes
 
 
 def _print_cv_table(results: list[ExperimentResult]) -> None:
@@ -291,6 +323,18 @@ def _print_cv_table(results: list[ExperimentResult]) -> None:
     print("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
     for row in rows:
         print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
+
+
+def _cv_job(cells, n_folds: int, seed: int, job) -> list:
+    """``run_cv`` of every config on one ``(dataset id, dataset)`` job."""
+    ds_id, ds = job
+    folds = make_folds(int((~ds.labels).sum()), n_folds, seed)
+    return run_cv(ds, cells, folds, ds_id)
+
+
+def _sweep_job(cells, scale: bool, spec) -> list:
+    """``synthetic_auroc`` of every config on one generated problem."""
+    return synthetic_auroc(spec, cells, scale=scale)
 
 
 def _bench_cv(args, cells) -> int:
@@ -319,11 +363,7 @@ def _bench_cv(args, cells) -> int:
         raise ValueError(f"folds must be >= 2, got {n_folds}")
 
     # One job per dataset: every config is fitted and scored on each fold.
-    def worker(job):
-        ds_id, ds = job
-        folds = make_folds(int((~ds.labels).sum()), n_folds, args.seed)
-        return run_cv(ds, cells, folds, ds_id)
-
+    worker = functools.partial(_cv_job, cells, n_folds, args.seed)
     outcomes = _run_cells(datasets, worker, len(cells))
     results, failures = [], []
     for (ds_id, _), row in zip(datasets, outcomes):
@@ -357,10 +397,8 @@ def _bench_sweep(args, cells) -> int:
 
     # One job per (shift, replicate) problem: it is generated, oriented and
     # scaled once, then every config is fitted and scored on it.
-    outcomes = _run_cells(
-        specs, lambda spec: synthetic_auroc(spec, cells, scale=not args.no_scale),
-        len(cells),
-    )
+    worker = functools.partial(_sweep_job, cells, not args.no_scale)
+    outcomes = _run_cells(specs, worker, len(cells))
     cells_out, cell_failures = [], []
     for c, config in enumerate(cells):
         k = "auto" if config.k is None else config.k
@@ -550,7 +588,9 @@ def cmd_stats(args, parser) -> int:
         x = [table[key_g][d] for d in shared]
         y = [table[key_l][d] for d in shared]
         p = wilcoxon_one_sided(x, y, method=args.method)
-        comparisons.append((greater, lesser, len(shared), p))
+        # n is the test's sample size: it ranks only the nonzero differences.
+        n = int(np.count_nonzero(np.subtract(x, y)))
+        comparisons.append((greater, lesser, n, p))
 
     adjusted = (
         holm_bonferroni([c[3] for c in comparisons]) if args.holm else None

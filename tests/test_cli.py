@@ -1,5 +1,8 @@
+import contextlib
 import csv
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -53,6 +56,31 @@ def low_dir(tmp_path):
     (out / "train.csv").write_text("\n".join(rows) + "\n")
     (out / "schema.txt").write_text("x,low\ny,high\nz,none\nw,low\n")
     return out
+
+
+class TwoArgumentError(Exception):
+    """Pickles but does not unpickle: pickle rebuilds an exception from its
+    ``args``, which hold only the message."""
+
+    def __init__(self, shift, reason):
+        super().__init__(f"shift {shift}: {reason}")
+
+
+@contextlib.contextmanager
+def fails_after(seconds):
+    """A block that runs longer than ``seconds`` raises TimeoutError, which
+    ``main`` reports as an ``error:`` line, so a hung pool fails its test
+    instead of stalling the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def write_wide_training_column(root, labelled):
@@ -152,7 +180,7 @@ class TestBench:
         assert {r["shift"] for r in rows} == {"0.0", "0.5", "1.0"}
         assert all(r["replicates"] == "2" for r in rows)
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("threads", ["1", "2", "3"])
     def test_sweep_partial_failure(self, threads, tmp_path, monkeypatch, capsys):
         # ALP k=1000 cannot fit 1,000 training rows: every ALP cell fails,
         # in (config, shift) order, and the NND cells are still written.
@@ -172,7 +200,7 @@ class TestBench:
             for variant in ("absolute", "ramp") for shift in ("0.0", "0.5")
         ]
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("threads", ["1", "2", "3"])
     def test_cv_partial_failure(self, threads, tmp_path, monkeypatch, capsys):
         # good's folds train on 8 normals, so ALP k=8 fails in fold 1;
         # oneclass has no anomalies, so every cell on it fails. The failures
@@ -206,7 +234,7 @@ class TestBench:
             (*cell, fold) for cell in nnd_cells for fold in ("1", "2", "3", "4", "5", "mean")
         ]
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("threads", ["1", "2", "3"])
     def test_too_few_normals_fails_only_that_dataset(self, threads, synth_dir, tmp_path,
                                                      monkeypatch, capsys):
         # small has 3 normals for 5 folds: its cells fail, the other file's
@@ -230,6 +258,76 @@ class TestBench:
         summary = read_rows(out / "summary.csv")
         assert [(r["dataset"], r["variant"]) for r in summary] == [
             ("test", "ramp"), ("test", "signed")]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_unpicklable_job_error_fails_its_cells(self, threads, tmp_path, monkeypatch,
+                                                   capfd):
+        # A worker process's outcomes come back pickled. An exception that
+        # would not unpickle comes back as a RuntimeError with its text: no
+        # hang, no traceback, and the same lines as in-process. A fork child
+        # inherits the patched synthetic_auroc; capfd sees the children's
+        # stderr too.
+        def raising(spec, cells, scale=True):
+            raise TwoArgumentError(spec.shift, "no problem generated")
+
+        monkeypatch.setattr(cli, "synthetic_auroc", raising)
+        monkeypatch.setenv("DIRAD_THREADS", threads)
+        with fails_after(60):
+            code = run(["bench", "--sweep", "gaussian", "--shifts", "0.0,0.5",
+                        "--replicates", "2", "--detectors", "nnd",
+                        "--nnd-variants", "ramp,signed", "--out-dir", tmp_path])
+        assert code == 1
+        assert capfd.readouterr().err.splitlines() == [
+            f"cell failed: nnd:{variant} shift={shift}: shift {shift}: "
+            f"no problem generated"
+            for variant in ("ramp", "signed") for shift in ("0.0", "0.5")
+        ]
+        assert read_rows(tmp_path / "sweep.csv") == []
+
+    @pytest.mark.parametrize("case", ["sweep", "two-dataset-bench", "failing-sweep"])
+    def test_worker_count_changes_no_byte_and_leaves_no_process(
+            self, case, synth_dir, tmp_path, monkeypatch, capsys):
+        if case == "two-dataset-bench":
+            assert run(["synth", "--family", "gaussian", "--a", "0.3", "--seed", "8",
+                        "--n-train", "40", "--n-test-normal", "20",
+                        "--n-test-anomalous", "20", "--m", "3",
+                        "--out", tmp_path / "other"]) == 0
+            second = tmp_path / "second.csv"
+            second.write_bytes((tmp_path / "other" / "test.csv").read_bytes())
+            argv = ["bench", "--data", synth_dir / "test.csv", "--data", second,
+                    "--schema", synth_dir / "schema.txt", "--detectors", "nnd,alp",
+                    "--folds", "3"]
+            names, expected_code = ("folds.csv", "summary.csv"), 0
+        else:
+            argv = ["bench", "--sweep", "gaussian", "--shifts", "0.2,0.8",
+                    "--replicates", "2", "--detectors", "nnd,alp", "--k", "3"]
+            names, expected_code = ("sweep.csv",), 0
+            if case == "failing-sweep":  # ALP k=1000 fails every ALP cell
+                argv += ["--alp-k", "1000"]
+                expected_code = 1
+        seen = []
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("DIRAD_THREADS", threads)
+            out = tmp_path / f"out-{threads}"
+            with fails_after(60), warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ResourceWarning)  # an unclosed pool
+                assert run([*argv, "--out-dir", out]) == expected_code
+            assert multiprocessing.active_children() == []
+            assert [w.message for w in caught if w.category is ResourceWarning] == []
+            seen.append((capsys.readouterr().err,
+                         [(out / name).read_bytes() for name in names]))
+        assert seen[1] == seen[0] and seen[2] == seen[0]
+
+    def test_one_job_runs_in_process_at_any_worker_count(self, synth_dir, tmp_path,
+                                                         monkeypatch):
+        def no_pool(method):
+            raise AssertionError("a one-job run asked for a process pool")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+        monkeypatch.setenv("DIRAD_THREADS", "2")
+        assert run(["bench", "--data", synth_dir / "test.csv",
+                    "--schema", synth_dir / "schema.txt", "--detectors", "nnd",
+                    "--k", "3", "--out-dir", tmp_path / "out"]) == 0
 
     def test_one_fold_is_a_usage_error(self, synth_dir, tmp_path, capsys):
         code = run(["bench", "--data", synth_dir / "test.csv",
@@ -949,6 +1047,27 @@ class TestStats:
         assert run(["stats", "--results", "out/summary.csv",
                     "--compare", "ramp:absolute", "--out", "report.csv"]) == 0
         assert read_rows("report.csv")[0]["n"] == "5"
+
+    @pytest.mark.parametrize("method", ["approx", "exact"])
+    def test_n_counts_only_the_differences_the_test_ranks(self, method, tmp_path,
+                                                          capsys):
+        # d3 ties, so the signed-rank test drops its zero difference: n is 6
+        # of the 7 shared datasets, printed and written alike.
+        ramp = [0.6 + 0.05 * i for i in range(7)]
+        absolute = [r if i == 3 else r - 0.01 * (i + 1) for i, r in enumerate(ramp)]
+        rows = ["dataset,detector,variant,mean_auroc"]
+        for i, (r, a) in enumerate(zip(ramp, absolute)):
+            rows += [f"d{i},nnd,ramp,{r!r}", f"d{i},nnd,absolute,{a!r}"]
+        results, out = tmp_path / "summary.csv", tmp_path / "report.csv"
+        results.write_text("\n".join(rows) + "\n")
+        assert run(["stats", "--results", results, "--compare", "ramp:absolute",
+                    "--method", method, "--out", out]) == 0
+        assert "(n=6)" in capsys.readouterr().out
+        report = read_rows(out)[0]
+        assert report["n"] == "6"
+        untied = [i for i in range(7) if i != 3]
+        assert float(report["p"]) == evaluation.wilcoxon_one_sided(
+            [ramp[i] for i in untied], [absolute[i] for i in untied], method=method)
 
     def test_leading_bom_is_ignored(self, table3_summary, tmp_path):
         bom = tmp_path / "bom.csv"

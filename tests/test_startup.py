@@ -1,15 +1,17 @@
 """Import-cost guard: no CLI command loads SciPy or ``numpy.ma``, a serial run
-never loads the thread pool, and importing dirad, fitting with ``score`` and
-``diagnose`` never load OpenSSL.
+never loads a process or thread pool, and importing dirad, fitting with
+``score`` and ``diagnose`` never load OpenSSL.
 
 dirad runs on NumPy alone: SciPy is only the reference the tests compare
 against. ``stats``, whose signed-rank test needs the normal tail, runs with
 ``sys.modules["scipy"] = None``, so that any attempt to import SciPy fails the
 step. ``numpy.ma`` (about 0.9 MB resident) came in through ``np.quantile``'s
 ``np.unique``, which the scaler calls only for a column holding both -0.0 and
-+0.0 that reads a zero quartile. ``concurrent.futures`` (about 0.6 MB) is
-needed only when DIRAD_THREADS is above 1, and ``_hashlib`` (OpenSSL, about
-3.6 MB) only to hash a model bundle or a sweep's replicate seeds.
++0.0 that reads a zero quartile. ``multiprocessing`` is needed only when
+DIRAD_THREADS is above 1 and a command has more than one job for the pool;
+``concurrent.futures`` (about 0.6 MB) by no command; and ``_hashlib``
+(OpenSSL, about 3.6 MB) only to hash a model bundle or a sweep's replicate
+seeds.
 ``_hashlib`` is not checked after ``synth``, ``bench`` or ``stats``:
 ``numpy.random`` loads it through ``secrets`` and ``hmac``.
 
@@ -17,9 +19,10 @@ The test writes a tiny problem first, so one fresh interpreter, with
 DIRAD_THREADS unset, can import dirad, fit with ``score`` and run
 ``diagnose`` before any command that loads ``_hashlib``, then run every
 other command and ``stats`` last. It records the ``scipy*`` modules, and
-whether ``numpy.ma``, ``concurrent.futures`` and ``_hashlib`` are loaded,
-after each step. NumPy 1.x imports ``numpy.ma`` and ``numpy.random`` with
-numpy itself, so there a module that ``import numpy`` loads is not checked.
+whether ``numpy.ma``, ``multiprocessing``, ``concurrent.futures`` and
+``_hashlib`` are loaded, after each step. NumPy 1.x imports ``numpy.ma``
+and ``numpy.random`` with numpy itself, so there a module that ``import
+numpy`` loads is not checked.
 """
 
 import json
@@ -40,7 +43,7 @@ from pathlib import Path
 work = Path(sys.argv[1])
 import numpy
 
-WATCHED = ("numpy.ma", "concurrent.futures", "_hashlib")
+WATCHED = ("numpy.ma", "multiprocessing", "concurrent.futures", "_hashlib")
 seen = {name: {"import numpy": name in sys.modules} for name in WATCHED}
 
 
@@ -91,10 +94,8 @@ SYNTH = ["synth", "--family", "gaussian", "--a", "0.7", "--seed", "3",
          "--m", "3"]
 STEPS = ["import dirad", "import dirad.cli", "score", "diagnose", "synth", "bench cv",
          "bench sweep", "score --save-model", "score --model", "stats"]
-# The steps run in this order: the thread pool stays unloaded through
-# "bench cv", OpenSSL through "diagnose".
+# The steps run in this order: OpenSSL stays unloaded through "diagnose".
 NO_OPENSSL_UNTIL = "diagnose"
-NO_THREAD_POOL_UNTIL = "bench cv"
 
 
 @pytest.fixture(scope="module")
@@ -136,7 +137,12 @@ def test_step_loads_no_numpy_ma(seen, step):
     assert_not_loaded(seen, "numpy.ma", step)
 
 
-@pytest.mark.parametrize("step", steps_until(NO_THREAD_POOL_UNTIL))
+@pytest.mark.parametrize("step", STEPS)
+def test_serial_step_loads_no_process_pool(seen, step):
+    assert_not_loaded(seen, "multiprocessing", step)
+
+
+@pytest.mark.parametrize("step", STEPS)
 def test_serial_step_loads_no_thread_pool(seen, step):
     assert_not_loaded(seen, "concurrent.futures", step)
 
