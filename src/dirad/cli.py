@@ -13,8 +13,9 @@ that raises fails each of its cells. score goes through ``fit_detector`` and
 
 Environment: DIRAD_THREADS caps the worker processes that run bench jobs (a
 positive integer, default 1). Above 1, and with more than one job, the jobs
-run on a fork pool and their outcomes come back in job order; otherwise they
-run in this process and ``multiprocessing`` is never imported.
+run on a fork pool and their outcomes come back in job order (a worker that
+dies ends the command: one ``error:`` line, exit 1, nothing written);
+otherwise they run in this process and ``multiprocessing`` is never imported.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import csv
 import functools
 import io
 import os
-import pickle
 import sys
 from pathlib import Path
 
@@ -170,6 +170,12 @@ def _auto_int(text: str):
     return None if text.strip().lower() == "auto" else int(text)
 
 
+def _seed(text: str) -> int:
+    if not text.strip().isdecimal():  # no sign: a seed is an integer >= 0
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _parsed(path, parse, *args):
     """``parse(text, *args)`` for the UTF-8 text of the file at ``path``,
     less a leading byte-order mark (``parse=str`` gives the text itself); a
@@ -256,50 +262,43 @@ def _detector_configs(args, parser) -> list[NndConfig | AlpConfig]:
 
 
 def _attempt(worker, width: int, job) -> list:
-    """``worker(job)``, or ``[exc] * width`` for a job that raised."""
+    """``worker(job)``, or ``[RuntimeError(str(exc))] * width`` if it raised."""
     try:
         return worker(job)
-    except Exception as exc:  # a failed job fails its cells; the run goes on
-        return [exc] * width
-
-
-def _portable(exc: Exception) -> Exception:
-    """``exc``, or ``RuntimeError(str(exc))`` if ``exc`` would not come back
-    from a worker process as an exception that prints the same."""
-    try:
-        if str(pickle.loads(pickle.dumps(exc))) == str(exc):
-            return exc
-    except Exception:
-        pass
-    return RuntimeError(str(exc))
-
-
-def _attempt_in_worker(worker, width: int, job) -> list:
-    """``_attempt`` in a pool process: an exception the parent could not
-    unpickle would stop the pool's result thread and hang the run."""
-    return [_portable(outcome) if isinstance(outcome, Exception) else outcome
-            for outcome in _attempt(worker, width, job)]
+    except Exception as exc:  # only the text is printed, and this always unpickles
+        return [RuntimeError(str(exc))] * width
 
 
 def _run_cells(jobs, worker, width: int) -> list:
     """Run jobs, in this process or on a pool of worker processes; returns,
-    in job order, each job's list of ``width`` outcomes, ``[exc] * width``
-    for a job that raised. ``worker`` must pickle for the pool: a
-    module-level function, or a ``functools.partial`` of one."""
+    in job order, each job's list of ``width`` outcomes (see ``_attempt``).
+    ``worker`` must pickle for the pool: a module-level function, or a
+    ``functools.partial`` of one. A worker process that dies raises a
+    RuntimeError, so the command prints one ``error:`` line and writes nothing."""
+    task = functools.partial(_attempt, worker, width)
     workers = min(_worker_count(), len(jobs))
     if workers <= 1:
-        return [_attempt(worker, width, job) for job in jobs]
+        return [task(job) for job in jobs]
     import multiprocessing  # a serial run never loads it
+    import signal
 
+    before = set(multiprocessing.active_children())
     # fork, named: Python 3.14 changes the Linux default. The children
     # inherit the parent's modules, so a job costs only its own pickling.
-    task = functools.partial(_attempt_in_worker, worker, width)
-    # Leaving the block terminates the pool, should map raise.
-    with multiprocessing.get_context("fork").Pool(workers) as pool:
-        outcomes = pool.map(task, jobs)  # about four chunks a worker
+    # Leaving the block terminates the pool, should the wait raise. Workers
+    # ignore Ctrl-C: one stopped holding the task queue's lock would hang it.
+    with multiprocessing.get_context("fork").Pool(
+            workers, signal.signal, (signal.SIGINT, signal.SIG_IGN)) as pool:
+        started = set(multiprocessing.active_children()) - before
+        pending = pool.map_async(task, jobs)  # about four chunks a worker
+        while not pending.ready():  # a dead worker's chunk never comes back
+            dead = [p.exitcode for p in started if p.exitcode is not None]
+            if dead:
+                raise RuntimeError(f"a bench worker process died (exit code {dead[0]})")
+            pending.wait(0.1)
         pool.close()
         pool.join()  # no worker outlives the command
-    return outcomes
+    return pending.get()
 
 
 def _print_cv_table(results: list[ExperimentResult]) -> None:
@@ -680,7 +679,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--n-test-normal", type=int, default=100)
     p_synth.add_argument("--n-test-anomalous", type=int, default=100)
     p_synth.add_argument("--m", type=int, default=10)
-    p_synth.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_synth.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p_synth.add_argument("--out", required=True, help="output directory")
 
     p_bench = add_command("bench", "cross-validation benchmark or synthetic sweep")
@@ -707,7 +706,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--alp-l", type=_auto_int, default=None,
                          help="ALP l ('auto' for the log default)")
     p_bench.add_argument("--folds", type=int, help="CV folds (--data; default 5)")
-    p_bench.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_bench.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p_bench.add_argument("--out-dir", required=True)
 
     p_score = add_command("score", "score query records")

@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -259,12 +260,12 @@ class TestBench:
         assert [(r["dataset"], r["variant"]) for r in summary] == [
             ("test", "ramp"), ("test", "signed")]
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("threads", ["1", "2", "3"])
     def test_unpicklable_job_error_fails_its_cells(self, threads, tmp_path, monkeypatch,
                                                    capfd):
-        # A worker process's outcomes come back pickled. An exception that
-        # would not unpickle comes back as a RuntimeError with its text: no
-        # hang, no traceback, and the same lines as in-process. A fork child
+        # A worker process's outcomes come back pickled. A job's exception
+        # comes back as a RuntimeError of its text, which always unpickles:
+        # no hang, no traceback, and the same lines as in-process. A fork child
         # inherits the patched synthetic_auroc; capfd sees the children's
         # stderr too.
         def raising(spec, cells, scale=True):
@@ -283,6 +284,72 @@ class TestBench:
             for variant in ("ramp", "signed") for shift in ("0.0", "0.5")
         ]
         assert read_rows(tmp_path / "sweep.csv") == []
+
+    @pytest.mark.parametrize("threads", ["2", "3"])  # at 1 the kill would hit pytest
+    def test_dead_worker_ends_the_run(self, threads, tmp_path, monkeypatch, capfd):
+        # A worker killed by a signal never returns its chunk. The run ends
+        # with one error line, writes nothing and leaves no worker behind.
+        def killed(spec, cells, scale=True):
+            if spec.shift == 0.8:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return evaluation.synthetic_auroc(spec, cells, scale=scale)
+
+        monkeypatch.setattr(cli, "synthetic_auroc", killed)
+        monkeypatch.setenv("DIRAD_THREADS", threads)
+        with fails_after(60):
+            code = run(["bench", "--sweep", "gaussian", "--shifts", "0.2,0.8",
+                        "--replicates", "2", "--k", "3", "--out-dir", tmp_path / "out"])
+        assert code == 1
+        assert capfd.readouterr().err.splitlines() == [
+            "error: a bench worker process died (exit code -9)"]
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_ctrl_c_stops_the_pool_at_once(self, tmp_path):
+        # Every job sleeps on a worker once it has marked that it started;
+        # Ctrl-C reaches the whole process group, as from a terminal. While
+        # the workers took it too, one stopped inside the task queue's lock
+        # now and then left the pool's terminate waiting for good.
+        script = (
+            "import pathlib, sys, time\n"
+            "from dirad import cli\n"
+            "def sleeping(spec, cells, scale=True):\n"
+            "    pathlib.Path(sys.argv[1]).touch()\n"
+            "    time.sleep(60)\n"
+            "cli.synthetic_auroc = sleeping\n"
+            "cli.main(['bench', '--sweep', 'gaussian', '--shifts', '0.2,0.8',\n"
+            "          '--replicates', '2', '--out-dir', sys.argv[2]])\n"
+        )
+        env = dict(os.environ, DIRAD_THREADS="2")
+        src = str(Path(dirad.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        started = tmp_path / "started"
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script, str(started), str(tmp_path / "out")],
+            env=env, start_new_session=True,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        try:
+            for _ in range(300):
+                if started.exists() or proc.poll() is not None:
+                    break
+                time.sleep(0.1)
+            assert started.exists(), "no job started on the pool"
+            os.killpg(proc.pid, signal.SIGINT)
+            proc.wait(timeout=5)
+            for _ in range(50):  # the group is empty once its workers are reaped
+                try:
+                    os.killpg(proc.pid, 0)
+                except ProcessLookupError:
+                    break
+                time.sleep(0.1)
+            else:
+                pytest.fail("a process of the run's group is still running")
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("case", ["sweep", "two-dataset-bench", "failing-sweep"])
     def test_worker_count_changes_no_byte_and_leaves_no_process(
@@ -328,6 +395,24 @@ class TestBench:
         assert run(["bench", "--data", synth_dir / "test.csv",
                     "--schema", synth_dir / "schema.txt", "--detectors", "nnd",
                     "--k", "3", "--out-dir", tmp_path / "out"]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--family", "gaussian", "--a", "0.5"],
+        ["bench", "--data", "test.csv", "--schema", "schema.txt"],
+        ["bench", "--sweep", "gaussian", "--shifts", "0.5", "--replicates", "2"],
+    ], ids=["synth", "bench-cv", "bench-sweep"])
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    def test_bad_seed_is_a_usage_error(self, argv, seed, synth_dir, tmp_path,
+                                       monkeypatch, capsys):
+        monkeypatch.chdir(synth_dir)
+        out = "--out" if argv[0] == "synth" else "--out-dir"
+        with pytest.raises(SystemExit) as err:
+            run([*argv, "--seed", seed, out, tmp_path / "never"])
+        assert err.value.code == 2
+        lines = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert lines == [f"dirad {argv[0]}: error: argument --seed: expected an "
+                         f"integer >= 0, got {seed!r}"]
+        assert not (tmp_path / "never").exists()
 
     def test_one_fold_is_a_usage_error(self, synth_dir, tmp_path, capsys):
         code = run(["bench", "--data", synth_dir / "test.csv",
