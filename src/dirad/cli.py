@@ -12,19 +12,23 @@ that raises fails each of its cells. score goes through ``fit_detector`` and
 ``score --model`` needs no ``--schema``.
 
 Environment: DIRAD_THREADS caps the worker processes that run bench jobs (a
-positive integer, default 1). Above 1, and with more than one job, the jobs
-run on a fork pool and their outcomes come back in job order (a worker that
-dies ends the command: one ``error:`` line, exit 1, nothing written);
-otherwise they run in this process and ``multiprocessing`` is never imported.
+positive integer, default 1), as do the job count and the usable CPUs. Each
+worker is forked with private pipes, for job ranges and their pickled outcomes
+(a worker that dies ends the command: one ``error:`` line, exit 1, nothing
+written); with one worker, the jobs run in this process.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
 import os
+import pickle
+import selectors
+import signal
 import sys
 from pathlib import Path
 
@@ -71,19 +75,6 @@ ALP_VARIANTS = ("absolute", "ramp")
 
 def _write_atomic(path: Path, text: str) -> None:
     write_atomic(path, lambda handle: handle.write(text.encode("utf-8")))
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("DIRAD_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"DIRAD_THREADS must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError(f"DIRAD_THREADS must be >= 1, got {value}")
-    return value
 
 
 def _merge_config(argv: list[str]) -> list[str]:
@@ -269,36 +260,99 @@ def _attempt(worker, width: int, job) -> list:
         return [RuntimeError(str(exc))] * width
 
 
-def _run_cells(jobs, worker, width: int) -> list:
-    """Run jobs, in this process or on a pool of worker processes; returns,
-    in job order, each job's list of ``width`` outcomes (see ``_attempt``).
-    ``worker`` must pickle for the pool: a module-level function, or a
-    ``functools.partial`` of one. A worker process that dies raises a
-    RuntimeError, so the command prints one ``error:`` line and writes nothing."""
-    task = functools.partial(_attempt, worker, width)
-    workers = min(_worker_count(), len(jobs))
-    if workers <= 1:
-        return [task(job) for job in jobs]
-    import multiprocessing  # a serial run never loads it
-    import signal
+def _pool_size(jobs: int) -> int:
+    """How many processes run ``jobs`` jobs: DIRAD_THREADS (a positive integer,
+    default 1), capped by the job count and the CPUs this process may use."""
+    raw = os.environ.get("DIRAD_THREADS", "").strip()
+    try:
+        threads = int(raw) if raw else 1
+    except ValueError:
+        raise ValueError(f"DIRAD_THREADS must be an integer, got {raw!r}") from None
+    if threads < 1:
+        raise ValueError(f"DIRAD_THREADS must be >= 1, got {threads}")
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has it
+        cpus = os.cpu_count() or 1
+    return min(threads, jobs, cpus)
 
-    before = set(multiprocessing.active_children())
-    # fork, named: Python 3.14 changes the Linux default. The children
-    # inherit the parent's modules, so a job costs only its own pickling.
-    # Leaving the block terminates the pool, should the wait raise. Workers
-    # ignore Ctrl-C: one stopped holding the task queue's lock would hang it.
-    with multiprocessing.get_context("fork").Pool(
-            workers, signal.signal, (signal.SIGINT, signal.SIG_IGN)) as pool:
-        started = set(multiprocessing.active_children()) - before
-        pending = pool.map_async(task, jobs)  # about four chunks a worker
-        while not pending.ready():  # a dead worker's chunk never comes back
-            dead = [p.exitcode for p in started if p.exitcode is not None]
-            if dead:
-                raise RuntimeError(f"a bench worker process died (exit code {dead[0]})")
-            pending.wait(0.1)
-        pool.close()
-        pool.join()  # no worker outlives the command
-    return pending.get()
+
+def _fork_worker(task, jobs, chunk: int, inherited: list[int]) -> tuple:
+    """A forked worker's pid, job pipe and result pipe. For each start index
+    it reads, the worker sends ``(start, outcomes)`` for ``jobs[start:start +
+    chunk]``, pickled; it exits 0 at EOF, and 1 if anything raised."""
+    job_read, job_write = os.pipe()
+    result_read, result_write = os.pipe()
+    if pid := os.fork():
+        os.close(job_read)
+        os.close(result_write)
+        return pid, open(job_write, "wb", buffering=0), open(result_read, "rb")
+    status = 1
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to handle
+        # A copy of an earlier worker's pipe end, left open here, would hide its EOF.
+        for end in (*inherited, job_write, result_read):
+            os.close(end)
+        with open(job_read, "rb") as starts, open(result_write, "wb") as results:
+            for start in map(int, starts):
+                pickle.dump((start, list(map(task, jobs[start:start + chunk]))), results)
+                results.flush()
+        status = 0
+    finally:
+        os._exit(status)  # nothing of the parent's (atexit, finalisers) runs here
+
+
+def _run_cells(jobs, worker, width: int) -> list:
+    """Run jobs, in this process or on forked workers; returns, in job order,
+    each job's list of ``width`` outcomes (see ``_attempt``). A worker that
+    dies with a range unsent raises a RuntimeError, so the command prints one
+    ``error:`` line and writes nothing. No worker outlives the call."""
+    task = functools.partial(_attempt, worker, width)
+    count = _pool_size(len(jobs))
+    if count <= 1:
+        return [task(job) for job in jobs]
+    chunk = -(-len(jobs) // (4 * count))  # about four ranges a worker
+    starts = iter(range(0, len(jobs), chunk))
+    outcomes, pipes = [None] * len(jobs), {}  # pipes: pid -> its job and result pipes
+
+    def reap(pid) -> int:
+        for end in pipes.pop(pid):
+            end.close()
+        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+    def hand_out(pid) -> None:
+        """Send ``pid`` the next range, or close its job pipe once none is left."""
+        start = next(starts, None)
+        if start is None:
+            selector.unregister(pipes[pid][1])
+            reap(pid)  # every range it ran is in: how it ends changes nothing
+        else:
+            with contextlib.suppress(BrokenPipeError):  # it died: its result pipe reads EOF
+                pipes[pid][0].write(b"%d\n" % start)
+
+    try:
+        for _ in range(count):
+            inherited = [end.fileno() for ends in pipes.values() for end in ends]
+            pid, *ends = _fork_worker(task, jobs, chunk, inherited)
+            pipes[pid] = ends
+        with selectors.DefaultSelector() as selector:
+            for pid in list(pipes):
+                selector.register(pipes[pid][1], selectors.EVENT_READ, pid)
+                hand_out(pid)
+            while selector.get_map():
+                for key, _ in selector.select():
+                    try:
+                        start, ran = pickle.load(key.fileobj)
+                    except (EOFError, pickle.UnpicklingError):  # it died
+                        died = f"a bench worker process died (exit code {reap(key.data)})"
+                        raise RuntimeError(died) from None
+                    outcomes[start:start + chunk] = ran
+                    hand_out(key.data)
+    finally:
+        for pid in list(pipes):
+            os.kill(pid, signal.SIGKILL)
+            reap(pid)
+    return outcomes
 
 
 def _print_cv_table(results: list[ExperimentResult]) -> None:
@@ -322,18 +376,6 @@ def _print_cv_table(results: list[ExperimentResult]) -> None:
     print("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
     for row in rows:
         print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
-
-
-def _cv_job(cells, n_folds: int, seed: int, job) -> list:
-    """``run_cv`` of every config on one ``(dataset id, dataset)`` job."""
-    ds_id, ds = job
-    folds = make_folds(int((~ds.labels).sum()), n_folds, seed)
-    return run_cv(ds, cells, folds, ds_id)
-
-
-def _sweep_job(cells, scale: bool, spec) -> list:
-    """``synthetic_auroc`` of every config on one generated problem."""
-    return synthetic_auroc(spec, cells, scale=scale)
 
 
 def _bench_cv(args, cells) -> int:
@@ -361,9 +403,12 @@ def _bench_cv(args, cells) -> int:
     if n_folds < 2:  # a bad flag fails the run; a small dataset, its cells
         raise ValueError(f"folds must be >= 2, got {n_folds}")
 
-    # One job per dataset: every config is fitted and scored on each fold.
-    worker = functools.partial(_cv_job, cells, n_folds, args.seed)
-    outcomes = _run_cells(datasets, worker, len(cells))
+    def cv(job) -> list:  # one dataset: every config is fitted and scored on each fold
+        ds_id, ds = job
+        folds = make_folds(int((~ds.labels).sum()), n_folds, args.seed)
+        return run_cv(ds, cells, folds, ds_id)
+
+    outcomes = _run_cells(datasets, cv, len(cells))
     results, failures = [], []
     for (ds_id, _), row in zip(datasets, outcomes):
         for config, outcome in zip(cells, row):
@@ -396,8 +441,9 @@ def _bench_sweep(args, cells) -> int:
 
     # One job per (shift, replicate) problem: it is generated, oriented and
     # scaled once, then every config is fitted and scored on it.
-    worker = functools.partial(_sweep_job, cells, not args.no_scale)
-    outcomes = _run_cells(specs, worker, len(cells))
+    outcomes = _run_cells(
+        specs, lambda spec: synthetic_auroc(spec, cells, scale=not args.no_scale),
+        len(cells))
     cells_out, cell_failures = [], []
     for c, config in enumerate(cells):
         k = "auto" if config.k is None else config.k

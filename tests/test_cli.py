@@ -1,6 +1,5 @@
 import contextlib
 import csv
-import multiprocessing
 import os
 import signal
 import subprocess
@@ -84,6 +83,12 @@ def fails_after(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
+def assert_no_child_process():
+    """This process has no child at all, running or waiting to be reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def write_wide_training_column(root, labelled):
     """Training rows whose x1 is twenty 0s plus 1e308 and -1e308: its
     semi-IQR is 0 and half its range overflows. Returns (data, schema)."""
@@ -133,6 +138,13 @@ class TestSynth:
 
 
 class TestBench:
+    @pytest.fixture(autouse=True)
+    def eight_cpus(self, monkeypatch):
+        """Workers are capped by the usable CPUs: at DIRAD_THREADS=3 a pool
+        test starts 3 workers on a host with fewer."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)),
+                            raising=False)
+
     def test_cv_run_writes_results(self, synth_dir, tmp_path):
         out = tmp_path / "results"
         code = run(
@@ -287,7 +299,7 @@ class TestBench:
 
     @pytest.mark.parametrize("threads", ["2", "3"])  # at 1 the kill would hit pytest
     def test_dead_worker_ends_the_run(self, threads, tmp_path, monkeypatch, capfd):
-        # A worker killed by a signal never returns its chunk. The run ends
+        # A worker killed by a signal never returns its range. The run ends
         # with one error line, writes nothing and leaves no worker behind.
         def killed(spec, cells, scale=True):
             if spec.shift == 0.8:
@@ -303,16 +315,16 @@ class TestBench:
         assert capfd.readouterr().err.splitlines() == [
             "error: a bench worker process died (exit code -9)"]
         assert not (tmp_path / "out" / "sweep.csv").exists()
-        assert multiprocessing.active_children() == []
+        assert_no_child_process()
 
     def test_ctrl_c_stops_the_pool_at_once(self, tmp_path):
         # Every job sleeps on a worker once it has marked that it started;
-        # Ctrl-C reaches the whole process group, as from a terminal. While
-        # the workers took it too, one stopped inside the task queue's lock
-        # now and then left the pool's terminate waiting for good.
+        # Ctrl-C reaches the whole process group, as from a terminal. The
+        # workers ignore it, and the parent kills and reaps them as it stops.
         script = (
-            "import pathlib, sys, time\n"
+            "import os, pathlib, sys, time\n"
             "from dirad import cli\n"
+            "os.sched_getaffinity = lambda pid: set(range(8))\n"
             "def sleeping(spec, cells, scale=True):\n"
             "    pathlib.Path(sys.argv[1]).touch()\n"
             "    time.sleep(60)\n"
@@ -377,9 +389,9 @@ class TestBench:
             monkeypatch.setenv("DIRAD_THREADS", threads)
             out = tmp_path / f"out-{threads}"
             with fails_after(60), warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always", ResourceWarning)  # an unclosed pool
+                warnings.simplefilter("always", ResourceWarning)  # an unclosed pipe
                 assert run([*argv, "--out-dir", out]) == expected_code
-            assert multiprocessing.active_children() == []
+            assert_no_child_process()
             assert [w.message for w in caught if w.category is ResourceWarning] == []
             seen.append((capsys.readouterr().err,
                          [(out / name).read_bytes() for name in names]))
@@ -387,14 +399,79 @@ class TestBench:
 
     def test_one_job_runs_in_process_at_any_worker_count(self, synth_dir, tmp_path,
                                                          monkeypatch):
-        def no_pool(method):
-            raise AssertionError("a one-job run asked for a process pool")
+        def no_fork():
+            raise AssertionError("a one-job run forked a worker")
 
-        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+        monkeypatch.setattr(os, "fork", no_fork)
         monkeypatch.setenv("DIRAD_THREADS", "2")
         assert run(["bench", "--data", synth_dir / "test.csv",
                     "--schema", synth_dir / "schema.txt", "--detectors", "nnd",
                     "--k", "3", "--out-dir", tmp_path / "out"]) == 0
+
+    @pytest.mark.parametrize("threads, jobs, cpus, workers", [
+        ("500", 990, 2, 2), ("3", 990, 2, 2), ("3", 4, 8, 3), ("3", 2, 8, 2), ("1", 9, 8, 1),
+    ])
+    def test_pool_size_is_capped_by_jobs_and_usable_cpus(self, threads, jobs, cpus,
+                                                         workers, monkeypatch):
+        monkeypatch.setenv("DIRAD_THREADS", threads)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        assert cli._pool_size(jobs) == workers
+        monkeypatch.delattr(os, "sched_getaffinity")  # as where the call is missing
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert cli._pool_size(jobs) == workers
+
+    @pytest.mark.parametrize("threads", ["2", "3"])
+    def test_pool_forks_one_worker_per_job_up_to_dirad_threads(self, threads, tmp_path,
+                                                               monkeypatch):
+        forked = []
+        fork = os.fork
+
+        def counting_fork():
+            pid = fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        monkeypatch.setenv("DIRAD_THREADS", threads)
+        with fails_after(60):
+            assert run(["bench", "--sweep", "gaussian", "--shifts", "0.2,0.8",
+                        "--replicates", "2", "--k", "3", "--out-dir", tmp_path]) == 0
+        assert len(forked) == int(threads)  # 4 jobs
+        assert_no_child_process()
+
+    @pytest.mark.skipif(not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
+                        reason="needs /proc/<pid>/task/<tid>/children")
+    @pytest.mark.parametrize("threads", ["2", "3"])
+    def test_idle_sibling_killed_changes_no_byte(self, threads, tmp_path, monkeypatch,
+                                                  capfd):
+        # The shift-0.8 job kills every other worker of the run once its
+        # sibling, done with shift 0.2, has nothing left to do. A pool whose
+        # idle workers wait on a lock they share with the parent hung here.
+        runner = os.getpid()
+
+        def killing(spec, cells, scale=True):
+            if spec.shift == 0.8:
+                assert os.getppid() == runner, "the job must run on a worker"
+                time.sleep(1)
+                children = Path(f"/proc/{runner}/task/{runner}/children").read_text()
+                for pid in map(int, children.split()):
+                    if pid != os.getpid():
+                        os.kill(pid, signal.SIGKILL)
+            return evaluation.synthetic_auroc(spec, cells, scale=scale)
+
+        argv = ["bench", "--sweep", "gaussian", "--shifts", "0.2,0.8", "--replicates", "1"]
+        monkeypatch.setenv("DIRAD_THREADS", "1")
+        assert run([*argv, "--out-dir", tmp_path / "serial"]) == 0
+        monkeypatch.setattr(cli, "synthetic_auroc", killing)
+        monkeypatch.setenv("DIRAD_THREADS", threads)
+        with fails_after(60):
+            assert run([*argv, "--out-dir", tmp_path / "pool"]) == 0
+        assert capfd.readouterr().err == ""
+        assert ((tmp_path / "pool" / "sweep.csv").read_bytes()
+                == (tmp_path / "serial" / "sweep.csv").read_bytes())
+        assert_no_child_process()
 
     @pytest.mark.parametrize("argv", [
         ["synth", "--family", "gaussian", "--a", "0.5"],

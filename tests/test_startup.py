@@ -1,28 +1,29 @@
-"""Import-cost guard: no CLI command loads SciPy or ``numpy.ma``, a serial run
-never loads a process or thread pool, and importing dirad, fitting with
-``score`` and ``diagnose`` never load OpenSSL.
+"""Import-cost guard: no CLI command loads SciPy or ``numpy.ma``, no run
+loads ``multiprocessing`` or ``concurrent.futures``, and importing dirad,
+fitting with ``score`` and ``diagnose`` never load OpenSSL.
 
 dirad runs on NumPy alone: SciPy is only the reference the tests compare
 against. ``stats``, whose signed-rank test needs the normal tail, runs with
 ``sys.modules["scipy"] = None``, so that any attempt to import SciPy fails the
 step. ``numpy.ma`` (about 0.9 MB resident) came in through ``np.quantile``'s
 ``np.unique``, which the scaler calls only for a column holding both -0.0 and
-+0.0 that reads a zero quartile. ``multiprocessing`` is needed only when
-DIRAD_THREADS is above 1 and a command has more than one job for the pool;
-``concurrent.futures`` (about 0.6 MB) by no command; and ``_hashlib``
-(OpenSSL, about 3.6 MB) only to hash a model bundle or a sweep's replicate
-seeds.
++0.0 that reads a zero quartile. Bench jobs run on workers that dirad forks
+itself, so ``multiprocessing`` is needed by no command, not even a sweep at
+DIRAD_THREADS=2; nor is ``concurrent.futures`` (about 0.6 MB). ``_hashlib``
+(OpenSSL, about 3.6 MB) is needed only to hash a model bundle or a sweep's
+replicate seeds.
 ``_hashlib`` is not checked after ``synth``, ``bench`` or ``stats``:
 ``numpy.random`` loads it through ``secrets`` and ``hmac``.
 
 The test writes a tiny problem first, so one fresh interpreter, with
 DIRAD_THREADS unset, can import dirad, fit with ``score`` and run
 ``diagnose`` before any command that loads ``_hashlib``, then run every
-other command and ``stats`` last. It records the ``scipy*`` modules, and
-whether ``numpy.ma``, ``multiprocessing``, ``concurrent.futures`` and
-``_hashlib`` are loaded, after each step. NumPy 1.x imports ``numpy.ma``
-and ``numpy.random`` with numpy itself, so there a module that ``import
-numpy`` loads is not checked.
+other command, a sweep of two problems on two forked workers, and ``stats``
+last. It records the ``scipy*`` modules, and whether ``numpy.ma``,
+``multiprocessing``, ``concurrent.futures`` and ``_hashlib`` are loaded,
+after each step, and how many workers the parallel step forked. NumPy 1.x
+imports ``numpy.ma`` and ``numpy.random`` with numpy itself, so there a
+module that ``import numpy`` loads is not checked.
 """
 
 import json
@@ -37,6 +38,7 @@ import dirad.cli
 
 SCRIPT = r"""
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -79,6 +81,22 @@ run("bench cv", "bench", *pair, "--detectors", "nnd,alp", "--k", "3",
     "--alp-k", "2", "--alp-l", "3", "--out-dir", work / "cv")
 run("bench sweep", "bench", "--sweep", "gaussian", "--shifts", "0.5",
     "--replicates", "1", "--k", "3", "--out-dir", work / "sweep")
+os.environ["DIRAD_THREADS"] = "2"
+os.sched_getaffinity = lambda pid: {0, 1}  # two usable CPUs on any host
+forked, fork = [], os.fork
+
+
+def counting_fork():
+    forked.append(fork())
+    return forked[-1]
+
+
+os.fork = counting_fork
+run("bench sweep on 2 workers", "bench", "--sweep", "gaussian", "--shifts", "0.2,0.8",
+    "--replicates", "1", "--k", "3", "--out-dir", work / "sweep2")
+os.fork = fork
+seen["forked"] = len([pid for pid in forked if pid])
+del os.environ["DIRAD_THREADS"]
 run("score --save-model", *fit, "--save-model", work / "model.npz",
     "--queries", data / "test.csv", "--out", work / "scores2.csv")
 run("score --model", "score", "--model", work / "model.npz",
@@ -93,7 +111,10 @@ SYNTH = ["synth", "--family", "gaussian", "--a", "0.7", "--seed", "3",
          "--n-train", "40", "--n-test-normal", "20", "--n-test-anomalous", "10",
          "--m", "3"]
 STEPS = ["import dirad", "import dirad.cli", "score", "diagnose", "synth", "bench cv",
-         "bench sweep", "score --save-model", "score --model", "stats"]
+         "bench sweep", "bench sweep on 2 workers", "score --save-model", "score --model",
+         "stats"]
+PARALLEL_STEP = "bench sweep on 2 workers"
+SERIAL_STEPS = [step for step in STEPS if step != PARALLEL_STEP]
 # The steps run in this order: OpenSSL stays unloaded through "diagnose".
 NO_OPENSSL_UNTIL = "diagnose"
 
@@ -137,14 +158,20 @@ def test_step_loads_no_numpy_ma(seen, step):
     assert_not_loaded(seen, "numpy.ma", step)
 
 
-@pytest.mark.parametrize("step", STEPS)
+@pytest.mark.parametrize("step", SERIAL_STEPS)
 def test_serial_step_loads_no_process_pool(seen, step):
     assert_not_loaded(seen, "multiprocessing", step)
 
 
-@pytest.mark.parametrize("step", STEPS)
+@pytest.mark.parametrize("step", SERIAL_STEPS)
 def test_serial_step_loads_no_thread_pool(seen, step):
     assert_not_loaded(seen, "concurrent.futures", step)
+
+
+@pytest.mark.parametrize("name", ["multiprocessing", "concurrent.futures"])
+def test_parallel_step_forks_its_workers_and_loads_no_pool(seen, name):
+    assert seen["forked"] == 2
+    assert_not_loaded(seen, name, PARALLEL_STEP)
 
 
 @pytest.mark.parametrize("step", steps_until(NO_OPENSSL_UNTIL))
